@@ -1,10 +1,14 @@
 """Counting the eigenvalues of the resolvent difference on a disk.
 
-The difference operator is compact and symmetric; on the disk its
-spectrum is computed by densifying against the exterior basis.  The
-counting function is then compared with the circle model (the interface
-difference operator diagonalizes in angular modes) through the
-trace-map norm, and the phase-space counting law is checked.
+The difference operator is compact and symmetric, and the discrete one
+has rank |Gamma| (the interface nodes): eliminating everything off the
+interface gives E = Y Sigma^{-1} Y^T W with Sigma the interface Schur
+complement, so its nonzero spectrum is that of the |Gamma| x |Gamma|
+matrix L^{-1} (Y^T W Y) L^{-T}, Sigma = L L^T.  Only those |Gamma|
+eigenvalues are computed; the rest are zero.  The counting function is
+then compared with the circle model (the interface difference operator
+diagonalizes in angular modes) through the trace-map norm, and the
+phase-space counting law is checked.
 """
 
 import numpy as np
@@ -19,10 +23,11 @@ lam = 1e3
 disk = Domain2D(lx=4.0, ly=4.0, center=(2.0, 2.0), radius=1.0)
 grid = PolarGrid(disk, nr_ext=32, ntheta=64)
 print(f"disk of radius 1 in a 4 x 4 box; exterior unknowns: "
-      f"{grid.ext_idx.size}; coupling lam = {lam:g}")
+      f"{grid.ext_idx.size}; interface nodes (the rank of the difference): "
+      f"{grid.interface_idx.size}; coupling lam = {lam:g}")
 
 pipe = DifferencePipeline(grid)
-eigs = eigen_spectrum(grid, lam, pipeline=pipe)
+eigs = eigen_spectrum(grid, lam)
 moduli = np.sort(np.abs(eigs))[::-1]
 norm = pipe.norm(lam)
 print(f"||difference|| = {norm:.4e}; largest eigenvalue moduli:")

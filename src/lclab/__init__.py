@@ -29,16 +29,15 @@ from .grids import Grid1D, PolarGrid, SparseOperator, transmission_solve
 from .kernels import dense_eigen, loglog_fit, power_iteration_sym, solve_spd
 from .coupling import (DifferencePipeline, GreenReport, RateFit,
                        convergence_rate_fit, convergence_rate_fit_exact_1d,
-                       counting_zero_threshold, difference_apply,
-                       difference_matrix_1d, difference_norm,
+                       counting_zero_threshold, difference_matrix_1d,
                        difference_norm_exact_1d, exterior_gram_1d,
                        green_identity_check, green_test_fields,
                        nonlocal_bc_solve, ntd_matrix_1d)
-from .counting import (CountingReport, birman_disk_check,
-                       birman_synthetic_check, circle_count_prediction,
-                       circle_difference_eigenvalue, circle_model_exponent_fit,
-                       counting_circle, counting_function, counting_report,
-                       eigen_spectrum, sphere_slice_integral, trace_map_norm,
+from .counting import (birman_disk_check, birman_synthetic_check,
+                       circle_count_prediction, circle_difference_eigenvalue,
+                       circle_model_exponent_fit, counting_circle,
+                       counting_function, eigen_spectrum,
+                       sphere_slice_integral, trace_map_norm,
                        weyl_exponent_fit, weyl_rhs)
 from .torus import (SpectralField, TorusGrid, apply_multiplier, apply_psdo,
                     composition_error_experiment, default_composition_symbols,

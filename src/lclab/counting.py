@@ -15,17 +15,16 @@ the chain are computable exactly.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
-from .errors import DomainError, InconclusiveError, ResourceLimitError
+from .errors import ContractError, DomainError, InconclusiveError
 from .geometry import chart_atlas, metric_matrix, unit_normal
-from .kernels import dense_eigen, loglog_fit, power_iteration_sym, solve_spd
-from .coupling import DifferencePipeline
+from .kernels import (_Factorization, dense_eigen, loglog_fit,
+                      power_iteration_sym, solve_spd)
 
-MAX_DENSIFY_DIM = 3000
 SPHERE_QUAD_POINTS = 512
 
 
@@ -37,47 +36,35 @@ def counting_function(eigenvalues, mu):
     return int(np.count_nonzero(eigenvalues > mu))
 
 
-@dataclass
-class CountingReport:
-    eigenvalues: np.ndarray      # sorted ascending
-    mu_grid: np.ndarray          # positive, decreasing
-    counts: np.ndarray           # N(mu; |spectrum|) per mu
-    weyl_rhs: np.ndarray         # model prediction per mu
-    s_norm: float
+def eigen_spectrum(grid, lam, tol=1e-10):
+    """Nonzero spectrum of the resolvent difference E_lam, ascending.
 
-    def __post_init__(self):
-        if np.any(np.diff(self.mu_grid) >= 0):
-            raise DomainError("mu grid must be decreasing")
-        if np.any(np.diff(self.counts) < 0):
-            raise DomainError("counts must be nonincreasing in mu")
-
-
-def eigen_spectrum(grid, lam, pipeline=None, tol=1e-10):
-    """Full spectrum of the resolvent difference on the exterior grid.
-
-    E_lam is densified column by column (two cached solves per column),
-    conjugated into the weighted inner product, symmetrized to scrub
-    solver noise, and handed to the dense eigensolver.  Sorted ascending.
+    Eliminating all nodes r off the interface Gamma from the coupled
+    matrix A (X = A_rr^{-1} A_rGamma: one factorization, |Gamma| checked
+    solves) leaves the Schur complement Sigma = A_GammaGamma - A_Gammar X,
+    the discrete exterior plus screened interior Dirichlet-to-Neumann map,
+    and E_lam = Y Sigma^{-1} Y^T W with Y the exterior rows of X and W the
+    exterior cell measures.  So E_lam has rank |Gamma|: its nonzero
+    eigenvalues, the only ones returned, are those of L^{-1} Y^T W Y L^{-T}
+    with Sigma = L L^T.
     """
-    pipe = pipeline if pipeline is not None else DifferencePipeline(grid, tol=tol)
-    dim = grid.ext_idx.size
-    if dim > MAX_DENSIFY_DIM:
-        raise ResourceLimitError(
-            f"exterior dimension {dim} > {MAX_DENSIFY_DIM} for densification")
-    sq = np.sqrt(grid.w_ext)
-    cols = np.empty((dim, dim))
-    for j in range(dim):
-        basis = np.zeros(dim)
-        basis[j] = 1.0 / sq[j]
-        cols[:, j] = sq * pipe.apply(lam, basis)
-    sym = 0.5 * (cols + cols.T)
-    return dense_eigen(sym)
-
-
-def trace_map_apply(grid, exterior_op, f_ext, tol=1e-10):
-    """S f = interface normal-derivative trace of the exterior solve."""
-    v = exterior_op.solve(np.asarray(f_ext, dtype=float), tol=tol)
-    return grid.trace_gamma1(grid.embed_exterior(v), "exterior")
+    mat = grid.assemble_coupled(lam).matrix
+    gamma = grid.interface_idx
+    rest = np.setdiff1d(np.arange(mat.shape[0]), gamma)
+    a_rr, a_rg = mat[rest][:, rest], mat[rest][:, gamma].toarray()
+    fact = _Factorization(a_rr)
+    x = np.column_stack([solve_spd(a_rr, col, tol=tol, cache=fact)
+                         for col in a_rg.T])
+    sigma = mat[gamma][:, gamma].toarray() - a_rg.T @ x
+    y = x[np.searchsorted(rest, grid.ext_idx)]
+    gram = y.T @ (grid.w_ext[:, None] * y)
+    try:
+        chol = np.linalg.cholesky(0.5 * (sigma + sigma.T))
+    except np.linalg.LinAlgError as err:
+        raise ContractError(f"interface Schur complement not SPD: {err}")
+    half = scipy.linalg.solve_triangular(chol, gram, lower=True)
+    core = scipy.linalg.solve_triangular(chol, half.T, lower=True)
+    return dense_eigen(0.5 * (core + core.T))
 
 
 def _gamma1_exterior_matrix(grid):
@@ -116,23 +103,6 @@ def trace_map_norm(grid, tol=1e-8, seed=0):
     val, _ = power_iteration_sym(s_star_s, grid.ext_idx.size, tol=tol,
                                  weights=grid.w_ext, seed=seed)
     return math.sqrt(val)
-
-
-def trace_map_gram_1d(grid, tol=1e-10):
-    """2x2 Gram matrix S S* from two exterior solve pairs (low-rank oracle).
-
-    Column p is S applied to the adjoint field S* e_p, so each column
-    costs one flux-data solve plus one ordinary exterior solve.
-    """
-    ext = grid.assemble_exterior()
-    tmat = _gamma1_exterior_matrix(grid)
-    gram = np.empty((2, 2))
-    for p in range(2):
-        phi = np.zeros(2)
-        phi[p] = 1.0
-        s_star = ext.solve_raw(tmat.T @ (grid.gamma_weights * phi), tol=tol)
-        gram[:, p] = tmat @ ext.solve(s_star, tol=tol)
-    return 0.5 * (gram + gram.T)
 
 
 # ---------------------------------------------------------------------------
@@ -300,21 +270,3 @@ def circle_model_exponent_fit(radius, lam, mu_hi=None, points=11):
     slope, intercept, r2 = loglog_fit(mu_grid, counts)
     return {"slope": slope, "intercept": intercept, "r_squared": r2,
             "mu_grid": mu_grid, "counts": counts}
-
-
-def counting_report(grid, lam, mu_grid, pipeline=None, s_norm=None):
-    """Bundle spectrum, counts and the circle-model prediction per mu."""
-    eigs = eigen_spectrum(grid, lam, pipeline=pipeline)
-    moduli = np.abs(eigs)
-    if s_norm is None:
-        s_norm = trace_map_norm(grid)
-    mu_grid = np.asarray(mu_grid, dtype=float)
-    counts = np.array([counting_function(moduli, mu) for mu in mu_grid])
-    if grid.dim == 2:
-        rhs = np.array([circle_count_prediction(grid.r_inc, lam,
-                                                mu / s_norm ** 2)
-                        for mu in mu_grid])
-    else:
-        rhs = np.zeros_like(mu_grid)
-    return CountingReport(eigenvalues=np.sort(eigs), mu_grid=mu_grid,
-                          counts=counts, weyl_rhs=rhs, s_norm=s_norm)

@@ -16,15 +16,13 @@ positive definite, and (E f, f) >= 0.
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DomainError, InconclusiveError
-from .geometry import Domain1D
-from .kernels import loglog_fit, power_iteration_sym, solve_spd
-from .grids import transmission_solve
+from .errors import (ContractError, ConvergenceError, DomainError,
+                     InconclusiveError)
+from .kernels import backward_error, loglog_fit, power_iteration_sym
 
 MIN_RATE_R_SQUARED = 0.95
 DEFAULT_LAMBDA_SWEEP = (1e2, 1e3, 1e4, 1e5, 1e6)
@@ -130,14 +128,6 @@ class DifferencePipeline:
                                      self.grid.ext_idx.size, tol=tol,
                                      weights=self.grid.w_ext, seed=seed)
         return val
-
-
-def difference_apply(grid, lam, f_ext, tol=1e-10):
-    return DifferencePipeline(grid, tol=tol).apply(lam, f_ext)
-
-
-def difference_norm(grid, lam, tol=1e-8, seed=0):
-    return DifferencePipeline(grid).norm(lam, tol=tol, seed=seed)
 
 
 @dataclass
@@ -324,10 +314,13 @@ def nonlocal_bc_solve_1d(grid, lam, f_ext, tol=1e-10):
 
     Unknowns are the closed-exterior nodes (interface included); the two
     interface rows couple both interface points through the exact 2x2
-    NtD matrix and second-order one-sided derivative stencils.
+    NtD matrix and second-order one-sided derivative stencils.  The
+    solve's normwise backward error must not exceed ``tol``.
     """
     if grid.dim != 1:
         raise DomainError("use nonlocal_bc_solve_polar for the disk")
+    if not 0.0 < tol <= 1e-6:
+        raise ContractError(f"solve tolerance {tol} outside (0, 1e-6]")
     f_ext = np.asarray(f_ext, dtype=float)
     h = grid.h
     nodes = np.concatenate([np.arange(0, grid.i1 + 1),
@@ -373,6 +366,10 @@ def nonlocal_bc_solve_1d(grid, lam, f_ext, tol=1e-10):
                 add(i, local[node], -n_mat[row_pt, col_pt] * coeff / (2 * h))
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(nloc, nloc)).tocsr()
     sol = sp.linalg.spsolve(mat, rhs)
+    residual = backward_error(mat, sol, rhs)
+    if not residual <= tol:
+        raise ConvergenceError(f"nonlocal solve backward error {residual:.3e}"
+                               f" exceeds tol {tol:.1e}", residual=residual)
     out = np.zeros(grid.n_nodes)
     out[nodes] = sol
     return grid.restrict(out)

@@ -7,16 +7,16 @@ run writes CSV data plus ``summary.json`` carrying the schema version,
 the config hash, the tolerances applied, and one verdict per criterion;
 identical config + seed reproduce the artifacts byte for byte.
 
-Exit codes: 0 pass, 1 fail, 2 inconclusive, 3 config error.
+Exit codes: 0 pass, 1 fail or error, 2 inconclusive, 3 config error;
+``report-all`` runs every experiment and exits with the worst verdict.
 """
 
 import argparse
 import difflib
 import hashlib
 import json
-import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -265,10 +265,11 @@ class _Artifacts:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
         return path
 
-    def finish(self, experiment, status):
+    def finish(self, experiment, status, verdicts):
         summary = {
             "schema_version": SCHEMA_VERSION,
             "experiment": experiment,
+            "experiments": verdicts,
             "config_hash": self.config.config_hash(),
             "seed": self.config.seed(),
             "tolerances": {k: list(v) if isinstance(v, tuple) else v
@@ -508,8 +509,7 @@ def _run_weyl(config, art, dump=False):
                        TOLERANCES["weyl_circle_slope"])
     grid = PolarGrid(_domain2d(config), config["grid.radial_ext"],
                      config["grid.angular"])
-    pipe = cp.DifferencePipeline(grid, tol=config["tolerances.solve_tol"])
-    eigs = ct.eigen_spectrum(grid, lam, pipeline=pipe)
+    eigs = ct.eigen_spectrum(grid, lam, tol=config["tolerances.solve_tol"])
     fit = ct.weyl_exponent_fit(eigs)
     ok &= art.criterion("weyl.disk_slope", fit["slope"],
                         _in_window(fit["slope"], TOLERANCES["weyl_disk_slope"]),
@@ -533,8 +533,7 @@ def _run_birman(config, art, dump=False):
     lam = config["sweep.lam"]
     grid = PolarGrid(_domain2d(config), config["grid.radial_ext"],
                      config["grid.angular"])
-    pipe = cp.DifferencePipeline(grid, tol=config["tolerances.solve_tol"])
-    eigs = ct.eigen_spectrum(grid, lam, pipeline=pipe)
+    eigs = ct.eigen_spectrum(grid, lam, tol=config["tolerances.solve_tol"])
     s_norm = ct.trace_map_norm(grid, tol=config["tolerances.power_tol"],
                                seed=config.seed())
     top = float(np.abs(eigs).max())
@@ -589,23 +588,30 @@ _RUNNERS = {
 def run_experiment(config, out_dir=None, dump_matrices=False):
     """Run one experiment (or the full battery) and write its artifacts.
 
-    Returns (exit_code, summary): 0 pass, 1 fail, 2 inconclusive.
+    Every experiment runs whatever the others did; its verdict ("pass",
+    "fail", "inconclusive" or "error: <message>") goes under
+    ``experiments`` in ``summary.json``.  Returns (exit_code, summary):
+    1 if any failed or raised a LabError, else 2 if any was
+    inconclusive, else 0.
     """
     name = config["experiment.name"]
     out = Path(out_dir if out_dir is not None else config["output.dir"])
     art = _Artifacts(out, config)
-    status = 0
-    names = list(_RUNNERS) if name == "report-all" else [name]
-    try:
-        for exp in names:
+    verdicts = {}
+    for exp in (list(_RUNNERS) if name == "report-all" else [name]):
+        try:
             passed = _RUNNERS[exp](config, art, dump=dump_matrices)
-            if not passed:
-                status = 1
-    except InconclusiveError as err:
-        print(f"[INCONCLUSIVE] {err}")
-        status = 2
-    summary = art.finish(name, status)
-    return status, summary
+            verdicts[exp] = "pass" if passed else "fail"
+        except InconclusiveError as err:
+            print(f"[INCONCLUSIVE] {exp}: {err}")
+            verdicts[exp] = "inconclusive"
+        except LabError as err:
+            print(f"[ERROR] {exp}: {err}", file=sys.stderr)
+            verdicts[exp] = f"error: {err}"
+    outcomes = {v.split(":")[0] for v in verdicts.values()}
+    status = 1 if outcomes & {"fail", "error"} \
+        else 2 if "inconclusive" in outcomes else 0
+    return status, art.finish(name, status, verdicts)
 
 
 def main(argv=None):
@@ -636,12 +642,8 @@ def main(argv=None):
     except OSError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 3
-    try:
-        status, _ = run_experiment(config, out_dir=args.out,
-                                   dump_matrices=args.dump_matrices)
-    except LabError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    status, _ = run_experiment(config, out_dir=args.out,
+                               dump_matrices=args.dump_matrices)
     return status
 
 

@@ -76,9 +76,6 @@ class SpectralField:
         coeffs = np.asarray(coeffs, dtype=complex)
         return cls(grid, idft(grid, coeffs), coeffs)
 
-    def l2_norm(self):
-        return math.sqrt(2.0 * np.pi * float(np.sum(np.abs(self.coefficients) ** 2)))
-
     def parseval_gap(self):
         grid_norm2 = (2.0 * np.pi / self.grid.m) * float(
             np.sum(np.abs(self.values) ** 2))

@@ -29,10 +29,12 @@ def polar_grid(disk_domain):
 
 @pytest.fixture(scope="session")
 def disk_spectrum(polar_grid):
-    """Densified spectrum of the resolvent difference at lam = 1e3,
-    shared by the counting and acceptance tests (the expensive step)."""
+    """Nonzero spectrum of the resolvent difference at lam = 1e3: the
+    |Gamma| eigenvalues of L^{-1} (Y^T W Y) L^{-T} from the interface
+    Schur complement Sigma = L L^T (see ``eigen_spectrum``), with the
+    power-iteration norm and the trace-map norm beside it."""
     pipe = DifferencePipeline(polar_grid)
-    eigs = eigen_spectrum(polar_grid, DISK_LAM, pipeline=pipe)
+    eigs = eigen_spectrum(polar_grid, DISK_LAM)
     return {"eigs": eigs, "pipe": pipe, "lam": DISK_LAM,
             "norm": pipe.norm(DISK_LAM),
             "s_norm": trace_map_norm(polar_grid)}

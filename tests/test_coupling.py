@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from lclab import (DifferencePipeline, Domain1D, DomainError, Grid1D,
-                   InconclusiveError, RateFit, convergence_rate_fit_exact_1d,
-                   counting_zero_threshold, difference_matrix_1d,
-                   difference_norm_exact_1d, exterior_gram_1d,
-                   green_identity_check, green_test_fields, nonlocal_bc_solve,
-                   ntd_matrix_1d, transmission_solve)
+from lclab import (ContractError, ConvergenceError, DifferencePipeline,
+                   Domain1D, DomainError, Grid1D, InconclusiveError, RateFit,
+                   convergence_rate_fit_exact_1d, counting_zero_threshold,
+                   coupling, difference_matrix_1d, difference_norm_exact_1d,
+                   exterior_gram_1d, green_identity_check, green_test_fields,
+                   nonlocal_bc_solve, ntd_matrix_1d, transmission_solve)
 from lclab.coupling import exterior_dtn_matrix_1d, transmission_factor_1d
 from lclab.grids import PolarGrid
 
@@ -208,6 +208,29 @@ def test_transmission_satisfies_exact_ntd(domain1d):
 def test_nonlocal_solve_zero_source(grid1d):
     out = nonlocal_bc_solve(grid1d, 1e3, np.zeros(grid1d.ext_idx.size))
     assert np.abs(out).max() < 1e-14
+
+
+def test_nonlocal_solve_rejects_tolerance_outside_contract(grid1d):
+    f = np.ones(grid1d.ext_idx.size)
+    for tol in (0.0, -1e-10, 1e-3):
+        with pytest.raises(ContractError):
+            nonlocal_bc_solve(grid1d, 1e3, f, tol=tol)
+
+
+def test_nonlocal_solve_checks_its_backward_error(grid1d, monkeypatch):
+    f, _ = green_test_fields(grid1d)
+    original, seen = coupling.backward_error, []
+
+    def spy(*args, **kwargs):
+        seen.append(original(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(coupling, "backward_error", spy)
+    nonlocal_bc_solve(grid1d, 1e3, f)
+    assert len(seen) == 1 and 0.0 < seen[0] <= 1e-10
+    with pytest.raises(ConvergenceError) as info:
+        nonlocal_bc_solve(grid1d, 1e3, f, tol=1e-30)
+    assert info.value.residual == seen[-1] > 1e-30
 
 
 def test_nonlocal_matches_transmission_1d(domain1d):

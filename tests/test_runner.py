@@ -1,0 +1,76 @@
+import json
+
+import pytest
+
+from lclab import ConvergenceError, InconclusiveError, runner
+
+
+def _passes(config, art, dump=False):
+    return art.criterion("fake.pass", 1.0, True)
+
+
+def _fails(config, art, dump=False):
+    return art.criterion("fake.fail", 0.0, False)
+
+
+def _inconclusive(config, art, dump=False):
+    raise InconclusiveError("fit too noisy")
+
+
+def _raises(config, art, dump=False):
+    raise ConvergenceError("solve diverged")
+
+
+def _report_all(monkeypatch, tmp_path, fakes):
+    monkeypatch.setattr(runner, "_RUNNERS", fakes)
+    code = runner.main(["report-all", "--out", str(tmp_path)])
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["status"] == code
+    return code, summary["experiments"]
+
+
+def test_all_passing_exits_zero(monkeypatch, tmp_path):
+    code, verdicts = _report_all(monkeypatch, tmp_path,
+                                 {"a": _passes, "b": _passes})
+    assert code == 0
+    assert verdicts == {"a": "pass", "b": "pass"}
+
+
+def test_inconclusive_exits_two_and_later_experiments_still_run(
+        monkeypatch, tmp_path):
+    code, verdicts = _report_all(monkeypatch, tmp_path,
+                                 {"a": _inconclusive, "b": _passes})
+    assert code == 2
+    assert verdicts == {"a": "inconclusive", "b": "pass"}
+
+
+@pytest.mark.parametrize("culprit, verdict", [
+    (_fails, "fail"), (_raises, "error: solve diverged")])
+def test_failure_or_error_exits_one_and_outranks_inconclusive(
+        monkeypatch, tmp_path, culprit, verdict):
+    code, verdicts = _report_all(
+        monkeypatch, tmp_path,
+        {"a": _inconclusive, "b": culprit, "c": _passes})
+    assert code == 1
+    assert verdicts == {"a": "inconclusive", "b": verdict, "c": "pass"}
+
+
+def test_config_errors_exit_three_and_are_all_reported(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[grid]\nangulr = 64\nradial_ext = many\n[sweeps]\n")
+    code = runner.main(["weyl", "--config", str(cfg),
+                        "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "did you mean angular?" in err
+    assert "cannot parse 'many' as int" in err
+    assert "did you mean [sweep]?" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_compose_seed_57_is_inconclusive(tmp_path):
+    code = runner.main(["compose", "--seed", "57", "--out", str(tmp_path)])
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert code == 2
+    assert summary["experiments"] == {"compose": "inconclusive"}
+    assert summary["data"]["compose"]["r_squared"] < 0.98
