@@ -20,12 +20,14 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .errors import ContractError, DomainError, InconclusiveError
+from .errors import (ContractError, DomainError, InconclusiveError,
+                     ResourceLimitError)
 from .geometry import chart_atlas, metric_matrix, unit_normal
 from .kernels import (_Factorization, dense_eigen, loglog_fit,
                       power_iteration_sym, solve_spd)
 
 SPHERE_QUAD_POINTS = 512
+CIRCLE_MODE_CAP = 10 ** 7  # most angular modes counting_circle enumerates
 
 
 def counting_function(eigenvalues, mu):
@@ -118,21 +120,26 @@ def circle_difference_eigenvalue(radius, lam, k):
     return 1.0 / (xi + math.sqrt(xi * xi + lam))
 
 
-def counting_circle(radius, lam, mu, k_cap=10 ** 7):
-    """Exact count of circle modes with w_k > mu, by enumeration."""
+def counting_circle(radius, lam, mu):
+    """Exact count of circle modes with w_k > mu, by enumeration.
+
+    Raises ResourceLimitError when the band to enumerate holds more than
+    CIRCLE_MODE_CAP modes, rather than returning a truncated count.
+    """
     if mu <= 0:
         raise DomainError("needs mu > 0")
     # w_k > mu requires |k| < R (1/mu - lam mu) / 2; enumerate a safe band
     bound = radius * (1.0 / mu - lam * mu) / 2.0
     if bound < 0:
         return 0
-    top = min(int(bound) + 2, k_cap)
+    top = int(bound) + 2
+    if top > CIRCLE_MODE_CAP:
+        raise ResourceLimitError(
+            f"circle count needs {top} modes, more than {CIRCLE_MODE_CAP}")
     count = 1 if circle_difference_eigenvalue(radius, lam, 0) > mu else 0
-    if top >= 1:
-        xi = np.arange(1, top + 1) / radius
-        w = 1.0 / (xi + np.sqrt(xi * xi + lam))
-        count += 2 * int(np.count_nonzero(w > mu))
-    return count
+    xi = np.arange(1, top + 1) / radius
+    w = 1.0 / (xi + np.sqrt(xi * xi + lam))
+    return count + 2 * int(np.count_nonzero(w > mu))
 
 
 def circle_count_prediction(radius, lam, mu):

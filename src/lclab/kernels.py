@@ -34,12 +34,14 @@ class _Factorization:
 
     Tridiagonal systems go through banded Cholesky (the 1D grids are
     tridiagonal after assembly); everything else through sparse LU.
+    ``norm_inf`` caches ||mat||_inf for the backward-error check.
     """
 
     def __init__(self, mat):
         mat = sp.csr_matrix(mat)
         self.mat = mat
         self.n = mat.shape[0]
+        self.norm_inf = spla.norm(mat, np.inf)
         coo = mat.tocoo()
         bandwidth = int(np.max(np.abs(coo.row - coo.col))) if coo.nnz else 0
         if bandwidth <= 1:
@@ -85,14 +87,13 @@ def solve_spd(mat, rhs, tol=DEFAULT_SOLVE_TOL, cache=None):
     rhs = np.asarray(rhs, dtype=float)
     if not np.any(rhs):
         return np.zeros_like(rhs)
-    mat_scale = spla.norm(fact.mat, np.inf)  # fact.mat is always CSR
     x = fact.solve(rhs)
-    residual = backward_error(fact.mat, x, rhs, mat_scale)
+    residual = backward_error(fact.mat, x, rhs, fact.norm_inf)
     for _ in range(3):  # iterative refinement against the residual contract
         if residual <= 0.1 * tol:
             break
         x = x + fact.solve(rhs - fact.mat @ x)
-        residual = backward_error(fact.mat, x, rhs, mat_scale)
+        residual = backward_error(fact.mat, x, rhs, fact.norm_inf)
     if not residual <= tol:
         raise ConvergenceError(
             f"SPD solve backward error {residual:.3e} exceeds tol {tol:.1e}",

@@ -431,7 +431,7 @@ def _run_symbols(config, art, dump=False):
         rows.append((name, order, k, report.passed,
                      max(report.growth_slopes.values())))
         ok &= art.criterion(f"symbols.{name}", report.passed,
-                            report.passed == expect_pass)
+                            report.passed == expect_pass, expect_pass)
     art.write_csv("symbols",
                   ["case", "order", "k", "passed", "max_growth_slope"], rows)
     return ok
@@ -453,9 +453,10 @@ def _run_bounds(config, art, dump=False):
         rows.append((name, m, r, s, fit.slope, fit.expected, fit.r_squared))
         if not fit.conclusive:
             raise InconclusiveError(f"bound fit {name} inconclusive")
+        tol = TOLERANCES["bound_exponent_abs_err"]
         ok &= art.criterion(f"bounds.{name}", fit.slope,
-                            abs(fit.slope - fit.expected)
-                            <= TOLERANCES["bound_exponent_abs_err"])
+                            abs(fit.slope - fit.expected) <= tol,
+                            (fit.expected - tol, fit.expected + tol))
     art.write_csv("bounds",
                   ["case", "m", "r", "s", "slope", "expected", "r_squared"],
                   rows)
@@ -472,9 +473,10 @@ def _run_nbound(config, art, dump=False):
         rows.append((s, fit.slope, fit.expected, fit.r_squared, fit.flat))
         if not fit.conclusive:
             raise InconclusiveError(f"nbound fit s={s} inconclusive")
+        tol = TOLERANCES["nbound_exponent_abs_err"]
         ok &= art.criterion(f"nbound.s_{s:g}", fit.slope,
-                            abs(fit.slope - fit.expected)
-                            <= TOLERANCES["nbound_exponent_abs_err"])
+                            abs(fit.slope - fit.expected) <= tol,
+                            (fit.expected - tol, fit.expected + tol))
     art.write_csv("nbound", ["s", "slope", "expected", "r_squared", "flat"],
                   rows)
     return ok

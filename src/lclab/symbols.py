@@ -12,6 +12,14 @@ interest have principal symbols
 
 Symbol-class membership (uniform bounds by (|xi| + sqrt(lambda))^(m-|a|))
 is certified numerically by sampled finite differences, not proved.
+
+Symbols are evaluated on whole arrays.  A symbol b(x', xi', lambda)
+takes arrays of x', xi' and lambda that broadcast against each other,
+with one scalar xi' per sample (the 1-D torus and chart case), and
+returns an array of the broadcast shape; scalar arguments give a scalar.
+A constant symbol may return a scalar, which the caller broadcasts.  The
+chart symbols below take one chart point x' per call and arrays of xi'
+and lambda.
 """
 
 import math
@@ -21,7 +29,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ContractError, DegenerateCovectorError, DomainError
-from .geometry import metric_matrix
 
 FD_STEP_SCALE = 1e-4  # finite-difference step is FD_STEP_SCALE * (1 + |arg|)
 GROWTH_SLOPE_TOL = 0.15
@@ -50,9 +57,14 @@ class SymbolClass:
 
 @dataclass(frozen=True)
 class ParamSymbol:
-    """A symbol b(x', xi', lambda) with declared order and class tag."""
+    """A symbol b(x', xi', lambda) with declared order and class tag.
 
-    eval: Callable[[float, float, float], complex]
+    ``eval`` follows the array contract of this module: broadcasting
+    arrays of x', xi' (one scalar per sample) and lambda in, an array of
+    the broadcast shape out, or a scalar for a constant symbol.
+    """
+
+    eval: Callable
     order: float
     class_tag: SymbolClass
     x_support_radius: float = np.inf
@@ -63,6 +75,13 @@ class ParamSymbol:
 
 
 def make_symbol(fn, order, kind="P", k=None, x_support_radius=np.inf):
+    """Wrap ``fn(xp, xip, lam)`` as a ParamSymbol tagged SymbolClass(kind,
+    order, k).
+
+    ``fn`` must accept broadcasting arrays (use ``np.sqrt``, not
+    ``math.sqrt``) and return the broadcast shape, or a scalar when it is
+    constant.
+    """
     return ParamSymbol(eval=fn, order=order,
                        class_tag=SymbolClass(kind, order, k),
                        x_support_radius=x_support_radius)
@@ -74,48 +93,56 @@ IDENTITY_SYMBOL = ParamSymbol(eval=lambda xp, xip, lam: 1.0 + 0.0j, order=0.0,
 
 
 def _metric_pieces(chart, xp, xip):
-    a = metric_matrix(chart, xp)
-    xip = np.atleast_1d(np.asarray(xip, dtype=float))
-    ann = a[-1, -1]
-    cross = float(a[-1, :-1] @ xip)  # = -grad chi . xi'
-    return ann, cross, float(xip @ xip)
+    """A_nn = 1 + |grad chi|^2, cross = A_n. xi' = -grad chi . xi' and
+    |xi'|^2 at the chart point ``xp``.  On a 2-D chart ``xip`` holds one
+    scalar xi' per sample; on a higher-dimensional chart it is one
+    covector."""
+    g = chart.gradient(xp)
+    ann = 1.0 + float(g @ g)
+    xip = np.asarray(xip, dtype=float)
+    if g.size == 1:
+        return ann, -g[0] * xip, xip * xip
+    return ann, -float(g @ xip), float(xip @ xip)
+
+
+def _root_pair(ann, cross, q):
+    """Roots (minus, plus) of ann z^2 + 2 i cross z - q; both share the
+    imaginary part -cross / ann."""
+    re = np.sqrt(ann * q - cross * cross) / ann
+    im = -cross / ann
+    return -re + 1j * im, re + 1j * im
 
 
 def characteristic_roots(chart, xp, xip):
     """Roots z_-, z_+ of the frozen-coefficient normal polynomial
     A_nn z^2 + 2 i z (A_n. xi') - |xi'|^2; homogeneous of degree 1 in xi',
-    with Re z_- < 0 < Re z_+.
+    with Re z_- < 0 < Re z_+.  Raises DegenerateCovectorError if any
+    sample has xi' = 0.
     """
     ann, cross, xi2 = _metric_pieces(chart, xp, xip)
-    if xi2 == 0.0:
+    if np.any(xi2 == 0.0):
         raise DegenerateCovectorError("characteristic roots need |xi'| > 0")
-    disc = math.sqrt(ann * xi2 - cross * cross)
-    z_plus = (disc - 1j * cross) / ann
-    z_minus = (-disc - 1j * cross) / ann
-    return z_minus, z_plus
+    return _root_pair(ann, cross, xi2)
 
 
 def characteristic_roots_screened(chart, xp, xip, lam):
-    """Roots omega_-, omega_+ with |xi'|^2 replaced by |xi'|^2 + lambda."""
+    """Roots omega_-, omega_+ with |xi'|^2 replaced by |xi'|^2 + lambda.
+    Raises DegenerateCovectorError if any sample has xi' = 0 = lambda."""
     ann, cross, xi2 = _metric_pieces(chart, xp, xip)
-    if xi2 == 0.0 and lam == 0.0:
+    if np.any((xi2 == 0.0) & (np.asarray(lam) == 0.0)):
         raise DegenerateCovectorError(
             "screened roots need |xi'| + lambda > 0")
-    disc = math.sqrt(ann * (xi2 + lam) - cross * cross)
-    w_plus = (disc - 1j * cross) / ann
-    w_minus = (-disc - 1j * cross) / ann
-    return w_minus, w_plus
+    return _root_pair(ann, cross, xi2 + lam)
 
 
 def tau_symbol(chart, xp, xip):
     """Decaying-exterior characteristic root z_+ (order 1, elliptic).
 
-    Extended by continuity with value 0 at xi' = 0.
+    Extended by continuity with value 0 at xi' = 0, where both parts of
+    the root vanish.
     """
-    xip_arr = np.atleast_1d(np.asarray(xip, dtype=float))
-    if float(xip_arr @ xip_arr) == 0.0:
-        return 0.0 + 0.0j
-    return characteristic_roots(chart, xp, xip)[1]
+    ann, cross, xi2 = _metric_pieces(chart, xp, xip)
+    return _root_pair(ann, cross, xi2)[1]
 
 
 def eta_symbol(chart, xp, xip, lam):
@@ -149,8 +176,7 @@ def difference_symbol(chart, xp, xip, lam):
     """
     eta = eta_symbol(chart, xp, xip, lam)
     tau = tau_symbol(chart, xp, xip)
-    val = 1.0 / (tau.real - eta.real)
-    return float(val)
+    return 1.0 / (tau.real - eta.real)
 
 
 def difference_symbol_expanded(chart, xp, xip, lam):
@@ -159,24 +185,21 @@ def difference_symbol_expanded(chart, xp, xip, lam):
             + sqrt(A_nn (|xi'|^2 + lam) - |grad chi . xi'|^2)).
     """
     ann, cross, xi2 = _metric_pieces(chart, xp, xip)
-    root_free = math.sqrt(ann * xi2 - cross * cross)
-    root_screened = math.sqrt(ann * (xi2 + lam) - cross * cross)
+    root_free = np.sqrt(ann * xi2 - cross * cross)
+    root_screened = np.sqrt(ann * (xi2 + lam) - cross * cross)
     return ann / (root_free + root_screened)
 
 
 def flat_ntd_symbol():
     """x-independent Neumann-to-Dirichlet symbol -1/sqrt(xi^2 + lam)."""
-    return make_symbol(
-        lambda xp, xip, lam: -1.0 / np.sqrt(float(np.dot(
-            np.atleast_1d(xip), np.atleast_1d(xip))) + lam),
-        order=-1.0, kind="P", k=None, x_support_radius=0.0)
+    return make_symbol(lambda xp, xip, lam: -1.0 / np.sqrt(xip * xip + lam),
+                       order=-1.0, kind="P", k=None, x_support_radius=0.0)
 
 
 def flat_transmission_symbol():
+    """x-independent transmission factor 1 + |xi| / sqrt(xi^2 + lam)."""
     return make_symbol(
-        lambda xp, xip, lam: 1.0 + np.sqrt(float(np.dot(
-            np.atleast_1d(xip), np.atleast_1d(xip)))) / np.sqrt(
-                float(np.dot(np.atleast_1d(xip), np.atleast_1d(xip))) + lam),
+        lambda xp, xip, lam: 1.0 + np.abs(xip) / np.sqrt(xip * xip + lam),
         order=0.0, kind="P", k=1, x_support_radius=0.0)
 
 
@@ -209,13 +232,13 @@ def _fd_derivative(fn, x, order, h):
 
 
 def _mixed_derivative(symbol, xp, xi, lam, a_ord, b_ord):
+    """d^b_x d^a_xi of ``symbol`` at the scalar point ``xp`` on the sample
+    arrays ``xi`` and ``lam``: one symbol call per stencil point."""
     hx = FD_STEP_SCALE * (1.0 + abs(xp))
+    hxi = FD_STEP_SCALE * (1.0 + np.abs(xi))
 
     def in_x(x):
-        def in_xi(s):
-            return symbol(x, s, lam)
-        hxi = FD_STEP_SCALE * (1.0 + abs(xi))
-        return _fd_derivative(in_xi, xi, a_ord, hxi)
+        return _fd_derivative(lambda s: symbol(x, s, lam), xi, a_ord, hxi)
 
     return _fd_derivative(in_x, xp, b_ord, hx)
 
@@ -229,31 +252,31 @@ def class_membership_estimate(symbol, m, k, xi_range=(1.0, 1e3),
     collected over a log grid; membership requires the per-decade suprema
     to stay flat as |xi| + sqrt(lam) grows (slope <= 0.15 in log-log) and
     to be stable under doubling the sample density.  A symbol declared
-    with too small an order shows a positive growth slope and fails.
+    with too small an order shows a positive growth slope and fails, and
+    so does a non-finite (inf or NaN) ratio.  Each finite-difference
+    stencil point is one symbol call on the whole (xi, lambda) grid.
     """
     def run(n_xi_pts, n_lam_pts):
         xis = np.geomspace(xi_range[0], xi_range[1], n_xi_pts)
-        xis = np.concatenate([xis, -xis])
-        lams = np.geomspace(lam_range[0], lam_range[1], n_lam_pts)
+        xis = np.concatenate([xis, -xis])[:, None]
+        lams = np.geomspace(lam_range[0], lam_range[1], n_lam_pts)[None, :]
+        t = np.abs(xis) + np.sqrt(lams)
+        b_idx = (np.log10(t) / 0.5).astype(int)  # half-decade of t
+        levels = np.unique(b_idx)
         sup = {}
         buckets = {}
         for a_ord in range(k + 1):
             for b_ord in range(max_x_derivative + 1):
-                key = (a_ord, b_ord)
-                sup[key] = 0.0
-                buckets[key] = {}
+                ratio = np.zeros(t.shape)
                 for xp in x_points:
-                    for xi in xis:
-                        for lam in lams:
-                            t = abs(xi) + math.sqrt(lam)
-                            val = _mixed_derivative(symbol, float(xp),
-                                                    float(xi), float(lam),
-                                                    a_ord, b_ord)
-                            ratio = abs(val) / t ** (m - a_ord)
-                            sup[key] = max(sup[key], ratio)
-                            b_idx = int(math.log10(t) / 0.5)
-                            buckets[key][b_idx] = max(
-                                buckets[key].get(b_idx, 0.0), ratio)
+                    val = _mixed_derivative(symbol, float(xp), xis, lams,
+                                            a_ord, b_ord)
+                    ratio = np.maximum(ratio,
+                                       np.abs(val) / t ** (m - a_ord))
+                key = (a_ord, b_ord)
+                sup[key] = float(ratio.max())
+                buckets[key] = {int(i): float(ratio[b_idx == i].max())
+                                for i in levels}
         return sup, buckets
 
     sup_coarse, buckets = run(n_xi, n_lam)

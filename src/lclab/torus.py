@@ -11,6 +11,7 @@ set {-M/2+1, ..., M/2}.  Conventions, fixed once:
 so the s = 0 Sobolev norm coincides with the L^2 norm (Parseval).
 Multiplier operators act diagonally on coefficients; x-dependent symbols
 act through the dense quadrature sum_k a(x_j, k, lam) c_k exp(i k x_j).
+Symbols are called once per sample grid, on arrays (see ``symbols``).
 """
 
 import math
@@ -93,22 +94,22 @@ def sobolev_norm(grid, values, s):
 def apply_multiplier(grid, symbol, lam, values):
     """Apply an x-independent symbol diagonally: c_k -> b(k, lam) c_k."""
     coeffs = dft(grid, values)
-    mult = np.array([symbol(0.0, float(k), lam) for k in grid.freqs],
-                    dtype=complex)
+    mult = symbol(0.0, grid.freqs.astype(float), lam)
     return idft(grid, mult * coeffs)
 
 
 def psdo_matrix(grid, symbol, lam):
-    """Dense quadrature matrix W[j, :] c = (op(a) u)(x_j) for cached reuse."""
+    """Dense quadrature matrix W[j, :] c = (op(a) u)(x_j) for cached reuse,
+    from one symbol call on the (x_j, k) grid."""
     if grid.m > PSDO_MAX_POINTS:
         raise ResourceLimitError(
             f"dense quadrature limited to {PSDO_MAX_POINTS} points, got {grid.m}")
-    w = np.empty((grid.m, grid.m), dtype=complex)
-    for col, k in enumerate(grid.freqs):
-        vals = np.array([symbol(float(xj), float(k), lam) for xj in grid.x],
-                        dtype=complex)
-        w[:, col] = vals * np.exp(1j * float(k) * grid.x)
-    return w
+    x = grid.x[:, None]
+    k = grid.freqs.astype(float)[None, :]
+    w = np.exp(1j * (k * x))
+    # symbol values as the left operand, as in a column-by-column build:
+    # numpy's vectorized complex product is not always bitwise commutative
+    return np.multiply(symbol(x, k, lam), w, out=w)
 
 
 def apply_psdo(grid, symbol, lam, values, matrix=None):
@@ -172,7 +173,7 @@ def _multiplier_norm_ratio(grid, symbol, lam, r, s_target):
     """Exact H^r -> H^{s_target} operator norm of a multiplier by mode-wise
     maximization over the frequency set."""
     k = grid.freqs.astype(float)
-    mods = np.array([abs(symbol(0.0, float(kk), lam)) for kk in k])
+    mods = np.abs(symbol(0.0, k, lam))
     bracket = (1.0 + k * k) ** 0.5
     return float(np.max(bracket ** s_target * mods * bracket ** (-r)))
 
@@ -272,16 +273,16 @@ def default_composition_symbols(amp_a=0.5, amp_b=0.4):
     from .symbols import make_symbol
 
     def a_fn(xp, xip, lam):
-        return (1.0 + amp_a * math.cos(xp)) * math.sqrt(1.0 + xip * xip)
+        return (1.0 + amp_a * np.cos(xp)) * np.sqrt(1.0 + xip * xip)
 
     def da_fn(xp, xip, lam):
-        return (1.0 + amp_a * math.cos(xp)) * xip / math.sqrt(1.0 + xip * xip)
+        return (1.0 + amp_a * np.cos(xp)) * xip / np.sqrt(1.0 + xip * xip)
 
     def b_fn(xp, xip, lam):
-        return -(1.0 + amp_b * math.sin(xp)) / math.sqrt(xip * xip + lam)
+        return -(1.0 + amp_b * np.sin(xp)) / np.sqrt(xip * xip + lam)
 
     def dxb_fn(xp, xip, lam):
-        return 1j * amp_b * math.cos(xp) / math.sqrt(xip * xip + lam)
+        return 1j * (amp_b * np.cos(xp) / np.sqrt(xip * xip + lam))
 
     a = make_symbol(a_fn, 1.0, kind="S")
     da = make_symbol(da_fn, 0.0, kind="S")

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from lclab import (DifferencePipeline, DomainError, Grid1D, PolarGrid,
-                   birman_disk_check, birman_synthetic_check,
-                   circle_difference_eigenvalue, counting_circle,
-                   counting_function, dense_eigen, eigen_spectrum)
+                   ResourceLimitError, birman_disk_check,
+                   birman_synthetic_check, circle_difference_eigenvalue,
+                   counting_circle, counting_function, dense_eigen,
+                   eigen_spectrum)
+from lclab.counting import CIRCLE_MODE_CAP
 from lclab.runner import TOLERANCES, default_config, run_experiment
 
 LAM = 1e3
@@ -71,6 +73,13 @@ def test_counting_circle_matches_enumeration(radius, lam, mu):
     brute = sum(circle_difference_eigenvalue(radius, lam, k) > mu
                 for k in range(-k_max, k_max + 1))
     assert counting_circle(radius, lam, mu) == brute
+
+
+def test_counting_circle_refuses_to_truncate():
+    # R (1/mu - lam mu) / 2 = 5e7 modes to enumerate, above the cap
+    assert CIRCLE_MODE_CAP < 5 * 10 ** 7
+    with pytest.raises(ResourceLimitError):
+        counting_circle(1.0, 1e3, 1e-8)
 
 
 def test_counting_function_is_strict_and_needs_positive_mu():

@@ -3,16 +3,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_disk_counting_demo_runs():
+@pytest.mark.parametrize("script, expected", [
+    ("disk_counting.py", "holds across a 20-point mu grid: True"),
+    ("symbol_playground.py", "passed: True"),
+], ids=["disk_counting", "symbol_playground"])
+def test_demo_runs(script, expected):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" /
-                                               "disk_counting.py")],
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / script)],
                           env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert "holds across a 20-point mu grid: True" in proc.stdout
+    assert expected in proc.stdout

@@ -74,3 +74,16 @@ def test_compose_seed_57_is_inconclusive(tmp_path):
     assert code == 2
     assert summary["experiments"] == {"compose": "inconclusive"}
     assert summary["data"]["compose"]["r_squared"] < 0.98
+
+
+@pytest.mark.parametrize("experiment", ["symbols", "bounds", "nbound"])
+def test_symbol_calculus_criteria_show_their_windows(tmp_path, experiment):
+    code, summary = runner.run_experiment(runner.default_config(experiment),
+                                          out_dir=tmp_path)
+    assert code == 0
+    for crit in summary["criteria"]:
+        window = crit["window"]
+        if experiment == "symbols":  # the expected certificate outcome
+            assert crit["value"] is window
+        else:
+            assert window[0] <= crit["value"] <= window[1]

@@ -195,3 +195,140 @@ def test_class_membership_rejects_wrong_order():
     report = class_membership_estimate(eta, 0.0, 1)
     assert not report.passed
     assert max(report.growth_slopes.values()) > 0.5  # degree-1 growth seen
+
+
+# ---------------------------------------------------------------------------
+# array evaluation against scalar calls
+
+# one-by-one calls and whole-array calls may round in different library
+# paths; four units in the last place is the agreement asked of them
+ULPS = 4 * np.finfo(float).eps
+XI = np.array([-30.0, -1.7, -0.01, 0.0, 0.2, 1.0, 2.5, 400.0])
+LAM = np.array([0.0, 1.0, 37.5, 1e6])
+
+
+def _elementwise(fn, *arrays):
+    """Oracle: ``fn`` called once per element of the broadcast arrays."""
+    grids = np.broadcast_arrays(*arrays)
+    out = [fn(*(float(g.flat[i]) for g in grids))
+           for i in range(grids[0].size)]
+    return np.array(out).reshape(grids[0].shape + np.shape(out[0]))
+
+
+@pytest.mark.parametrize("chart", [FLAT, SLOPED], ids=["flat", "sloped"])
+def test_array_roots_match_scalar_calls(chart):
+    xi = XI[XI != 0.0]
+    for got, want in zip(characteristic_roots(chart, 0.3, xi),
+                         _elementwise(lambda s: np.array(
+                             characteristic_roots(chart, 0.3, s)), xi).T):
+        np.testing.assert_allclose(got, want, rtol=ULPS, atol=0)
+    got = characteristic_roots_screened(chart, 0.3, XI[:, None], LAM[None, 1:])
+    want = _elementwise(lambda s, l: np.array(characteristic_roots_screened(
+        chart, 0.3, s, l)), XI[:, None], LAM[None, 1:])
+    for pos in (0, 1):
+        assert got[pos].shape == (XI.size, LAM.size - 1)
+        np.testing.assert_allclose(got[pos], want[..., pos], rtol=ULPS, atol=0)
+
+
+@pytest.mark.parametrize("chart", [FLAT, SLOPED], ids=["flat", "sloped"])
+def test_array_tau_and_eta_match_scalar_calls(chart):
+    tau = tau_symbol(chart, 0.3, XI)
+    np.testing.assert_allclose(
+        tau, _elementwise(lambda s: tau_symbol(chart, 0.3, s), XI),
+        rtol=ULPS, atol=0)
+    assert tau[XI == 0.0] == 0.0  # continuous extension at xi' = 0
+    lam = LAM[None, 1:]
+    eta = eta_symbol(chart, 0.3, XI[:, None], lam)
+    np.testing.assert_allclose(
+        eta, _elementwise(lambda s, l: eta_symbol(chart, 0.3, s, l),
+                          XI[:, None], lam), rtol=ULPS, atol=0)
+    diff = difference_symbol(chart, 0.3, XI[:, None], lam)
+    np.testing.assert_allclose(
+        diff, difference_symbol_expanded(chart, 0.3, XI[:, None], lam),
+        rtol=1e-12)
+
+
+def test_one_degenerate_entry_raises():
+    with pytest.raises(DegenerateCovectorError):
+        characteristic_roots(SLOPED, 0.0, np.array([1.0, 0.0, 2.0]))
+    with pytest.raises(DegenerateCovectorError):
+        characteristic_roots_screened(SLOPED, 0.0, np.array([1.0, 0.0]),
+                                      np.array([3.0, 0.0]))
+    # xi' = 0 is fine wherever lambda > 0
+    wm, wp = characteristic_roots_screened(SLOPED, 0.0, np.array([1.0, 0.0]),
+                                           np.array([0.0, 3.0]))
+    assert np.all(wm.real < 0) and np.all(wp.real > 0)
+
+
+def scalar_membership(symbol, m, k, xi_range=(1.0, 1e3), lam_range=(1.0, 1e6),
+                      n_xi=12, n_lam=13, x_points=(0.0,), max_x_derivative=2):
+    """Oracle: the certificate with one scalar symbol call per stencil point
+    and sample; returns (constants, growth_slopes, refinement_factors,
+    passed) by the rules of ``class_membership_estimate``."""
+    from lclab.symbols import _fd_derivative as fd
+
+    def run(n_xi_pts, n_lam_pts):
+        xis = np.geomspace(xi_range[0], xi_range[1], n_xi_pts)
+        lams = np.geomspace(lam_range[0], lam_range[1], n_lam_pts)
+        sup, buckets = {}, {}
+        for a_ord in range(k + 1):
+            for b_ord in range(max_x_derivative + 1):
+                key = (a_ord, b_ord)
+                sup[key], buckets[key] = 0.0, {}
+                for xp in x_points:
+                    for xi in np.concatenate([xis, -xis]):
+                        for lam in lams:
+                            t = abs(xi) + math.sqrt(lam)
+                            hxi = 1e-4 * (1.0 + abs(xi))
+                            val = fd(lambda x: fd(
+                                lambda s: symbol(x, s, lam), float(xi),
+                                a_ord, hxi), float(xp), b_ord,
+                                1e-4 * (1.0 + abs(xp)))
+                            ratio = abs(val) / t ** (m - a_ord)
+                            sup[key] = max(sup[key], ratio)
+                            idx = int(math.log10(t) / 0.5)
+                            buckets[key][idx] = max(
+                                buckets[key].get(idx, 0.0), ratio)
+        return sup, buckets
+
+    coarse, buckets = run(n_xi, n_lam)
+    fine, _ = run(2 * n_xi - 1, 2 * n_lam - 1)
+    slopes, factors, passed = {}, {}, True
+    for key, per_bucket in buckets.items():
+        idx = sorted(per_bucket)
+        ts = np.array([10.0 ** (0.5 * i + 0.25) for i in idx])
+        vals = np.array([per_bucket[i] for i in idx])
+        keep = vals > 0
+        slopes[key] = float(np.polyfit(np.log10(ts[keep]),
+                                       np.log10(vals[keep]), 1)[0]) \
+            if len(idx) >= 3 and keep.sum() >= 3 else 0.0
+        factors[key] = fine[key] / coarse[key] if coarse[key] > 0 else 1.0
+        passed &= (np.isfinite(fine[key]) and slopes[key] <= 0.15
+                   and factors[key] <= 1.5)
+    return fine, slopes, factors, passed
+
+
+@pytest.mark.parametrize("name, order, k", [
+    ("ntd", -1.0, 2), ("eta", 1.0, 2), ("eta", 0.0, 1)])
+def test_class_membership_matches_scalar_loop(name, order, k):
+    symbol = flat_ntd_symbol() if name == "ntd" else make_symbol(
+        lambda xp, xip, lam: eta_symbol(FLAT, xp, xip, lam), 1.0, kind="P",
+        x_support_radius=0.0)
+    report = class_membership_estimate(symbol, order, k)
+    constants, slopes, factors, passed = scalar_membership(symbol, order, k)
+    assert report.passed == passed
+    for got, want in ((report.constants, constants),
+                      (report.growth_slopes, slopes),
+                      (report.refinement_factors, factors)):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key] == pytest.approx(want[key], rel=1e-12, abs=1e-300)
+
+
+def test_class_membership_fails_on_a_nan_sample():
+    def fn(xp, xip, lam):
+        return np.where(np.abs(xip) > 500.0, np.nan,
+                        1.0 / np.sqrt(xip * xip + lam))
+    report = class_membership_estimate(make_symbol(fn, -1.0), -1.0, 1)
+    assert not report.passed
+    assert "non-finite" in report.notes

@@ -181,7 +181,7 @@ def test_ntd_bound_two_regimes():
 def test_composition_exact_for_x_independent_outer_factor(rng):
     # multiplier b composed after multiplier-free a: remainder identically 0
     grid = TorusGrid(64)
-    a = make_symbol(lambda xp, xip, lam: math.sqrt(1 + xip * xip), 1.0, "S",
+    a = make_symbol(lambda xp, xip, lam: np.sqrt(1 + xip * xip), 1.0, "S",
                     x_support_radius=0.0)
     b = flat_ntd_symbol()
     from lclab.torus import psdo_matrix
@@ -203,3 +203,50 @@ def test_composition_remainder_decays():
     assert rem.conclusive
     assert rem.slope <= -0.9
     assert comp.slope <= -0.9  # corollary variant on the same data
+
+
+# ---------------------------------------------------------------------------
+# whole-grid symbol calls against the per-point loops
+
+# per-point and whole-grid calls may round in different library paths
+ULPS = 4 * np.finfo(float).eps
+
+
+def looped_psdo_matrix(grid, symbol, lam):
+    """Oracle: the quadrature matrix one column, and one symbol call per
+    grid point, at a time."""
+    w = np.empty((grid.m, grid.m), dtype=complex)
+    for col, k in enumerate(grid.freqs):
+        vals = np.array([symbol(float(xj), float(k), lam) for xj in grid.x],
+                        dtype=complex)
+        w[:, col] = vals * np.exp(1j * float(k) * grid.x)
+    return w
+
+
+def test_psdo_matrix_matches_column_loop():
+    from lclab.torus import psdo_matrix, taylor_composition_symbol
+    a, b, da, dxb = default_composition_symbols()
+    taylor = taylor_composition_symbol(a, b, da, dxb, terms=1)
+    for symbol in (a, b, da, dxb, taylor, IDENTITY_SYMBOL):
+        for lam in (1e2, 10.0 ** 4.5):
+            np.testing.assert_allclose(psdo_matrix(GRID, symbol, lam),
+                                       looped_psdo_matrix(GRID, symbol, lam),
+                                       rtol=ULPS, atol=0)
+
+
+def test_multiplier_matches_frequency_loop(rng):
+    from lclab.torus import _multiplier_norm_ratio
+    u = rng.standard_normal(GRID.m) + 1j * rng.standard_normal(GRID.m)
+    deriv = make_symbol(lambda xp, xip, lam: 1j * xip, 1.0, "S",
+                        x_support_radius=0.0)
+    ks = GRID.freqs.astype(float)
+    for symbol in (flat_ntd_symbol(), IDENTITY_SYMBOL, deriv):
+        mult = np.array([symbol(0.0, float(k), 30.0) for k in GRID.freqs],
+                        dtype=complex)
+        np.testing.assert_allclose(apply_multiplier(GRID, symbol, 30.0, u),
+                                   idft(GRID, mult * dft(GRID, u)),
+                                   rtol=ULPS, atol=0)
+        oracle = np.max(np.sqrt(1 + ks * ks) ** 0.5 * np.abs(mult)
+                        * np.sqrt(1 + ks * ks) ** -1.0)
+        assert _multiplier_norm_ratio(GRID, symbol, 30.0, 1.0, 0.5) == \
+            pytest.approx(oracle, rel=1e-14)
