@@ -18,7 +18,6 @@ import math
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from .errors import (ContractError, DomainError, InconclusiveError,
                      ResourceLimitError)
@@ -69,34 +68,12 @@ def eigen_spectrum(grid, lam, tol=1e-10):
     return dense_eigen(0.5 * (core + core.T))
 
 
-def _gamma1_exterior_matrix(grid):
-    """Sparse map from exterior unknowns to the interface gamma1 trace
-    (for fields vanishing on the interface)."""
-    if grid.dim == 1:
-        rows = [0, 0, 1, 1]
-        cols = [np.where(grid.ext_idx == grid.i1 - 1)[0][0],
-                np.where(grid.ext_idx == grid.i1 - 2)[0][0],
-                np.where(grid.ext_idx == grid.i2 + 1)[0][0],
-                np.where(grid.ext_idx == grid.i2 + 2)[0][0]]
-        vals = [-4.0 / (2 * grid.h), 1.0 / (2 * grid.h),
-                -4.0 / (2 * grid.h), 1.0 / (2 * grid.h)]
-        return sp.coo_matrix((vals, (rows, cols)),
-                             shape=(2, grid.ext_idx.size)).tocsr()
-    nth = grid.ntheta
-    rows, cols, vals = [], [], []
-    for j in range(nth):
-        rows += [j, j]
-        cols += [j, nth + j]  # first and second exterior rings, ring-major
-        vals += [-4.0 / (2 * grid.hr), 1.0 / (2 * grid.hr)]
-    return sp.coo_matrix((vals, (rows, cols)),
-                         shape=(nth, grid.ext_idx.size)).tocsr()
-
-
 def trace_map_norm(grid, tol=1e-8, seed=0):
     """Operator norm of S = gamma1 o exterior^{-1} from L^2(exterior) to
     L^2(interface), via power iteration on S* S."""
     ext = grid.assemble_exterior()
-    tmat = _gamma1_exterior_matrix(grid)
+    # exterior solves vanish on the interface: only the exterior columns act
+    tmat = grid.gamma1_matrix("exterior")[:, grid.ext_idx]
 
     def s_star_s(f):
         sf = tmat @ ext.solve(f)

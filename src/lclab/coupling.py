@@ -312,59 +312,29 @@ def green_test_fields(grid):
 def nonlocal_bc_solve_1d(grid, lam, f_ext, tol=1e-10):
     """Exterior solve closed by u = N (gamma1 u) on the interface (1D).
 
-    Unknowns are the closed-exterior nodes (interface included); the two
-    interface rows couple both interface points through the exact 2x2
-    NtD matrix and second-order one-sided derivative stencils.  The
-    solve's normwise backward error must not exceed ``tol``.
+    Unknowns are the closed-exterior nodes (interface included).  The
+    other rows are the grid's stiffness over the cell measures; the two
+    interface rows are I - N gamma1, with N the exact 2x2 NtD matrix and
+    gamma1 the grid's exterior one-sided stencil, so they couple both
+    interface points.  The solve's normwise backward error must not
+    exceed ``tol``.
     """
     if grid.dim != 1:
         raise DomainError("use nonlocal_bc_solve_polar for the disk")
     if not 0.0 < tol <= 1e-6:
         raise ContractError(f"solve tolerance {tol} outside (0, 1e-6]")
-    f_ext = np.asarray(f_ext, dtype=float)
-    h = grid.h
-    nodes = np.concatenate([np.arange(0, grid.i1 + 1),
-                            np.arange(grid.i2, grid.n_nodes)])
-    local = {g: i for i, g in enumerate(nodes)}
-    nloc = nodes.size
-    rows, cols, vals = [], [], []
-    rhs = np.zeros(nloc)
-    f_full = grid.extend(f_ext)
-
-    def add(i, j, v):
-        rows.append(i)
-        cols.append(j)
-        vals.append(v)
-
-    for g_idx in nodes:
-        i = local[g_idx]
-        if g_idx in (grid.i1, grid.i2):
-            continue
-        if g_idx == 0:
-            add(i, local[0], 2.0 / h ** 2)
-            add(i, local[1], -2.0 / h ** 2)
-        elif g_idx == grid.n_nodes - 1:
-            add(i, local[g_idx], 2.0 / h ** 2)
-            add(i, local[g_idx - 1], -2.0 / h ** 2)
-        else:
-            add(i, local[g_idx], 2.0 / h ** 2)
-            add(i, local[g_idx - 1], -1.0 / h ** 2)
-            add(i, local[g_idx + 1], -1.0 / h ** 2)
-        rhs[i] = f_full[g_idx]
-
+    nodes = np.union1d(grid.ext_idx, grid.interface_idx)
+    gamma = np.searchsorted(nodes, grid.interface_idx)
+    mat = grid._stiffness[nodes][:, nodes]
+    # row by row K / w: the -Laplacian acting on nodal values
+    mat.data /= np.repeat(grid.w_full[nodes], np.diff(mat.indptr))
     n_mat = ntd_matrix_1d(lam, grid.domain.inclusion_length)
-    # gamma1 stencils (into-inclusion normal), exterior side
-    stencil = {
-        0: [(grid.i1, 3.0), (grid.i1 - 1, -4.0), (grid.i1 - 2, 1.0)],
-        1: [(grid.i2, 3.0), (grid.i2 + 1, -4.0), (grid.i2 + 2, 1.0)],
-    }
-    for row_pt, g_idx in ((0, grid.i1), (1, grid.i2)):
-        i = local[g_idx]
-        add(i, local[g_idx], 1.0)
-        for col_pt in (0, 1):
-            for node, coeff in stencil[col_pt]:
-                add(i, local[node], -n_mat[row_pt, col_pt] * coeff / (2 * h))
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(nloc, nloc)).tocsr()
+    rows = -n_mat @ grid.gamma1_matrix("exterior")[:, nodes].toarray()
+    rows[[0, 1], gamma] += 1.0
+    mat = mat.tolil()
+    mat[gamma] = rows
+    mat = mat.tocsr()
+    rhs = grid.extend(f_ext)[nodes]
     sol = sp.linalg.spsolve(mat, rhs)
     residual = backward_error(mat, sol, rhs)
     if not residual <= tol:
@@ -394,6 +364,9 @@ def nonlocal_bc_solve_polar(grid, lam, f_ext):
     f_hat = np.fft.fft(f_rect, axis=1)
     out_hat = np.zeros((n_r, nth), dtype=complex)
     radii = grid.hr * np.arange(grid.nr_int, grid.ntot + 1)
+    # the grid's exterior gamma1 stencil along one ray, the same in every mode
+    ray = grid.interface_idx[0] + nth * np.arange(3)
+    stencil = grid.gamma1_matrix("exterior")[0, ray].toarray().ravel()
     for m in range(nth):
         k_int = m if m <= nth // 2 else m - nth
         kd2 = (2.0 - 2.0 * math.cos(k_int * ht)) / ht ** 2  # discrete mode eig
@@ -413,10 +386,9 @@ def nonlocal_bc_solve_polar(grid, lam, f_ext):
             if i < n_r - 1:
                 a[i, i + 1] = -hi
             b[i] = f_hat[i - 1, m]
-        # interface row: u0 = n_k * (3 u0 - 4 u1 + u2) / (2 hr)
-        a[0, 0] = 1.0 - n_k * 3.0 / (2 * hr)
-        a[0, 1] = n_k * 4.0 / (2 * hr)
-        a[0, 2] = -n_k * 1.0 / (2 * hr)
+        # interface row: u0 - n_k * gamma1 u = 0
+        a[0, :3] = -n_k * stencil
+        a[0, 0] += 1.0
         out_hat[:, m] = np.linalg.solve(a, b)
     out = np.real(np.fft.ifft(out_hat, axis=1))
     return out[1:].ravel()

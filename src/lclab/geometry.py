@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import ContractError, DomainError
 
 LIPSCHITZ_SAMPLES = 4096
 
@@ -161,6 +161,11 @@ class BoundaryChart:
                 f"{self.support_radius:.4g}")
 
     def gradient(self, xp):
+        """grad chi at one point x' (a scalar or a size-1 array in 2D)."""
+        if np.size(xp) != self.dim - 1:
+            raise ContractError(
+                f"chart gradient takes one point x' in R^{self.dim - 1} per "
+                f"call, got shape {np.shape(xp)}")
         self._require_in_range(xp)
         if self.dim == 2 and np.ndim(xp) != 0:
             xp = float(np.asarray(xp).reshape(()))

@@ -17,6 +17,22 @@ Interface conventions, fixed here and used by every consumer:
 
 The (closed) exterior solves use homogeneous Dirichlet data on the
 interface and the mirror-Neumann closure on the outer boundary.
+
+The grid contract.  ``_Grid`` owns everything that does not depend on
+the geometry: restriction and extension, the weighted inner products,
+the gamma0 and gamma1 traces, the harmonic and screened extensions and
+the interior Neumann assembly.  A geometry (``Grid1D``, ``PolarGrid``)
+supplies only:
+
+  * the index sets ``interface_idx``, ``ext_idx`` (open exterior),
+    ``int_idx`` (closed inclusion) and ``outer_idx`` (outer boundary);
+  * the measures ``w_full``, ``pot_measure`` and ``gamma_weights``;
+  * ``_links(interior)``: the (i, j, c) conductance arrays of the whole
+    grid, or of the closed inclusion alone in the numbering of
+    ``int_idx``, whose interface cells are halved;
+  * ``_layer(side, k)`` and ``normal_step``: the nodes k steps off the
+    interface along its normal and their spacing, from which the one
+    gamma1 stencil of every consumer is built.
 """
 
 from dataclasses import dataclass, field
@@ -36,7 +52,6 @@ class SparseOperator:
 
     matrix: sp.csr_matrix
     mass: np.ndarray
-    bc_tag: str = ""
     _fact: Optional[_Factorization] = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -67,21 +82,17 @@ class SparseOperator:
         v = u if v is None else v
         return float(np.asarray(u) @ (self.matrix @ np.asarray(v)))
 
-    def export_coordinate_text(self, path):
-        """Dump as 'row col value' lines (debugging aid)."""
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            for r, c, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{r} {c} {v:.17g}\n")
+    def export_matrix_market(self, path):
+        """Write the form matrix K as a Matrix Market file (debugging aid)."""
+        import scipy.io  # deferred: a top-level import slows every start-up
+        scipy.io.mmwrite(path, self.matrix)
 
 
-def _assemble_from_links(n_nodes, links):
-    """Stiffness from a list of (i, j, coefficient) conductances."""
-    rows, cols, vals = [], [], []
-    for i, j, c in links:
-        rows += [i, j, i, j]
-        cols += [i, j, j, i]
-        vals += [c, c, -c, -c]
+def _assemble_from_links(n_nodes, i, j, c):
+    """Stiffness from arrays of (i, j, coefficient) conductances."""
+    rows = np.stack([i, j, i, j], axis=1).ravel()
+    cols = np.stack([i, j, j, i], axis=1).ravel()
+    vals = np.stack([c, c, -c, -c], axis=1).ravel()
     mat = sp.coo_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
     return mat.tocsr()
 
@@ -95,43 +106,14 @@ def _dirichlet_restrict(matrix, keep):
     return sp.csr_matrix(matrix[np.ix_(keep, keep)])
 
 
-class Grid1D:
-    """Uniform nodes on [0, L] with the inclusion endpoints on the grid."""
+class _Grid:
+    """The operations shared by every geometry (see the module docstring)."""
 
-    dim = 1
-
-    def __init__(self, domain: Domain1D, n_cells: int):
-        self.domain = domain
-        self.n = int(n_cells)
-        self.h = domain.length / self.n
-        i1 = domain.a1 / self.h
-        i2 = domain.a2 / self.h
-        if abs(i1 - round(i1)) > 1e-9 or abs(i2 - round(i2)) > 1e-9:
-            raise DomainError(
-                f"inclusion endpoints must be grid nodes: a1/h={i1}, a2/h={i2}")
-        self.i1, self.i2 = int(round(i1)), int(round(i2))
-        if not (1 <= self.i1 < self.i2 <= self.n - 1):
-            raise DomainError("each subregion needs at least one cell")
-        self.n_nodes = self.n + 1
-        self.x = np.linspace(0.0, domain.length, self.n_nodes)
-
-        self.interface_idx = np.array([self.i1, self.i2])
-        self.ext_idx = np.concatenate([np.arange(0, self.i1),
-                                       np.arange(self.i2 + 1, self.n_nodes)])
-        self.int_idx = np.arange(self.i1, self.i2 + 1)  # closed inclusion
-
-        w = np.full(self.n_nodes, self.h)
-        w[0] = w[-1] = self.h / 2
-        self.w_full = w
-        self.w_ext = w[self.ext_idx]
-        # dual-cell measure inside the open inclusion (exact, grid-aligned)
-        pot = np.zeros(self.n_nodes)
-        pot[self.i1 + 1:self.i2] = self.h
-        pot[self.i1] = pot[self.i2] = self.h / 2
-        self.pot_measure = pot
-        self.gamma_weights = np.ones(2)
-        self._links = [(i, i + 1, 1.0 / self.h) for i in range(self.n)]
-        self._stiffness = _assemble_from_links(self.n_nodes, self._links)
+    def _build_operators(self):
+        """Data derived from the geometry alone; ends every ``__init__``."""
+        self.w_ext = self.w_full[self.ext_idx]
+        self._stiffness = _assemble_from_links(self.n_nodes, *self._links())
+        self._gamma1 = {}
 
     # -- index plumbing -----------------------------------------------------
 
@@ -165,55 +147,50 @@ class Grid1D:
 
     # -- assemblies ----------------------------------------------------------
 
-    def assemble_coupled(self, lam):
-        """-Laplacian + lam * indicator(inclusion), Neumann outer boundary."""
-        if lam <= 0:
-            raise DomainError("coupling constant must be positive "
-                              "(lam = 0 keeps the constant null vector)")
-        mat = self._stiffness + sp.diags(lam * self.pot_measure)
-        return SparseOperator(mat.tocsr(), self.w_full, bc_tag="coupled-neumann")
-
-    def assemble_exterior(self):
-        """Exterior -Laplacian: Dirichlet on the interface, Neumann outer."""
-        mat = _dirichlet_restrict(self._stiffness, self.ext_idx)
-        return SparseOperator(mat, self.w_ext, bc_tag="exterior-dirichlet")
-
     def assemble_interior_neumann(self, lam):
         """Interior -Laplacian + lam on the inclusion, free interface."""
         if lam < 1:
             raise DomainError("interior screened operator expects lam >= 1")
-        nodes = self.int_idx
-        n_loc = nodes.size
-        links = [(i, i + 1, 1.0 / self.h) for i in range(n_loc - 1)]
-        mat = _assemble_from_links(n_loc, links)
-        w = np.full(n_loc, self.h)
-        w[0] = w[-1] = self.h / 2
-        return SparseOperator((mat + sp.diags(lam * w)).tocsr(), w,
-                              bc_tag="interior-neumann")
+        mat = _assemble_from_links(self.int_idx.size,
+                                   *self._links(interior=True))
+        w = self.pot_measure[self.int_idx]
+        return SparseOperator((mat + sp.diags(lam * w)).tocsr(), w)
 
     # -- traces ---------------------------------------------------------------
 
     def trace_gamma0(self, field, side="exterior"):
-        field = np.asarray(field, dtype=float)
-        return field[self.interface_idx].copy()
+        return np.asarray(field, dtype=float)[self.interface_idx]
+
+    def gamma1_matrix(self, side):
+        """The gamma1 trace on ``side`` as a sparse |Gamma| x n_nodes matrix.
+
+        Each row is the one-sided second-order stencil (3, -4, 1) / (2 h)
+        on the interface node and the two node layers behind it, signed
+        for the normal pointing into the inclusion.  Built once per side.
+        """
+        if side not in ("exterior", "interior"):
+            raise DomainError(f"side must be interior or exterior, got {side}")
+        if side not in self._gamma1:
+            layers = [self._layer(side, k) for k in range(3)]
+            if any(nodes is None for nodes in layers):
+                raise DomainError("one-sided stencils need two layers per side")
+            # the exterior layers run against the normal, the interior ones
+            # along it
+            coeffs = np.array([3.0, -4.0, 1.0]) * (
+                1.0 if side == "exterior" else -1.0)
+            m = self.interface_idx.size
+            # each row keeps the stencil's order (interface node first), so
+            # a product sums the three terms in the order of the formula
+            self._gamma1[side] = sp.csr_matrix(
+                (np.tile(coeffs / (2 * self.normal_step), m),
+                 np.stack(layers, axis=1).ravel(), np.arange(0, 3 * m + 1, 3)),
+                shape=(m, self.n_nodes))
+        return self._gamma1[side]
 
     def trace_gamma1(self, field, side):
         """Normal derivative on the interface, normal pointing into the
-        inclusion, by one-sided second-order differences on ``side``."""
-        u = np.asarray(field, dtype=float)
-        h = self.h
-        i1, i2 = self.i1, self.i2
-        if i1 < 2 or i2 > self.n - 2 or i2 - i1 < 2:
-            raise DomainError("one-sided stencils need two layers per side")
-        if side == "exterior":
-            left = (3 * u[i1] - 4 * u[i1 - 1] + u[i1 - 2]) / (2 * h)
-            right = (3 * u[i2] - 4 * u[i2 + 1] + u[i2 + 2]) / (2 * h)
-        elif side == "interior":
-            left = (-3 * u[i1] + 4 * u[i1 + 1] - u[i1 + 2]) / (2 * h)
-            right = -(3 * u[i2] - 4 * u[i2 - 1] + u[i2 - 2]) / (2 * h)
-        else:
-            raise DomainError(f"side must be interior or exterior, got {side}")
-        return np.array([left, right])
+        inclusion, by the one-sided stencil on ``side``."""
+        return self.gamma1_matrix(side) @ np.asarray(field, dtype=float)
 
     # -- boundary-data solves -------------------------------------------------
 
@@ -230,7 +207,7 @@ class Grid1D:
         if outer == "neumann":
             keep = self.ext_idx
         elif outer == "dirichlet":
-            keep = self.ext_idx[1:-1]  # drop the two outer-boundary nodes
+            keep = np.setdiff1d(self.ext_idx, self.outer_idx)
         else:
             raise DomainError(f"unknown outer condition {outer!r}")
         mat = _dirichlet_restrict(self._stiffness, keep)
@@ -250,36 +227,101 @@ class Grid1D:
         """
         op = self.assemble_interior_neumann(lam)
         rhs = np.zeros(self.int_idx.size)
-        rhs[0] = -phi[0] * self.gamma_weights[0]
-        rhs[-1] = -phi[1] * self.gamma_weights[1]
+        rhs[np.searchsorted(self.int_idx, self.interface_idx)] = \
+            -np.asarray(phi, dtype=float) * self.gamma_weights
         w = solve_spd(op.matrix, rhs, tol=tol)
         out = np.zeros(self.n_nodes)
         out[self.int_idx] = w
         return out
 
 
-class PolarGrid:
+class Grid1D(_Grid):
+    """Uniform nodes on [0, L] with the inclusion endpoints on the grid."""
+
+    # __init__ and assemble_* stay here: bench/tracing.py wraps them from vars()
+    dim = 1
+
+    def __init__(self, domain: Domain1D, n_cells: int):
+        self.domain = domain
+        self.n = int(n_cells)
+        self.h = domain.length / self.n
+        i1 = domain.a1 / self.h
+        i2 = domain.a2 / self.h
+        if abs(i1 - round(i1)) > 1e-9 or abs(i2 - round(i2)) > 1e-9:
+            raise DomainError(
+                f"inclusion endpoints must be grid nodes: a1/h={i1}, a2/h={i2}")
+        self.i1, self.i2 = int(round(i1)), int(round(i2))
+        if not (1 <= self.i1 < self.i2 <= self.n - 1):
+            raise DomainError("each subregion needs at least one cell")
+        self.n_nodes = self.n + 1
+        self.x = np.linspace(0.0, domain.length, self.n_nodes)
+        self.normal_step = self.h
+
+        self.interface_idx = np.array([self.i1, self.i2])
+        self.ext_idx = np.concatenate([np.arange(0, self.i1),
+                                       np.arange(self.i2 + 1, self.n_nodes)])
+        self.int_idx = np.arange(self.i1, self.i2 + 1)  # closed inclusion
+        self.outer_idx = np.array([0, self.n])
+
+        w = np.full(self.n_nodes, self.h)
+        w[0] = w[-1] = self.h / 2
+        self.w_full = w
+        # dual-cell measure inside the open inclusion (exact, grid-aligned)
+        pot = np.zeros(self.n_nodes)
+        pot[self.i1 + 1:self.i2] = self.h
+        pot[self.i1] = pot[self.i2] = self.h / 2
+        self.pot_measure = pot
+        self.gamma_weights = np.ones(2)
+        self._build_operators()
+
+    def _links(self, interior=False):
+        """One link of conductance 1/h per cell, left to right."""
+        cells = self.i2 - self.i1 if interior else self.n
+        i = np.arange(cells)
+        return i, i + 1, np.full(cells, 1.0 / self.h)
+
+    def _layer(self, side, k):
+        """The two nodes k steps off the endpoints on ``side``, or None."""
+        step = -k if side == "exterior" else k
+        left, right = self.i1 + step, self.i2 - step
+        if left < 0 or right > self.n or left > self.i2:
+            return None
+        return np.array([left, right])
+
+    def assemble_coupled(self, lam):
+        """-Laplacian + lam * indicator(inclusion), Neumann outer boundary."""
+        if lam <= 0:
+            raise DomainError("coupling constant must be positive "
+                              "(lam = 0 keeps the constant null vector)")
+        mat = self._stiffness + sp.diags(lam * self.pot_measure)
+        return SparseOperator(mat.tocsr(), self.w_full)
+
+    def assemble_exterior(self):
+        """Exterior -Laplacian: Dirichlet on the interface, Neumann outer."""
+        mat = _dirichlet_restrict(self._stiffness, self.ext_idx)
+        return SparseOperator(mat, self.w_ext)
+
+
+class PolarGrid(_Grid):
     """Polar grid for a disk inclusion: the interface is the ring r = R.
 
     The exterior is the annulus R < r < R_out with R_out the inscribed
     outer radius of the rectangle (mirror-Neumann there), so the
     quantitative 2D experiments see an interface-exact, second-order
-    discretization.  Requires a pure disk (no radius profile).
+    discretization.  Requires a pure disk (no radius profile).  Node 0 is
+    the origin; ring k = 1 .. ntot holds nodes 1 + (k - 1) ntheta + j.
     """
 
+    # __init__ and assemble_* stay here: bench/tracing.py wraps them from vars()
     dim = 2
 
-    def __init__(self, domain: Domain2D, nr_ext: int, ntheta: int,
-                 outer_radius=None):
+    def __init__(self, domain: Domain2D, nr_ext: int, ntheta: int):
         if domain.radius_profile is not None:
             raise DomainError("polar mode requires a pure disk inclusion")
         self.domain = domain
-        r_out = domain.inscribed_outer_radius if outer_radius is None \
-            else float(outer_radius)
-        if r_out > domain.inscribed_outer_radius + 1e-12:
-            raise DomainError("outer radius exceeds the inscribed circle")
+        self.r_out = domain.inscribed_outer_radius
         self.r_inc = float(domain.radius)
-        self.hr = (r_out - self.r_inc) / nr_ext
+        self.hr = (self.r_out - self.r_inc) / nr_ext
         ratio = self.r_inc / self.hr
         if abs(ratio - round(ratio)) > 1e-9:
             raise DomainError(
@@ -291,190 +333,85 @@ class PolarGrid:
         if self.ntheta < 8:
             raise DomainError("need at least 8 angular nodes")
         self.ntot = self.nr_int + self.nr_ext
-        self.r_out = r_out
         self.htheta = 2 * np.pi / self.ntheta
         self.theta = np.arange(self.ntheta) * self.htheta
         self.n_nodes = 1 + self.ntot * self.ntheta
         self.radii = self.hr * np.arange(1, self.ntot + 1)
+        self.normal_step = self.hr
 
-        self._build_index_sets()
+        first = 1 + (self.nr_int - 1) * self.ntheta  # interface ring start
+        self.interface_idx = np.arange(first, first + self.ntheta)
+        self.ext_idx = np.arange(first + self.ntheta, self.n_nodes)
+        self.int_idx = np.arange(first + self.ntheta)
+        self.outer_idx = np.arange(self.n_nodes - self.ntheta, self.n_nodes)
         self._build_weights()
-        self._build_stiffness()
-
-    def node(self, ring, j):
-        """ring 0 is the origin (j ignored)."""
-        if ring == 0:
-            return 0
-        return 1 + (ring - 1) * self.ntheta + (j % self.ntheta)
-
-    def ring_slice(self, ring):
-        start = 1 + (ring - 1) * self.ntheta
-        return slice(start, start + self.ntheta)
-
-    def _build_index_sets(self):
-        self.interface_idx = np.arange(self.ntheta) + self.node(self.nr_int, 0)
-        self.ext_idx = np.arange(self.node(self.nr_int + 1, 0), self.n_nodes)
-        self.int_idx = np.arange(0, self.node(self.nr_int, 0) + self.ntheta)
+        self._build_operators()
 
     def _build_weights(self):
+        hr, htheta = self.hr, self.htheta
+
+        def half_cell(r):
+            """Annular cell between r - hr/2 and r."""
+            return (r ** 2 - (r - hr / 2) ** 2) / 2.0 * htheta
+
+        cells = self.radii * hr * htheta
+        cells[-1] = half_cell(self.ntot * hr)
         w = np.empty(self.n_nodes)
-        w[0] = np.pi * self.hr ** 2 / 4.0
-        for ring in range(1, self.ntot + 1):
-            r = ring * self.hr
-            if ring < self.ntot:
-                cell = r * self.hr * self.htheta
-            else:
-                cell = (r ** 2 - (r - self.hr / 2) ** 2) / 2.0 * self.htheta
-            w[self.ring_slice(ring)] = cell
+        w[0] = np.pi * hr ** 2 / 4.0
+        w[1:] = np.repeat(cells, self.ntheta)
         self.w_full = w
-        self.w_ext = w[self.ext_idx]
 
         pot = np.zeros(self.n_nodes)
-        pot[0] = w[0]
-        for ring in range(1, self.nr_int):
-            pot[self.ring_slice(ring)] = w[self.ring_slice(ring)]
-        r = self.r_inc
-        inner_half = (r ** 2 - (r - self.hr / 2) ** 2) / 2.0 * self.htheta
-        pot[self.ring_slice(self.nr_int)] = inner_half
+        inside = self.interface_idx[0]
+        pot[:inside] = w[:inside]
+        pot[self.interface_idx] = half_cell(self.r_inc)
         self.pot_measure = pot
-        self.gamma_weights = np.full(self.ntheta, self.r_inc * self.htheta)
+        self.gamma_weights = np.full(self.ntheta, self.r_inc * htheta)
 
-    def _build_stiffness(self):
-        links = []
-        # radial spokes out of the origin
-        for j in range(self.ntheta):
-            links.append((0, self.node(1, j), self.htheta / 2.0))
-        for ring in range(1, self.ntot):
-            r_half = (ring + 0.5) * self.hr
-            coeff = r_half * self.htheta / self.hr
-            for j in range(self.ntheta):
-                links.append((self.node(ring, j), self.node(ring + 1, j), coeff))
-        for ring in range(1, self.ntot + 1):
-            r = ring * self.hr
-            extent = self.hr if ring < self.ntot else self.hr / 2.0
-            coeff = extent / (r * self.htheta)
-            for j in range(self.ntheta):
-                links.append((self.node(ring, j), self.node(ring, j + 1), coeff))
-        self._links = links
-        self._stiffness = _assemble_from_links(self.n_nodes, links)
+    def _links(self, interior=False):
+        """Origin spokes, then radial links, then angular links, ring by ring.
 
-    # -- shared plumbing (same contracts as Grid1D) ---------------------------
+        The last ring kept (the outer boundary, or the interface for the
+        inclusion alone) has angular cells of half width.  The inclusion's
+        nodes are numbered first, so its local numbering is the global one.
+        """
+        rings = self.nr_int if interior else self.ntot
+        hr, htheta, nth = self.hr, self.htheta, self.ntheta
+        ring = np.arange(1, rings + 1)
+        start = 1 + (ring - 1) * nth
+        t = np.arange(nth)
+        radial = (start[:-1, None] + t).ravel()
+        around = (start[:, None] + t).ravel()
+        extent = np.full(rings, hr)
+        extent[-1] = hr / 2.0
+        i = np.concatenate([np.zeros(nth, dtype=int), radial, around])
+        j = np.concatenate([start[0] + t, radial + nth,
+                            (start[:, None] + (t + 1) % nth).ravel()])
+        c = np.concatenate([
+            np.full(nth, htheta / 2.0),
+            np.repeat((ring[:-1] + 0.5) * hr * htheta / hr, nth),
+            np.repeat(extent / (ring * hr * htheta), nth)])
+        return i, j, c
 
-    def restrict(self, field):
-        field = np.asarray(field, dtype=float)
-        if field.shape != (self.n_nodes,):
-            raise ContractError("restrict expects a full-domain field")
-        return field[self.ext_idx]
-
-    def extend(self, ext_field):
-        ext_field = np.asarray(ext_field, dtype=float)
-        if ext_field.shape != self.ext_idx.shape:
-            raise ContractError("extend expects an exterior field")
-        out = np.zeros(self.n_nodes)
-        out[self.ext_idx] = ext_field
-        return out
-
-    def embed_exterior(self, ext_field, interface_values=0.0):
-        out = self.extend(ext_field)
-        out[self.interface_idx] = interface_values
-        return out
-
-    def inner_full(self, f, g):
-        return float(np.sum(self.w_full * np.asarray(f) * np.asarray(g)))
-
-    def inner_ext(self, f, g):
-        return float(np.sum(self.w_ext * np.asarray(f) * np.asarray(g)))
-
-    def interface_pairing(self, phi, psi):
-        return float(np.sum(self.gamma_weights * np.asarray(phi) * np.asarray(psi)))
+    def _layer(self, side, k):
+        """The ring k steps off the interface on ``side``, or None."""
+        ring = self.nr_int + k if side == "exterior" else self.nr_int - k
+        if not 1 <= ring <= self.ntot:
+            return None
+        return self.interface_idx + (ring - self.nr_int) * self.ntheta
 
     def assemble_coupled(self, lam):
+        """-Laplacian + lam * indicator(inclusion), Neumann outer boundary."""
         if lam <= 0:
-            raise DomainError("coupling constant must be positive")
+            raise DomainError("coupling constant must be positive "
+                              "(lam = 0 keeps the constant null vector)")
         mat = self._stiffness + sp.diags(lam * self.pot_measure)
-        return SparseOperator(mat.tocsr(), self.w_full, bc_tag="coupled-neumann")
+        return SparseOperator(mat.tocsr(), self.w_full)
 
     def assemble_exterior(self):
+        """Exterior -Laplacian: Dirichlet on the interface, Neumann outer."""
         mat = _dirichlet_restrict(self._stiffness, self.ext_idx)
-        return SparseOperator(mat, self.w_ext, bc_tag="exterior-dirichlet")
-
-    def assemble_interior_neumann(self, lam):
-        if lam < 1:
-            raise DomainError("interior screened operator expects lam >= 1")
-        nodes = self.int_idx
-        local = {g: l for l, g in enumerate(nodes)}
-        links = []
-        for j in range(self.ntheta):
-            links.append((0, local[self.node(1, j)], self.htheta / 2.0))
-        for ring in range(1, self.nr_int):
-            r_half = (ring + 0.5) * self.hr
-            coeff = r_half * self.htheta / self.hr
-            for j in range(self.ntheta):
-                links.append((local[self.node(ring, j)],
-                              local[self.node(ring + 1, j)], coeff))
-        for ring in range(1, self.nr_int + 1):
-            r = ring * self.hr
-            # interface ring cells are halved on the inclusion side
-            extent = self.hr if ring < self.nr_int else self.hr / 2.0
-            coeff = extent / (r * self.htheta)
-            for j in range(self.ntheta):
-                links.append((local[self.node(ring, j)],
-                              local[self.node(ring, j + 1)], coeff))
-        mat = _assemble_from_links(nodes.size, links)
-        w = self.w_full[nodes].copy()
-        r = self.r_inc
-        inner_half = (r ** 2 - (r - self.hr / 2) ** 2) / 2.0 * self.htheta
-        w[-self.ntheta:] = inner_half
-        return SparseOperator((mat + sp.diags(lam * w)).tocsr(), w,
-                              bc_tag="interior-neumann")
-
-    def trace_gamma0(self, field, side="exterior"):
-        field = np.asarray(field, dtype=float)
-        return field[self.interface_idx].copy()
-
-    def trace_gamma1(self, field, side):
-        """Normal derivative on the interface ring, normal = -r direction
-        (into the inclusion), one-sided second order on ``side``."""
-        u = np.asarray(field, dtype=float)
-        ring = self.nr_int
-        u0 = u[self.ring_slice(ring)]
-        if side == "exterior":
-            u1 = u[self.ring_slice(ring + 1)]
-            u2 = u[self.ring_slice(ring + 2)]
-            ddr = (-3 * u0 + 4 * u1 - u2) / (2 * self.hr)
-        elif side == "interior":
-            u1 = u[self.ring_slice(ring - 1)]
-            u2 = u[self.ring_slice(ring - 2)]
-            ddr = (3 * u0 - 4 * u1 + u2) / (2 * self.hr)
-        else:
-            raise DomainError(f"side must be interior or exterior, got {side}")
-        return -ddr
-
-    def harmonic_extension(self, phi, outer="neumann", tol=DEFAULT_SOLVE_TOL):
-        phi = np.asarray(phi, dtype=float)
-        lift = np.zeros(self.n_nodes)
-        lift[self.interface_idx] = phi
-        if outer == "neumann":
-            keep = self.ext_idx
-        elif outer == "dirichlet":
-            keep = self.ext_idx[:-self.ntheta]
-        else:
-            raise DomainError(f"unknown outer condition {outer!r}")
-        mat = _dirichlet_restrict(self._stiffness, keep)
-        rhs = -(self._stiffness @ lift)[keep]
-        sol = solve_spd(mat, rhs, tol=tol)
-        out = lift.copy()
-        out[keep] = sol
-        return out
-
-    def screened_extension(self, lam, phi, tol=DEFAULT_SOLVE_TOL):
-        op = self.assemble_interior_neumann(lam)
-        rhs = np.zeros(self.int_idx.size)
-        rhs[-self.ntheta:] = -np.asarray(phi, dtype=float) * self.gamma_weights
-        w = solve_spd(op.matrix, rhs, tol=tol)
-        out = np.zeros(self.n_nodes)
-        out[self.int_idx] = w
-        return out
+        return SparseOperator(mat, self.w_ext)
 
 
 def transmission_solve(grid, lam, f, coupled=None, tol=DEFAULT_SOLVE_TOL,

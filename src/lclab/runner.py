@@ -327,10 +327,10 @@ def _run_rate1d(config, art, dump=False):
     fit = cp.convergence_rate_fit(grid, lambdas, tol=config["tolerances.power_tol"],
                                   seed=config.seed())
     if dump:
-        grid.assemble_coupled(lambdas[0]).export_coordinate_text(
-            art.out / "coupled_matrix.txt")
-        grid.assemble_exterior().export_coordinate_text(
-            art.out / "exterior_matrix.txt")
+        grid.assemble_coupled(lambdas[0]).export_matrix_market(
+            art.out / "coupled_matrix.mtx")
+        grid.assemble_exterior().export_matrix_market(
+            art.out / "exterior_matrix.mtx")
     art.write_csv("rate1d",
                   ["lambda", "norm_discrete", "norm_exact"],
                   [(l, v, e) for l, v, e in
@@ -357,8 +357,8 @@ def _run_rate2d(config, art, dump=False):
                                   tol=config["tolerances.power_tol"],
                                   seed=config.seed())
     if dump:
-        grid.assemble_exterior().export_coordinate_text(
-            art.out / "exterior_matrix_2d.txt")
+        grid.assemble_exterior().export_matrix_market(
+            art.out / "exterior_matrix_2d.mtx")
     art.write_csv("rate2d", ["lambda", "norm_discrete"],
                   list(zip(lambdas, fit.values)))
     art.data["rate2d"] = {"slope": fit.slope, "r_squared": fit.r_squared}
@@ -628,7 +628,8 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=None,
                         help="override experiment.seed")
     parser.add_argument("--dump-matrices", action="store_true",
-                        help="export assembled matrices as row/col/value text")
+                        help="export assembled matrices as Matrix Market "
+                        "(.mtx) files")
     args = parser.parse_args(argv)
 
     overrides = {"experiment.name": args.experiment}

@@ -11,7 +11,10 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("script, expected", [
     ("disk_counting.py", "holds across a 20-point mu grid: True"),
     ("symbol_playground.py", "passed: True"),
-], ids=["disk_counting", "symbol_playground"])
+    ("interface_identities.py", "ratios 4.00 4.00 4.00 4.00"),
+    ("rate_of_convergence.py", "fitted slope -0.5559"),
+], ids=["disk_counting", "symbol_playground", "interface_identities",
+        "rate_of_convergence"])
 def test_demo_runs(script, expected):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from lclab import (Domain1D, Domain2D, DomainError, chart_atlas, flat_chart,
-                   linear_chart, lipschitz_constant, metric_matrix,
-                   surface_density, unit_normal)
+from lclab import (ContractError, Domain1D, Domain2D, DomainError,
+                   chart_atlas, flat_chart, linear_chart, lipschitz_constant,
+                   metric_matrix, surface_density, unit_normal)
 from lclab.geometry import BoundaryChart
 
 
@@ -66,6 +66,16 @@ def test_gradient_cross_validation_catches_lies():
 def test_chart_range_enforced():
     with pytest.raises(DomainError):
         metric_matrix(flat_chart(support_radius=0.5), 0.8)
+
+
+def test_chart_gradient_takes_one_point():
+    chart = linear_chart(0.5, support_radius=10.0)
+    assert chart.gradient(0.25) == pytest.approx([0.5])
+    assert chart.gradient(np.array([0.25])) == pytest.approx([0.5])
+    # several x' on a 2D chart are not one point at distance |x'|
+    for xp in (np.linspace(0.0, 1.0, 8), np.array([20.0, 0.0])):
+        with pytest.raises(ContractError, match="one point"):
+            chart.gradient(xp)
 
 
 def test_unit_normal_values_and_normalization(rng):
