@@ -5,8 +5,9 @@ approaches the Dirichlet-exterior resolvent as the coupling lam grows.
 This script measures the operator-norm gap two independent ways:
 
   * a closed-form 1D pipeline (rank-2 algebra, no grid at all), and
-  * a finite-difference pipeline (power iteration on the assembled
-    difference operator),
+  * a finite-difference pipeline: the largest eigenvalue of the discrete
+    difference operator, which has rank |interface| (two interface
+    solves in 1D, one radial solve per angular mode on the disk),
 
 then fits the decay rate.  Both land on the lam^(-1/2) law.
 """

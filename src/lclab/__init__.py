@@ -7,7 +7,8 @@ Subpackages:
   symbols    characteristic roots and interface operator symbols, class calculus
   torus      discrete Fourier model and measured operator-norm experiments
   grids      finite-difference grids and the transmission-problem operators
-  kernels    SPD solves, power iteration, dense symmetric eigensolver
+  kernels    SPD and batched tridiagonal solves, power iteration, dense
+             symmetric eigensolver
   coupling   the resolvent difference, its decay rate, interface identities
   counting   eigenvalue counting, comparison inequalities, phase-space laws
   runner     experiment orchestration and the ``lclab`` command line

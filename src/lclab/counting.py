@@ -11,7 +11,10 @@ the singular values, and the chain of comparisons runs
 with S = (exterior trace of normal derivative) o (exterior solve).
 On the disk the interface operator diagonalizes in angular modes with
 eigenvalues w_k = 1 / (|k|/R + sqrt((k/R)^2 + lam)), so both sides of
-the chain are computable exactly.
+the chain are computable exactly.  So does the discrete problem on a
+``PolarGrid``: E_lam and S* S act on each angular mode through one
+radial tridiagonal system, and their spectra and norms come from one
+batched solve over the modes.
 """
 
 import math
@@ -22,8 +25,9 @@ import scipy.linalg
 from .errors import (ContractError, DomainError, InconclusiveError,
                      ResourceLimitError)
 from .geometry import chart_atlas, metric_matrix, unit_normal
-from .kernels import (_Factorization, dense_eigen, loglog_fit,
-                      power_iteration_sym, solve_spd)
+from .grids import PolarGrid
+from .kernels import (_Factorization, dense_eigen, loglog_fit, solve_spd,
+                      solve_tridiagonal)
 
 SPHERE_QUAD_POINTS = 512
 CIRCLE_MODE_CAP = 10 ** 7  # most angular modes counting_circle enumerates
@@ -40,6 +44,19 @@ def counting_function(eigenvalues, mu):
 def eigen_spectrum(grid, lam, tol=1e-10):
     """Nonzero spectrum of the resolvent difference E_lam, ascending.
 
+    E_lam has rank |Gamma| (see ``schur_spectrum``), and only those
+    |Gamma| eigenvalues are returned.  On a ``PolarGrid`` they come from
+    the angular modes (``mode_spectrum``); any other grid takes the
+    generic interface Schur complement.
+    """
+    if isinstance(grid, PolarGrid):
+        return mode_spectrum(grid, lam, tol)
+    return schur_spectrum(grid, lam, tol)
+
+
+def schur_spectrum(grid, lam, tol=1e-10):
+    """Nonzero spectrum of E_lam from the interface Schur complement.
+
     Eliminating all nodes r off the interface Gamma from the coupled
     matrix A (X = A_rr^{-1} A_rGamma: one factorization, |Gamma| checked
     solves) leaves the Schur complement Sigma = A_GammaGamma - A_Gammar X,
@@ -47,7 +64,7 @@ def eigen_spectrum(grid, lam, tol=1e-10):
     and E_lam = Y Sigma^{-1} Y^T W with Y the exterior rows of X and W the
     exterior cell measures.  So E_lam has rank |Gamma|: its nonzero
     eigenvalues, the only ones returned, are those of L^{-1} Y^T W Y L^{-T}
-    with Sigma = L L^T.
+    with Sigma = L L^T.  Serves every grid.
     """
     mat = grid.assemble_coupled(lam).matrix
     gamma = grid.interface_idx
@@ -68,20 +85,55 @@ def eigen_spectrum(grid, lam, tol=1e-10):
     return dense_eigen(0.5 * (core + core.T))
 
 
-def trace_map_norm(grid, tol=1e-8, seed=0):
+def mode_spectrum(grid, lam, tol=1e-10):
+    """Nonzero spectrum of E_lam on a ``PolarGrid``, one value per mode.
+
+    In angular mode k the coupled matrix is the tridiagonal block A_k of
+    ``PolarGrid.mode_bands``, and eliminating every node but the
+    interface one leaves the Schur scalar sigma_k > 0, so E_lam acts on
+    the mode as y_k sigma_k^{-1} y_k^T W.  Its eigenvalue is
+    y_k^T W y_k / sigma_k, taken by modes k and -k alike.  One batched
+    solve z_k = A_k^{-1} e_Gamma gives both: sigma_k = 1 / z_k[Gamma]
+    and y_k = -sigma_k z_k on the exterior rings.
+    """
+    g = grid.nr_int
+    rhs = np.zeros(grid.ntot + 1)
+    rhs[g] = 1.0
+    z = solve_tridiagonal(*grid.mode_bands(lam), rhs, tol=tol)
+    if not np.all(z[:, g] > 0.0):
+        raise ContractError("interface Schur scalar of a mode not positive")
+    values = (z[:, g + 1:] ** 2 @ grid.ring_measure[g + 1:]) / z[:, g]
+    return np.sort(np.repeat(values, grid.mode_multiplicity))
+
+
+def trace_map_norm(grid, tol=1e-10):
     """Operator norm of S = gamma1 o exterior^{-1} from L^2(exterior) to
-    L^2(interface), via power iteration on S* S."""
-    ext = grid.assemble_exterior()
+    L^2(interface).
+
+    With T the exterior gamma1 rows, K the exterior form matrix and G, W
+    the interface and exterior measures, ||S||^2 is the top eigenvalue of
+    G^{1/2} T K^{-1} W K^{-1} T^T G^{1/2}.  On a ``PolarGrid`` that
+    matrix is diagonal in the angular modes: T is the same stencil row t
+    in each, so ||S||^2 = max_k g z_k^T W z_k with z_k = K_k^{-1} t.
+    Elsewhere it is formed with |Gamma| exterior solves.
+    """
     # exterior solves vanish on the interface: only the exterior columns act
     tmat = grid.gamma1_matrix("exterior")[:, grid.ext_idx]
-
-    def s_star_s(f):
-        sf = tmat @ ext.solve(f)
-        return ext.solve_raw(tmat.T @ (grid.gamma_weights * sf))
-
-    val, _ = power_iteration_sym(s_star_s, grid.ext_idx.size, tol=tol,
-                                 weights=grid.w_ext, seed=seed)
-    return math.sqrt(val)
+    if isinstance(grid, PolarGrid):
+        g = grid.nr_int
+        lower, diag, upper = (band[:, g + 1:]
+                              for band in grid.mode_bands())
+        stencil = tmat[0, grid.ntheta * np.arange(grid.nr_ext)].toarray()
+        z = solve_tridiagonal(lower, diag, upper, stencil, tol=tol)
+        top = grid.gamma_weights[0] * float(
+            np.max(z ** 2 @ grid.ring_measure[g + 1:]))
+        return math.sqrt(top)
+    ext = grid.assemble_exterior()
+    z = np.column_stack([ext.solve_raw(row, tol=tol)
+                         for row in tmat.toarray()])
+    root = np.sqrt(grid.gamma_weights)
+    gram = root[:, None] * (z.T @ (grid.w_ext[:, None] * z)) * root
+    return math.sqrt(float(dense_eigen(0.5 * (gram + gram.T))[-1]))
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,11 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .counting import eigen_spectrum
 from .errors import (ContractError, ConvergenceError, DomainError,
                      InconclusiveError)
-from .kernels import backward_error, loglog_fit, power_iteration_sym
+from .kernels import (backward_error, loglog_fit, power_iteration_sym,
+                      solve_tridiagonal)
 
 MIN_RATE_R_SQUARED = 0.95
 DEFAULT_LAMBDA_SWEEP = (1e2, 1e3, 1e4, 1e5, 1e6)
@@ -154,10 +156,12 @@ class RateFit:
                    conclusive=r2 >= MIN_RATE_R_SQUARED)
 
 
-def convergence_rate_fit(grid, lambdas=DEFAULT_LAMBDA_SWEEP, tol=1e-8, seed=0):
-    """Fitted decay rate of ||E_lam|| over a coupling sweep (discrete)."""
-    pipe = DifferencePipeline(grid)
-    values = [pipe.norm(lam, tol=tol, seed=seed) for lam in lambdas]
+def convergence_rate_fit(grid, lambdas=DEFAULT_LAMBDA_SWEEP):
+    """Fitted decay rate of ||E_lam|| over a coupling sweep (discrete).
+
+    Each norm is the top of ``eigen_spectrum``: exact, with no seed.
+    """
+    values = [eigen_spectrum(grid, lam).max() for lam in lambdas]
     return RateFit.from_sweep(lambdas, values)
 
 
@@ -345,59 +349,45 @@ def nonlocal_bc_solve_1d(grid, lam, f_ext, tol=1e-10):
     return grid.restrict(out)
 
 
-def nonlocal_bc_solve_polar(grid, lam, f_ext):
+def nonlocal_bc_solve_polar(grid, lam, f_ext, tol=1e-10):
     """Exterior solve with the circle-multiplier interface condition.
 
-    The disk's rotational symmetry block-diagonalizes the discrete
-    exterior operator over angular modes; each mode solves a small
-    radial system whose interface row enforces u = n_k * gamma1 u with
-    n_k the flat Neumann-to-Dirichlet symbol at frequency k / R.  The
-    angular eigenvalue uses the discrete stencil so the per-mode systems
-    reproduce the 2D finite-difference operator exactly.
+    The disk's rotational symmetry splits the discrete exterior operator
+    into the radial blocks of ``PolarGrid.mode_bands``, rows divided by
+    the ring measures.  Each mode's interface row enforces
+    u = n_k * gamma1 u, with n_k the flat Neumann-to-Dirichlet symbol at
+    frequency k / R and gamma1 the grid's exterior stencil; the first
+    exterior row eliminates the stencil's third entry, so every mode is
+    one tridiagonal system.  Their normwise backward errors must not
+    exceed ``tol``.
     """
     if grid.dim != 2:
         raise DomainError("polar solve needs a polar grid")
-    nth = grid.ntheta
-    hr, ht = grid.hr, grid.htheta
-    n_r = grid.nr_ext + 1  # rings nr_int .. ntot
-    f_rect = np.asarray(f_ext, dtype=float).reshape(grid.nr_ext, nth)
-    f_hat = np.fft.fft(f_rect, axis=1)
-    out_hat = np.zeros((n_r, nth), dtype=complex)
-    radii = grid.hr * np.arange(grid.nr_int, grid.ntot + 1)
+    g, nth = grid.nr_int, grid.ntheta
+    # rows: the interface ring, then the exterior rings
+    lower, diag, upper = (band[:, g:] / grid.ring_measure[g:]
+                          for band in grid.mode_bands())
+    rhs = np.zeros(diag.shape, dtype=complex)
+    rhs[:, 1:] = np.fft.rfft(np.asarray(f_ext, dtype=float).reshape(
+        grid.nr_ext, nth), axis=1).T
     # the grid's exterior gamma1 stencil along one ray, the same in every mode
     ray = grid.interface_idx[0] + nth * np.arange(3)
     stencil = grid.gamma1_matrix("exterior")[0, ray].toarray().ravel()
-    for m in range(nth):
-        k_int = m if m <= nth // 2 else m - nth
-        kd2 = (2.0 - 2.0 * math.cos(k_int * ht)) / ht ** 2  # discrete mode eig
-        n_k = -1.0 / math.sqrt((k_int / grid.r_inc) ** 2 + lam)
-        a = np.zeros((n_r, n_r), dtype=complex)
-        b = np.zeros(n_r, dtype=complex)
-        for i in range(1, n_r):
-            r = radii[i]
-            if i < n_r - 1:
-                cell, extent = r * hr, hr
-            else:
-                cell, extent = (r ** 2 - (r - hr / 2) ** 2) / 2.0, hr / 2
-            lo = (r - hr / 2) / (cell * hr)
-            hi = (r + hr / 2) / (cell * hr) if i < n_r - 1 else 0.0
-            a[i, i - 1] = -lo
-            a[i, i] = lo + hi + extent * kd2 / (r * cell)
-            if i < n_r - 1:
-                a[i, i + 1] = -hi
-            b[i] = f_hat[i - 1, m]
-        # interface row: u0 - n_k * gamma1 u = 0
-        a[0, :3] = -n_k * stencil
-        a[0, 0] += 1.0
-        out_hat[:, m] = np.linalg.solve(a, b)
-    out = np.real(np.fft.ifft(out_hat, axis=1))
-    return out[1:].ravel()
+    n_k = -1.0 / np.sqrt((grid.modes / grid.r_inc) ** 2 + lam)
+    row = -n_k[:, None] * stencil
+    row[:, 0] += 1.0
+    factor = row[:, 2] / upper[:, 1]
+    diag[:, 0] = row[:, 0] - factor * lower[:, 1]
+    upper[:, 0] = row[:, 1] - factor * diag[:, 1]
+    rhs[:, 0] = -factor * rhs[:, 1]
+    out = solve_tridiagonal(lower, diag, upper, rhs, tol=tol)
+    return np.fft.irfft(out[:, 1:].T, n=nth, axis=1).ravel()
 
 
 def nonlocal_bc_solve(grid, lam, f_ext, tol=1e-10):
     if grid.dim == 1:
         return nonlocal_bc_solve_1d(grid, lam, f_ext, tol=tol)
-    return nonlocal_bc_solve_polar(grid, lam, f_ext)
+    return nonlocal_bc_solve_polar(grid, lam, f_ext, tol=tol)
 
 
 def counting_zero_threshold(norm_fn, mu, lam_lo=1.0, lam_hi=1e12,

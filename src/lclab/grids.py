@@ -33,6 +33,14 @@ supplies only:
   * ``_layer(side, k)`` and ``normal_step``: the nodes k steps off the
     interface along its normal and their spacing, from which the one
     gamma1 stencil of every consumer is built.
+
+The sparse stiffness ``_stiffness`` is assembled from ``_links`` on
+first use only.  ``PolarGrid`` keeps its coefficients per ring, ring 0
+being the origin: ``ring_measure``, ``ring_potential`` (the potential
+measure), ``radial_conductance`` (ring m to m + 1) and
+``angular_conductance``.  Its nodal measures, its links and the
+per-angular-mode radial blocks of ``mode_bands`` are all built from
+these four arrays.
 """
 
 from dataclasses import dataclass, field
@@ -112,8 +120,17 @@ class _Grid:
     def _build_operators(self):
         """Data derived from the geometry alone; ends every ``__init__``."""
         self.w_ext = self.w_full[self.ext_idx]
-        self._stiffness = _assemble_from_links(self.n_nodes, *self._links())
+        self._stiffness_matrix = None
         self._gamma1 = {}
+
+    @property
+    def _stiffness(self):
+        """The sparse stiffness of the whole grid, assembled on first use:
+        the disk's angular-mode consumers never need it."""
+        if self._stiffness_matrix is None:
+            self._stiffness_matrix = _assemble_from_links(self.n_nodes,
+                                                          *self._links())
+        return self._stiffness_matrix
 
     # -- index plumbing -----------------------------------------------------
 
@@ -310,6 +327,8 @@ class PolarGrid(_Grid):
     quantitative 2D experiments see an interface-exact, second-order
     discretization.  Requires a pure disk (no radius profile).  Node 0 is
     the origin; ring k = 1 .. ntot holds nodes 1 + (k - 1) ntheta + j.
+    The grid is rotation invariant, so its operators split over the
+    angular modes ``modes`` = 0 .. ntheta // 2 (see ``mode_bands``).
     """
 
     # __init__ and assemble_* stay here: bench/tracing.py wraps them from vars()
@@ -344,29 +363,44 @@ class PolarGrid(_Grid):
         self.ext_idx = np.arange(first + self.ntheta, self.n_nodes)
         self.int_idx = np.arange(first + self.ntheta)
         self.outer_idx = np.arange(self.n_nodes - self.ntheta, self.n_nodes)
-        self._build_weights()
+        self.modes = np.arange(self.ntheta // 2 + 1)
+        self.mode_multiplicity = np.where(
+            (self.modes == 0) | (2 * self.modes == self.ntheta), 1, 2)
+        self._build_rings()
         self._build_operators()
 
-    def _build_weights(self):
-        hr, htheta = self.hr, self.htheta
+    def _build_rings(self):
+        """Per-ring coefficients, ring 0 being the origin; every node of a
+        ring shares them, so the nodal arrays and the links repeat them."""
+        hr, htheta, nth = self.hr, self.htheta, self.ntheta
 
         def half_cell(r):
             """Annular cell between r - hr/2 and r."""
             return (r ** 2 - (r - hr / 2) ** 2) / 2.0 * htheta
 
-        cells = self.radii * hr * htheta
-        cells[-1] = half_cell(self.ntot * hr)
-        w = np.empty(self.n_nodes)
-        w[0] = np.pi * hr ** 2 / 4.0
-        w[1:] = np.repeat(cells, self.ntheta)
-        self.w_full = w
+        ring = np.arange(1, self.ntot + 1)
+        measure = np.empty(self.ntot + 1)
+        measure[0] = np.pi * hr ** 2 / 4.0
+        measure[1:] = self.radii * hr * htheta
+        measure[-1] = half_cell(self.ntot * hr)
+        self.ring_measure = measure
+        potential = np.zeros(self.ntot + 1)
+        potential[:self.nr_int] = measure[:self.nr_int]
+        potential[self.nr_int] = half_cell(self.r_inc)
+        self.ring_potential = potential
+        # link ring m -> m + 1; ring 0 -> 1 are the origin's spokes
+        self.radial_conductance = np.concatenate(
+            [[htheta / 2.0], (ring[:-1] + 0.5) * hr * htheta / hr])
+        # links around ring m; the outer ring's cells have half width
+        extent = np.full(self.ntot, hr)
+        extent[-1] = hr / 2.0
+        self.angular_conductance = np.concatenate(
+            [[0.0], extent / (ring * hr * htheta)])
 
-        pot = np.zeros(self.n_nodes)
-        inside = self.interface_idx[0]
-        pot[:inside] = w[:inside]
-        pot[self.interface_idx] = half_cell(self.r_inc)
-        self.pot_measure = pot
-        self.gamma_weights = np.full(self.ntheta, self.r_inc * htheta)
+        self.w_full = np.concatenate([measure[:1], np.repeat(measure[1:], nth)])
+        self.pot_measure = np.concatenate(
+            [potential[:1], np.repeat(potential[1:], nth)])
+        self.gamma_weights = np.full(nth, self.r_inc * htheta)
 
     def _links(self, interior=False):
         """Origin spokes, then radial links, then angular links, ring by ring.
@@ -376,22 +410,50 @@ class PolarGrid(_Grid):
         nodes are numbered first, so its local numbering is the global one.
         """
         rings = self.nr_int if interior else self.ntot
-        hr, htheta, nth = self.hr, self.htheta, self.ntheta
-        ring = np.arange(1, rings + 1)
-        start = 1 + (ring - 1) * nth
+        nth = self.ntheta
+        start = 1 + np.arange(rings) * nth
         t = np.arange(nth)
         radial = (start[:-1, None] + t).ravel()
         around = (start[:, None] + t).ravel()
-        extent = np.full(rings, hr)
-        extent[-1] = hr / 2.0
+        angular = self.angular_conductance[1:rings + 1].copy()
+        if interior:
+            angular[-1] /= 2.0  # the interface ring's inner half cells
         i = np.concatenate([np.zeros(nth, dtype=int), radial, around])
         j = np.concatenate([start[0] + t, radial + nth,
                             (start[:, None] + (t + 1) % nth).ravel()])
-        c = np.concatenate([
-            np.full(nth, htheta / 2.0),
-            np.repeat((ring[:-1] + 0.5) * hr * htheta / hr, nth),
-            np.repeat(extent / (ring * hr * htheta), nth)])
+        c = np.repeat(np.concatenate([self.radial_conductance[:rings], angular]),
+                      nth)
         return i, j, c
+
+    def mode_bands(self, lam=0.0):
+        """The radial systems of the angular modes k = 0 .. ntheta // 2.
+
+        In the unitary angular Fourier basis the form matrix K + lam
+        diag(pot_measure) splits into one real tridiagonal block per
+        mode over the rings 0 (the origin) .. ntot; modes k and -k share
+        a block (``mode_multiplicity``).  Ring m carries the angular
+        links as 2 (1 - cos k htheta) c_ang[m] on its diagonal.  Only
+        mode 0 sees the origin, through -c_spoke sqrt(ntheta); in every
+        other block the origin row is decoupled, so zero data leave it
+        zero.  Returns the bands (lower, diag, upper), each of shape
+        (modes, ntot + 1), as ``kernels.solve_tridiagonal`` reads them.
+        """
+        c_rad, nth = self.radial_conductance, self.ntheta
+        links = np.zeros(self.ntot + 1)
+        links[0] = nth * c_rad[0]
+        links[1:] += c_rad
+        links[1:-1] += c_rad[1:]
+        angular = 2.0 * (1.0 - np.cos(self.modes * self.htheta))
+        diag = (links + angular[:, None] * self.angular_conductance
+                + lam * self.ring_potential)
+        off = np.tile(-c_rad, (self.modes.size, 1))
+        off[0, 0] *= np.sqrt(nth)
+        off[1:, 0] = 0.0
+        lower = np.zeros_like(diag)
+        upper = np.zeros_like(diag)
+        lower[:, 1:] = off
+        upper[:, :-1] = off
+        return lower, diag, upper
 
     def _layer(self, side, k):
         """The ring k steps off the interface on ``side``, or None."""

@@ -1,4 +1,5 @@
-"""Linear-algebra kernels: SPD solves, power iteration, dense symmetric spectra.
+"""Linear-algebra kernels: SPD solves, batched tridiagonal solves, power
+iteration, dense symmetric spectra.
 
 The heavy lifting is delegated to LAPACK via numpy/scipy; every kernel
 checks its own contract (residual, symmetry, spectral identities) after
@@ -98,6 +99,64 @@ def solve_spd(mat, rhs, tol=DEFAULT_SOLVE_TOL, cache=None):
         raise ConvergenceError(
             f"SPD solve backward error {residual:.3e} exceeds tol {tol:.1e}",
             residual=residual)
+    return x
+
+
+def tridiagonal_backward_error(lower, diag, upper, x, rhs):
+    """Normwise backward error, as in ``backward_error``, of every system
+    of a tridiagonal batch (see ``solve_tridiagonal``); one per system."""
+    ax = diag * x
+    ax[..., 1:] += lower[..., 1:] * x[..., :-1]
+    ax[..., :-1] += upper[..., :-1] * x[..., 1:]
+    row_sums = np.abs(diag)
+    row_sums[..., 1:] += np.abs(lower[..., 1:])
+    row_sums[..., :-1] += np.abs(upper[..., :-1])
+    scale = (row_sums.max(axis=-1) * np.linalg.norm(x, axis=-1)
+             + np.linalg.norm(rhs, axis=-1))
+    gap = np.linalg.norm(ax - rhs, axis=-1)
+    # NaN scales (a zero pivot) must stay NaN, so mask only exact zeros
+    return np.divide(gap, scale, out=np.zeros_like(gap), where=scale != 0.0)
+
+
+def solve_tridiagonal(lower, diag, upper, rhs, tol=DEFAULT_SOLVE_TOL):
+    """Solve a batch of tridiagonal systems by Thomas elimination.
+
+    All arrays have the shape (systems, n) (``rhs`` broadcasts to it and
+    may be complex); row i of system b reads
+
+        lower[b, i] x[b, i-1] + diag[b, i] x[b, i] + upper[b, i] x[b, i+1]
+            = rhs[b, i],
+
+    with ``lower[:, 0]`` and ``upper[:, -1]`` ignored.  The elimination is
+    vectorized over the systems and does not pivot, which suits the
+    positive definite or diagonally dominant blocks it serves.  The
+    normwise backward error of every system must not exceed ``tol``;
+    ConvergenceError carries the worst (a zero pivot makes it NaN).
+    """
+    if not 0.0 < tol <= 1e-6:
+        raise ContractError(f"solve tolerance {tol} outside (0, 1e-6]")
+    lower, diag, upper = (np.asarray(band, dtype=float)
+                          for band in (lower, diag, upper))
+    rhs = np.broadcast_to(rhs, diag.shape)
+    n = diag.shape[-1]
+    ratio = np.empty_like(diag)
+    x = np.empty(diag.shape, dtype=np.result_type(diag, rhs))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pivot = diag[..., 0]
+        ratio[..., 0] = upper[..., 0] / pivot
+        x[..., 0] = rhs[..., 0] / pivot
+        for i in range(1, n):
+            pivot = diag[..., i] - lower[..., i] * ratio[..., i - 1]
+            ratio[..., i] = upper[..., i] / pivot
+            x[..., i] = (rhs[..., i] - lower[..., i] * x[..., i - 1]) / pivot
+        for i in range(n - 2, -1, -1):
+            x[..., i] -= ratio[..., i] * x[..., i + 1]
+        residual = tridiagonal_backward_error(lower, diag, upper, x, rhs)
+    worst = float(residual.max())
+    if not worst <= tol:
+        raise ConvergenceError(
+            f"tridiagonal solve backward error {worst:.3e} exceeds tol "
+            f"{tol:.1e}", residual=worst)
     return x
 
 

@@ -90,7 +90,6 @@ _SCHEMA = {
     },
     "tolerances": {
         "solve_tol": ("float", 1e-10),
-        "power_tol": ("float", 1e-8),
     },
     "output": {
         "dir": ("str", "out"),
@@ -324,8 +323,7 @@ def _run_rate1d(config, art, dump=False):
     grid = Grid1D(domain, config["grid.cells_1d"] * 2)
     lambdas = config["sweep.lambdas"]
     exact = cp.convergence_rate_fit_exact_1d(domain, lambdas)
-    fit = cp.convergence_rate_fit(grid, lambdas, tol=config["tolerances.power_tol"],
-                                  seed=config.seed())
+    fit = cp.convergence_rate_fit(grid, lambdas)
     if dump:
         grid.assemble_coupled(lambdas[0]).export_matrix_market(
             art.out / "coupled_matrix.mtx")
@@ -353,9 +351,7 @@ def _run_rate2d(config, art, dump=False):
     grid = PolarGrid(_domain2d(config), config["grid.radial_ext"] * 2,
                      config["grid.angular"] * 2)
     lambdas = config["sweep.lambdas_2d"]
-    fit = cp.convergence_rate_fit(grid, lambdas,
-                                  tol=config["tolerances.power_tol"],
-                                  seed=config.seed())
+    fit = cp.convergence_rate_fit(grid, lambdas)
     if dump:
         grid.assemble_exterior().export_matrix_market(
             art.out / "exterior_matrix_2d.mtx")
@@ -516,8 +512,7 @@ def _run_weyl(config, art, dump=False):
     ok &= art.criterion("weyl.disk_slope", fit["slope"],
                         _in_window(fit["slope"], TOLERANCES["weyl_disk_slope"]),
                         TOLERANCES["weyl_disk_slope"])
-    s_norm = ct.trace_map_norm(grid, tol=config["tolerances.power_tol"],
-                               seed=config.seed())
+    s_norm = ct.trace_map_norm(grid, tol=config["tolerances.solve_tol"])
     rows = [(mu, count, ct.circle_count_prediction(radius, lam,
                                                    mu / s_norm ** 2))
             for mu, count in zip(fit["mu_grid"], fit["counts"])]
@@ -536,8 +531,7 @@ def _run_birman(config, art, dump=False):
     grid = PolarGrid(_domain2d(config), config["grid.radial_ext"],
                      config["grid.angular"])
     eigs = ct.eigen_spectrum(grid, lam, tol=config["tolerances.solve_tol"])
-    s_norm = ct.trace_map_norm(grid, tol=config["tolerances.power_tol"],
-                               seed=config.seed())
+    s_norm = ct.trace_map_norm(grid, tol=config["tolerances.solve_tol"])
     top = float(np.abs(eigs).max())
     mu_grid = np.geomspace(top / 100.0, top, config["sweep.mu_points"])[::-1]
     rows = ct.birman_disk_check(eigs, s_norm, config["domain2d.radius"], lam,

@@ -30,9 +30,10 @@ def polar_grid(disk_domain):
 @pytest.fixture(scope="session")
 def disk_spectrum(polar_grid):
     """Nonzero spectrum of the resolvent difference at lam = 1e3: the
-    |Gamma| eigenvalues of L^{-1} (Y^T W Y) L^{-T} from the interface
-    Schur complement Sigma = L L^T (see ``eigen_spectrum``), with the
-    power-iteration norm and the trace-map norm beside it."""
+    |Gamma| eigenvalues y_k^T W y_k / sigma_k of the angular modes, each
+    from one radial tridiagonal solve (see ``mode_spectrum``), with the
+    power-iteration norm (an independent check of the top) and the
+    per-mode trace-map norm beside it."""
     pipe = DifferencePipeline(polar_grid)
     eigs = eigen_spectrum(polar_grid, DISK_LAM)
     return {"eigs": eigs, "pipe": pipe, "lam": DISK_LAM,

@@ -1,12 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from lclab import (DifferencePipeline, DomainError, Grid1D, PolarGrid,
                    ResourceLimitError, birman_disk_check,
                    birman_synthetic_check, circle_difference_eigenvalue,
-                   counting_circle, counting_function, dense_eigen,
-                   eigen_spectrum)
-from lclab.counting import CIRCLE_MODE_CAP
+                   convergence_rate_fit, counting_circle, counting_function,
+                   dense_eigen, eigen_spectrum, power_iteration_sym,
+                   trace_map_norm)
+from lclab.counting import CIRCLE_MODE_CAP, schur_spectrum
 from lclab.runner import TOLERANCES, default_config, run_experiment
 
 LAM = 1e3
@@ -42,6 +45,58 @@ def test_eigen_spectrum_matches_densified_oracle(make_grid, domain1d,
     assert np.abs(eigs - oracle[-rank:]).max() <= 1e-10 * top
     # everything the reduction leaves out is zero in the oracle
     assert np.abs(oracle[:-rank]).max() <= 1e-10 * top
+
+
+def power_trace_map_norm(grid, tol):
+    """Oracle: ||S|| by power iteration on S* S, two exterior solves an
+    action."""
+    ext = grid.assemble_exterior()
+    tmat = grid.gamma1_matrix("exterior")[:, grid.ext_idx]
+
+    def s_star_s(f):
+        sf = tmat @ ext.solve(f)
+        return ext.solve_raw(tmat.T @ (grid.gamma_weights * sf))
+
+    val, _ = power_iteration_sym(s_star_s, grid.ext_idx.size, tol=tol,
+                                 weights=grid.w_ext)
+    return math.sqrt(val)
+
+
+MODE_GRIDS = [(8, 16), (32, 64), (12, 15)]  # 12 x 15: odd, no power of two
+
+
+@pytest.mark.parametrize("nr_ext, ntheta", MODE_GRIDS,
+                         ids=[f"{r}x{t}" for r, t in MODE_GRIDS])
+def test_mode_engine_matches_generic_paths(disk_domain, nr_ext, ntheta):
+    grid = PolarGrid(disk_domain, nr_ext, ntheta)
+    eigs = eigen_spectrum(grid, LAM)
+    s_norm = trace_map_norm(grid)
+    # the angular modes never need the 2-D sparse stiffness
+    assert grid._stiffness_matrix is None
+    oracle = schur_spectrum(grid, LAM)
+    assert eigs.shape == (ntheta,)
+    assert np.abs(eigs - oracle).max() <= 1e-12 * oracle.max()
+    assert abs(s_norm - power_trace_map_norm(grid, 1e-12)) <= 1e-8
+
+
+def test_trace_map_norm_on_grid1d(grid1d):
+    assert abs(trace_map_norm(grid1d)
+               - power_trace_map_norm(grid1d, 1e-12)) <= 1e-8
+
+
+@pytest.mark.parametrize("make_grid", [
+    lambda d1, d2: PolarGrid(d2, nr_ext=8, ntheta=16),
+    lambda d1, d2: Grid1D(d1, 64),
+], ids=["polar-8x16", "grid1d-64"])
+def test_rate_fit_norms_are_spectral_tops(make_grid, domain1d, disk_domain):
+    grid = make_grid(domain1d, disk_domain)
+    lambdas = (1e2, 1e3, 1e4, 1e5)
+    values = convergence_rate_fit(grid, lambdas).values
+    # the oracle subtracts two O(1) solves, so its absolute error is about
+    # 1e-16: at lam = 1e5 (norm 2.4e-4 on the disk) that is 2e-12 relative
+    for lam, value in zip(lambdas[:3], values):
+        top = densified_spectrum(grid, lam)[-1]
+        assert abs(value - top) <= 1e-12 * top
 
 
 def test_disk_spectrum_positive_and_bounded_by_norm(disk_spectrum,
@@ -90,6 +145,17 @@ def test_counting_function_is_strict_and_needs_positive_mu():
 
 def test_birman_synthetic_check_finds_no_violation():
     assert birman_synthetic_check() == 0
+
+
+@pytest.mark.parametrize("experiment", ["rate1d", "rate2d", "weyl", "birman"])
+def test_criteria_do_not_depend_on_the_seed(tmp_path, experiment):
+    values = []
+    for seed in (1, 2):
+        status, summary = run_experiment(
+            default_config(experiment, seed=seed), out_dir=tmp_path / str(seed))
+        assert status == 0
+        values.append([(c["name"], c["value"]) for c in summary["criteria"]])
+    assert values[0] == values[1]
 
 
 def test_weyl_artifacts_are_byte_identical(tmp_path):

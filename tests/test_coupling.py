@@ -8,7 +8,8 @@ from lclab import (ContractError, ConvergenceError, DifferencePipeline,
                    convergence_rate_fit_exact_1d, counting_zero_threshold,
                    coupling, difference_matrix_1d, difference_norm_exact_1d,
                    exterior_gram_1d, green_identity_check, green_test_fields,
-                   nonlocal_bc_solve, ntd_matrix_1d, transmission_solve)
+                   kernels, nonlocal_bc_solve, ntd_matrix_1d,
+                   transmission_solve)
 from lclab.coupling import exterior_dtn_matrix_1d, transmission_factor_1d
 from lclab.grids import PolarGrid
 
@@ -210,11 +211,13 @@ def test_nonlocal_solve_zero_source(grid1d):
     assert np.abs(out).max() < 1e-14
 
 
-def test_nonlocal_solve_rejects_tolerance_outside_contract(grid1d):
-    f = np.ones(grid1d.ext_idx.size)
-    for tol in (0.0, -1e-10, 1e-3):
-        with pytest.raises(ContractError):
-            nonlocal_bc_solve(grid1d, 1e3, f, tol=tol)
+def test_nonlocal_solve_rejects_tolerance_outside_contract(grid1d,
+                                                           polar_grid):
+    for grid in (grid1d, polar_grid):
+        f = np.ones(grid.ext_idx.size)
+        for tol in (0.0, -1e-10, 1e-3):
+            with pytest.raises(ContractError):
+                nonlocal_bc_solve(grid, 1e3, f, tol=tol)
 
 
 def test_nonlocal_solve_checks_its_backward_error(grid1d, monkeypatch):
@@ -231,6 +234,25 @@ def test_nonlocal_solve_checks_its_backward_error(grid1d, monkeypatch):
     with pytest.raises(ConvergenceError) as info:
         nonlocal_bc_solve(grid1d, 1e3, f, tol=1e-30)
     assert info.value.residual == seen[-1] > 1e-30
+
+
+def test_nonlocal_polar_checks_its_backward_error(polar_grid, monkeypatch):
+    f, _ = green_test_fields(polar_grid)
+    original, seen = kernels.tridiagonal_backward_error, []
+
+    def spy(*args):
+        seen.append(original(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(kernels, "tridiagonal_backward_error", spy)
+    nonlocal_bc_solve(polar_grid, 1e3, f)
+    assert len(seen) == 1 and seen[0].shape == polar_grid.modes.shape
+    assert seen[0].max() <= 1e-10
+    monkeypatch.setattr(kernels, "tridiagonal_backward_error",
+                        lambda *args: np.full(polar_grid.modes.size, 1e-6))
+    with pytest.raises(ConvergenceError) as info:
+        nonlocal_bc_solve(polar_grid, 1e3, f)
+    assert info.value.residual == 1e-6
 
 
 def test_nonlocal_matches_transmission_1d(domain1d):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
-from lclab import (ContractError, dense_eigen, loglog_fit, power_iteration_sym,
-                   solve_spd)
+from lclab import (ContractError, ConvergenceError, dense_eigen, kernels,
+                   loglog_fit, power_iteration_sym, solve_spd)
 from lclab.errors import ResourceLimitError
+from lclab.kernels import solve_tridiagonal
 
 
 def random_spd(rng, n=50):
@@ -41,6 +43,51 @@ def test_solve_rejects_silly_tolerances(rng):
 def test_solve_zero_rhs_shortcut(rng):
     assert np.array_equal(solve_spd(random_spd(rng, 8), np.zeros(8)),
                           np.zeros(8))
+
+
+def _random_bands(rng, systems=7, n=40):
+    """Diagonally dominant tridiagonal bands, (systems, n) each."""
+    lower = rng.standard_normal((systems, n))
+    upper = rng.standard_normal((systems, n))
+    diag = 2.5 + np.abs(lower) + np.abs(upper) + rng.uniform(size=(systems, n))
+    return lower, diag, upper
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_tridiagonal_batch_matches_solve_banded(rng, dtype):
+    lower, diag, upper = _random_bands(rng)
+    rhs = rng.standard_normal(diag.shape).astype(dtype)
+    if dtype is complex:
+        rhs += 1j * rng.standard_normal(diag.shape)
+    x = solve_tridiagonal(lower, diag, upper, rhs)
+    for b in range(diag.shape[0]):
+        ab = np.zeros((3, diag.shape[1]))
+        ab[0, 1:] = upper[b, :-1]
+        ab[1] = diag[b]
+        ab[2, :-1] = lower[b, 1:]
+        ref = scipy.linalg.solve_banded((1, 1), ab, rhs[b])
+        assert np.abs(x[b] - ref).max() <= 1e-13 * np.abs(ref).max()
+    # one right side broadcasts to every system
+    shared = solve_tridiagonal(lower, diag, upper, rhs[0])
+    assert np.allclose(shared[0], x[0], rtol=0, atol=1e-15)
+
+
+def test_tridiagonal_backward_error_is_checked(rng, monkeypatch):
+    lower, diag, upper = _random_bands(rng)
+    rhs = rng.standard_normal(diag.shape)
+    with pytest.raises(ContractError):
+        solve_tridiagonal(lower, diag, upper, rhs, tol=0.0)
+    # no pivoting: a zero pivot is reported, never returned
+    bad = diag.copy()
+    bad[3, 0] = 0.0
+    with pytest.raises(ConvergenceError):
+        solve_tridiagonal(lower, bad, upper, rhs)
+    # one system over tolerance fails the whole batch, with its residual
+    monkeypatch.setattr(kernels, "tridiagonal_backward_error",
+                        lambda *args: np.array([0.0, 1e-3, 0.0]))
+    with pytest.raises(ConvergenceError) as info:
+        solve_tridiagonal(lower, diag, upper, rhs)
+    assert info.value.residual == 1e-3
 
 
 def test_power_iteration_simple_spectra():

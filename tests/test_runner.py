@@ -1,6 +1,7 @@
 import json
 
 import pytest
+import scipy.io
 
 from lclab import ConvergenceError, InconclusiveError, runner
 
@@ -87,3 +88,18 @@ def test_symbol_calculus_criteria_show_their_windows(tmp_path, experiment):
             assert crit["value"] is window
         else:
             assert window[0] <= crit["value"] <= window[1]
+
+
+def test_rate2d_dump_matrices_assembles_the_lazy_stiffness(tmp_path):
+    code = runner.main(["rate2d", "--dump-matrices", "--out", str(tmp_path)])
+    assert code == 0
+    matrix = scipy.io.mmread(tmp_path / "exterior_matrix_2d.mtx")
+    # exterior unknowns of the default 64 x 128 polar grid
+    assert matrix.shape == (64 * 128, 64 * 128)
+
+
+def test_power_tol_is_no_longer_a_config_key(tmp_path, capsys):
+    cfg = tmp_path / "old.ini"
+    cfg.write_text("[tolerances]\npower_tol = 1e-8\n")
+    assert runner.main(["rate1d", "--config", str(cfg)]) == 3
+    assert "unknown key tolerances.power_tol" in capsys.readouterr().err
