@@ -5,7 +5,7 @@ Subpackages:
 
   geometry   domains, interface graph charts, metric data, atlas quadrature
   symbols    characteristic roots and interface operator symbols, class calculus
-  torus      discrete Fourier model and measured operator-norm experiments
+  torus      discrete Fourier model and exact operator-norm experiments
   grids      finite-difference grids and the transmission-problem operators
   kernels    SPD and batched tridiagonal solves, power iteration, dense
              symmetric eigensolver
@@ -40,9 +40,9 @@ from .counting import (birman_disk_check, birman_synthetic_check,
                        counting_function, eigen_spectrum,
                        sphere_slice_integral, trace_map_norm,
                        weyl_exponent_fit, weyl_rhs)
-from .torus import (SpectralField, TorusGrid, apply_multiplier, apply_psdo,
+from .torus import (TorusGrid, apply_multiplier, apply_psdo,
                     composition_error_experiment, default_composition_symbols,
                     dft, idft, ntd_bound_experiment, operator_bound_experiment,
-                    random_field, sobolev_norm)
+                    sobolev_norm)
 
 __version__ = "0.1.0"

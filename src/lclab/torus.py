@@ -12,10 +12,17 @@ so the s = 0 Sobolev norm coincides with the L^2 norm (Parseval).
 Multiplier operators act diagonally on coefficients; x-dependent symbols
 act through the dense quadrature sum_k a(x_j, k, lam) c_k exp(i k x_j).
 Symbols are called once per sample grid, on arrays (see ``symbols``).
+
+Operator norms H^r -> H^t are exact, with no sampling and no seed.  A
+multiplier's norm is the mode-wise maximum of <k>^t |b(k)| <k>^(-r).
+Any other operator is written as its coefficient matrix (coefficients
+in, coefficients out), and its norm is the largest singular value of
+<k>^t M <k>^(-r), where <k> = (1 + k^2)^(1/2).
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -40,6 +47,16 @@ class TorusGrid:
         k = np.arange(self.m)
         self.freqs = np.where(k <= self.m // 2, k, k - self.m)
 
+    @cached_property
+    def phase(self):
+        """exp(i k x_j) on the (x_j, k) grid, shared by every
+        ``psdo_matrix`` call on this grid; read-only."""
+        x = self.x[:, None]
+        k = self.freqs.astype(float)[None, :]
+        phase = np.exp(1j * (k * x))
+        phase.flags.writeable = False
+        return phase
+
     def __repr__(self):
         return f"TorusGrid(points={self.m})"
 
@@ -59,31 +76,6 @@ def idft(grid, coeffs):
     return np.fft.ifft(coeffs * grid.m)
 
 
-@dataclass
-class SpectralField:
-    """A grid function together with its (consistent) Fourier coefficients."""
-
-    grid: TorusGrid
-    values: np.ndarray
-    coefficients: np.ndarray
-
-    @classmethod
-    def from_values(cls, grid, values):
-        values = np.asarray(values, dtype=complex)
-        return cls(grid, values, dft(grid, values))
-
-    @classmethod
-    def from_coefficients(cls, grid, coeffs):
-        coeffs = np.asarray(coeffs, dtype=complex)
-        return cls(grid, idft(grid, coeffs), coeffs)
-
-    def parseval_gap(self):
-        grid_norm2 = (2.0 * np.pi / self.grid.m) * float(
-            np.sum(np.abs(self.values) ** 2))
-        coeff_norm2 = 2.0 * np.pi * float(np.sum(np.abs(self.coefficients) ** 2))
-        return abs(grid_norm2 - coeff_norm2) / max(coeff_norm2, 1e-300)
-
-
 def sobolev_norm(grid, values, s):
     """H^s norm from the weighted coefficient sum; s = 0 is the L^2 norm."""
     coeffs = dft(grid, values)
@@ -100,16 +92,15 @@ def apply_multiplier(grid, symbol, lam, values):
 
 def psdo_matrix(grid, symbol, lam):
     """Dense quadrature matrix W[j, :] c = (op(a) u)(x_j) for cached reuse,
-    from one symbol call on the (x_j, k) grid."""
+    from one symbol call on the (x_j, k) grid times the grid's ``phase``."""
     if grid.m > PSDO_MAX_POINTS:
         raise ResourceLimitError(
             f"dense quadrature limited to {PSDO_MAX_POINTS} points, got {grid.m}")
     x = grid.x[:, None]
     k = grid.freqs.astype(float)[None, :]
-    w = np.exp(1j * (k * x))
     # symbol values as the left operand, as in a column-by-column build:
     # numpy's vectorized complex product is not always bitwise commutative
-    return np.multiply(symbol(x, k, lam), w, out=w)
+    return symbol(x, k, lam) * grid.phase
 
 
 def apply_psdo(grid, symbol, lam, values, matrix=None):
@@ -121,16 +112,6 @@ def apply_psdo(grid, symbol, lam, values, matrix=None):
     if matrix is None:
         matrix = psdo_matrix(grid, symbol, lam)
     return matrix @ dft(grid, values)  # rows already carry exp(i k x_j)
-
-
-def random_field(grid, r, rng):
-    """Random trial field lying in H^r but (a.s.) in no H^{r+0.6}.
-
-    Coefficients are (1+k^2)^(-(r+0.51)/2)-damped complex Gaussians.
-    """
-    damp = (1.0 + grid.freqs.astype(float) ** 2) ** (-(r + 0.51) / 2.0)
-    noise = rng.standard_normal(grid.m) + 1j * rng.standard_normal(grid.m)
-    return SpectralField.from_coefficients(grid, damp * noise / math.sqrt(2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -178,14 +159,32 @@ def _multiplier_norm_ratio(grid, symbol, lam, r, s_target):
     return float(np.max(bracket ** s_target * mods * bracket ** (-r)))
 
 
-def operator_bound_experiment(grid, symbol, m, r, s, lambdas, n_trials=64,
-                              seed=0):
-    """Measure the H^r -> H^{s-m} norm decay of op(b) for b in P^m, m <= 0.
+def _top_singular_value(mat):
+    """Largest singular value of a matrix with no more columns than rows,
+    from the top eigenvalue of its Gram matrix."""
+    gram = mat.conj().T @ mat
+    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
 
-    The ratio sup ||op(b) u||_{s-m} / ||u||_r is evaluated per lambda by
-    exact mode-wise enumeration (x-independent symbols) plus random
-    trials, then fitted against tau = sqrt(lambda); the mapping property
-    predicts a slope of -(r - s).
+
+def _map_norm(grid, values, r, t, cols=slice(None)):
+    """Exact H^r -> H^t norm of the operator whose column j holds the grid
+    values it produces from the unit coefficient vector of frequency
+    ``grid.freqs[cols][j]``: the largest singular value of
+    <k>^t F values <k>^(-r), with F the coefficient map ``dft``."""
+    bracket = (1.0 + grid.freqs.astype(float) ** 2) ** 0.5
+    coeffs = np.fft.fft(values, axis=0) / grid.m
+    weighted = bracket[:, None] ** t * coeffs * bracket[cols] ** (-r)
+    return _top_singular_value(weighted)
+
+
+def operator_bound_experiment(grid, symbol, m, r, s, lambdas):
+    """Exact H^r -> H^{s-m} norm decay of op(b) for b in P^m, m <= 0.
+
+    The norm sup ||op(b) u||_{s-m} / ||u||_r is computed per lambda,
+    by mode-wise maximization for an x-independent symbol and otherwise
+    as the largest singular value of the weighted coefficient matrix
+    <k>^(s-m) F W <k>^(-r) (W the ``psdo_matrix``), then fitted against
+    tau = sqrt(lambda); the mapping property predicts a slope of -(r - s).
     """
     if m > 0:
         raise ConfigError("operator_bound_experiment needs order m <= 0")
@@ -194,51 +193,30 @@ def operator_bound_experiment(grid, symbol, m, r, s, lambdas, n_trials=64,
     lambdas = np.asarray(lambdas, dtype=float)
     if len(lambdas) < 3 or np.any(np.diff(lambdas) <= 0):
         raise ConfigError("lambda sweep must be increasing with >= 3 points")
-    rng = np.random.default_rng(seed)
-    x_independent = symbol.x_support_radius == 0.0
-    ratios = []
-    for lam in lambdas:
-        best = 0.0
-        if x_independent:
-            best = _multiplier_norm_ratio(grid, symbol, lam, r, s - m)
-        matrix = None if x_independent else psdo_matrix(grid, symbol, lam)
-        for _ in range(n_trials):
-            u = random_field(grid, r, rng)
-            if x_independent:
-                out = apply_multiplier(grid, symbol, lam, u.values)
-            else:
-                out = apply_psdo(grid, symbol, lam, u.values, matrix=matrix)
-            num = sobolev_norm(grid, out, s - m)
-            den = sobolev_norm(grid, u.values, r)
-            best = max(best, num / den)
-        ratios.append(best)
+    if symbol.x_support_radius == 0.0:
+        ratios = [_multiplier_norm_ratio(grid, symbol, lam, r, s - m)
+                  for lam in lambdas]
+    else:
+        ratios = [_map_norm(grid, psdo_matrix(grid, symbol, lam), r, s - m)
+                  for lam in lambdas]
     return _fit_ratios(lambdas, ratios, vs="tau", expected=-(r - s))
 
 
-def ntd_bound_experiment(grid, s_values, lambdas, n_trials=16, seed=0):
+def ntd_bound_experiment(grid, s_values, lambdas):
     """Two-regime decay of the flat Neumann-to-Dirichlet multiplier.
 
-    Measures ||op(1/eta) u||_{H^s} / ||u||_{H^{1/2}} per lambda and fits
-    against lambda.  The expected exponent is -1/2 for s <= 1/2 and
-    -(3/4 - s/2) for 1/2 <= s <= 3/2.  Mode-wise enumeration provides the
-    exact supremum; random trials are kept as a lower-bound cross-check.
+    Computes the exact norm sup ||op(1/eta) u||_{H^s} / ||u||_{H^{1/2}}
+    per lambda by mode-wise maximization and fits it against lambda.  The
+    expected exponent is -1/2 for s <= 1/2 and -(3/4 - s/2) for
+    1/2 <= s <= 3/2.
     """
     from .symbols import flat_ntd_symbol
     symbol = flat_ntd_symbol()
     lambdas = np.asarray(lambdas, dtype=float)
-    rng = np.random.default_rng(seed)
     fits = {}
     for s in s_values:
-        ratios = []
-        for lam in lambdas:
-            best = _multiplier_norm_ratio(grid, symbol, lam, 0.5, s)
-            for _ in range(n_trials):
-                u = random_field(grid, 0.5, rng)
-                out = apply_multiplier(grid, symbol, lam, u.values)
-                best = max(best,
-                           sobolev_norm(grid, out, s)
-                           / sobolev_norm(grid, u.values, 0.5))
-            ratios.append(best)
+        ratios = [_multiplier_norm_ratio(grid, symbol, lam, 0.5, s)
+                  for lam in lambdas]
         expected = -0.5 if s <= 0.5 else -(0.75 - s / 2.0)
         fits[s] = _fit_ratios(lambdas, ratios, vs="lambda", expected=expected)
     return fits
@@ -291,17 +269,20 @@ def default_composition_symbols(amp_a=0.5, amp_b=0.4):
     return a, b, da, dxb
 
 
-def composition_error_experiment(grid, a, b, da_dxi, dxb, m1, m2, r, lambdas,
-                                 n_trials=32, seed=0):
+def composition_error_experiment(grid, a, b, da_dxi, dxb, m1, m2, r, lambdas):
     """Remainder decay of the crude composition calculus.
 
-    For a in S^{m1} (m1 > 0) and b in P^{m2} with m1 + m2 <= 0, measures
+    For a in S^{m1} (m1 > 0) and b in P^{m2} with m1 + m2 <= 0, computes
+    the exact norm
 
-        ||(op(a) op(b) - op(sum_{|alpha|<=[m1]} ...)) u||_t / ||u||_r
+        sup ||(op(a) op(b) - op(sum_{|alpha|<=[m1]} ...)) u||_t / ||u||_r
 
-    with t = r + 1 - m1 + [m1], fitted against tau; the remainder bound
-    predicts a slope of about -|m2|.  The H^{r-m1} norm of the plain
-    composition is measured on the same data (expected slope -|m2| too).
+    with t = r + 1 - m1 + [m1] over fields u with |k| <= M/4, as the
+    largest singular value of the weighted remainder matrix
+    <k>^t F (W_a F W_b - W_c) <k>^(-r), and fits it against tau; the
+    remainder bound predicts a slope of about -|m2|.  The H^{r-m1} norm of
+    the plain composition F W_a F W_b is computed on the same band
+    (expected slope -|m2| too).
     """
     if grid.m > COMPOSE_MAX_POINTS:
         raise ResourceLimitError(
@@ -309,27 +290,18 @@ def composition_error_experiment(grid, a, b, da_dxi, dxb, m1, m2, r, lambdas,
     if not (m1 > 0 and m1 + m2 <= 0):
         raise ConfigError("need m1 > 0 and m1 + m2 <= 0")
     lambdas = np.asarray(lambdas, dtype=float)
-    rng = np.random.default_rng(seed)
     t_norm = r + 1 - m1 + math.floor(m1)
     c2 = taylor_composition_symbol(a, b, da_dxi, dxb, terms=int(math.floor(m1)))
-    band = grid.m // 4  # keep the dense quadrature clear of edge wrap-around
+    # keep the dense quadrature clear of edge wrap-around
+    band = np.abs(grid.freqs) <= grid.m // 4
     rem_ratios, comp_ratios = [], []
     for lam in lambdas:
         wa = psdo_matrix(grid, a, lam)
-        wb = psdo_matrix(grid, b, lam)
-        wc = psdo_matrix(grid, c2, lam)
-        best_rem, best_comp = 0.0, 0.0
-        for _ in range(n_trials):
-            u = random_field(grid, r, rng)
-            coeffs = np.where(np.abs(grid.freqs) <= band, u.coefficients, 0.0)
-            u = SpectralField.from_coefficients(grid, coeffs)
-            bu = wb @ u.coefficients          # quadrature output is grid values
-            abu = wa @ dft(grid, bu)
-            cu = wc @ u.coefficients
-            den = sobolev_norm(grid, u.values, r)
-            best_rem = max(best_rem, sobolev_norm(grid, abu - cu, t_norm) / den)
-            best_comp = max(best_comp, sobolev_norm(grid, abu, r - m1) / den)
-        rem_ratios.append(best_rem)
-        comp_ratios.append(best_comp)
+        # column j: grid values from the band's j-th unit coefficient vector
+        bu = psdo_matrix(grid, b, lam)[:, band]
+        cu = psdo_matrix(grid, c2, lam)[:, band]
+        abu = wa @ (np.fft.fft(bu, axis=0) / grid.m)
+        rem_ratios.append(_map_norm(grid, abu - cu, r, t_norm, band))
+        comp_ratios.append(_map_norm(grid, abu, r, r - m1, band))
     return (_fit_ratios(lambdas, rem_ratios, vs="tau", expected=-abs(m2)),
             _fit_ratios(lambdas, comp_ratios, vs="tau", expected=-abs(m2)))

@@ -9,7 +9,8 @@ from lclab import (DifferencePipeline, DomainError, Grid1D, PolarGrid,
                    convergence_rate_fit, counting_circle, counting_function,
                    dense_eigen, eigen_spectrum, power_iteration_sym,
                    trace_map_norm)
-from lclab.counting import CIRCLE_MODE_CAP, schur_spectrum
+from lclab.counting import (CIRCLE_MODE_CAP, _comparison_violations,
+                            schur_spectrum)
 from lclab.runner import TOLERANCES, default_config, run_experiment
 
 LAM = 1e3
@@ -143,14 +144,65 @@ def test_counting_function_is_strict_and_needs_positive_mu():
         counting_function([1.0], 0.0)
 
 
+def looped_violations(eig1, t2_diag):
+    """Oracle: one probe, and two ``counting_function`` calls, at a time."""
+    violations = 0
+    for row in eig1:
+        mus = np.concatenate([t2_diag, row[row > 1e-12], [1e-9, 10.0]])
+        for mu in mus:
+            shifted = mu * (1.0 + 1e-12)
+            if counting_function(row, shifted) > counting_function(t2_diag,
+                                                                   shifted):
+                violations += 1
+    return violations
+
+
+def looped_birman_check(n_instances, dim_domain, dim_range, seed):
+    """Oracle: one instance drawn, and one eigvalsh, at a time."""
+    rng = np.random.default_rng(seed)
+    t2_diag = 1.0 / np.arange(1, dim_range + 1)
+    eig1 = []
+    for _ in range(n_instances):
+        s = rng.standard_normal((dim_range, dim_domain))
+        s /= np.linalg.norm(s, 2)
+        t1 = s.T @ np.diag(t2_diag) @ s
+        eig1.append(np.linalg.eigvalsh(0.5 * (t1 + t1.T)))
+    return looped_violations(np.array(eig1), t2_diag)
+
+
 def test_birman_synthetic_check_finds_no_violation():
     assert birman_synthetic_check() == 0
+    for seed in (1, 2, 57):
+        assert birman_synthetic_check(100, seed=seed) == 0 \
+            == looped_birman_check(100, 8, 3, seed)
+    assert birman_synthetic_check(40, 2, 5, seed=3) == 0 \
+        == looped_birman_check(40, 2, 5, 3)
 
 
-@pytest.mark.parametrize("experiment", ["rate1d", "rate2d", "weyl", "birman"])
+def test_batched_comparison_counts_like_the_probe_loop(rng):
+    t2_diag = 1.0 / np.arange(1, 4)
+    cases = [
+        rng.uniform(0.0, 1.5, (60, 8)),                 # many violations
+        np.where(rng.uniform(size=(30, 8)) < 0.5, 0.0,
+                 rng.uniform(0.0, 1.0, (30, 8))),       # zeros below the floor
+        np.array([[0.0] * 5 + [1 / 3, 0.5, 1.0],        # ties: no violation
+                  [0.0] * 5 + [1 / 3 * (1 + 1e-13), 0.5, 1.0],
+                  [0.0] * 5 + [1 / 3, 0.5, 1.0 + 1e-6],
+                  [-1e-13] * 6 + [2.0, 2.0]]),
+    ]
+    for eig1 in cases:
+        expected = looped_violations(eig1, t2_diag)
+        assert _comparison_violations(eig1, t2_diag) == expected
+    assert looped_violations(cases[0], t2_diag) > 50
+    assert _comparison_violations(cases[2], t2_diag) == \
+        looped_violations(cases[2], t2_diag) == 3
+
+
+@pytest.mark.parametrize("experiment", ["rate1d", "rate2d", "weyl", "birman",
+                                        "bounds", "nbound", "compose"])
 def test_criteria_do_not_depend_on_the_seed(tmp_path, experiment):
     values = []
-    for seed in (1, 2):
+    for seed in (1, 57):
         status, summary = run_experiment(
             default_config(experiment, seed=seed), out_dir=tmp_path / str(seed))
         assert status == 0
