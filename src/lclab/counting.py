@@ -20,7 +20,7 @@ batched solve over the modes.
 import math
 
 import numpy as np
-import scipy.linalg
+import scipy
 
 from .errors import (ContractError, DomainError, InconclusiveError,
                      ResourceLimitError)
@@ -117,17 +117,18 @@ def trace_map_norm(grid, tol=1e-10):
     in each, so ||S||^2 = max_k g z_k^T W z_k with z_k = K_k^{-1} t.
     Elsewhere it is formed with |Gamma| exterior solves.
     """
-    # exterior solves vanish on the interface: only the exterior columns act
-    tmat = grid.gamma1_matrix("exterior")[:, grid.ext_idx]
+    # exterior solves vanish on the interface: only the exterior nodes act
     if isinstance(grid, PolarGrid):
         g = grid.nr_int
         lower, diag, upper = (band[:, g + 1:]
                               for band in grid.mode_bands())
-        stencil = tmat[0, grid.ntheta * np.arange(grid.nr_ext)].toarray()
+        stencil = np.pad(grid.gamma1_stencil("exterior")[0][1:],
+                         (0, grid.nr_ext - 2))
         z = solve_tridiagonal(lower, diag, upper, stencil, tol=tol)
         top = grid.gamma_weights[0] * float(
             np.max(z ** 2 @ grid.ring_measure[g + 1:]))
         return math.sqrt(top)
+    tmat = grid.gamma1_matrix("exterior")[:, grid.ext_idx]
     ext = grid.assemble_exterior()
     z = np.column_stack([ext.solve_raw(row, tol=tol)
                          for row in tmat.toarray()])

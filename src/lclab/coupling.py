@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from .counting import eigen_spectrum
 from .errors import (ContractError, ConvergenceError, DomainError,
@@ -339,7 +339,7 @@ def nonlocal_bc_solve_1d(grid, lam, f_ext, tol=1e-10):
     mat[gamma] = rows
     mat = mat.tocsr()
     rhs = grid.extend(f_ext)[nodes]
-    sol = sp.linalg.spsolve(mat, rhs)
+    sol = scipy.sparse.linalg.spsolve(mat, rhs)
     residual = backward_error(mat, sol, rhs)
     if not residual <= tol:
         raise ConvergenceError(f"nonlocal solve backward error {residual:.3e}"
@@ -371,8 +371,7 @@ def nonlocal_bc_solve_polar(grid, lam, f_ext, tol=1e-10):
     rhs[:, 1:] = np.fft.rfft(np.asarray(f_ext, dtype=float).reshape(
         grid.nr_ext, nth), axis=1).T
     # the grid's exterior gamma1 stencil along one ray, the same in every mode
-    ray = grid.interface_idx[0] + nth * np.arange(3)
-    stencil = grid.gamma1_matrix("exterior")[0, ray].toarray().ravel()
+    stencil = grid.gamma1_stencil("exterior")[0]
     n_k = -1.0 / np.sqrt((grid.modes / grid.r_inc) ** 2 + lam)
     row = -n_k[:, None] * stencil
     row[:, 0] += 1.0

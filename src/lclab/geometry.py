@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import scipy
 
 from .errors import ContractError, DomainError
 
@@ -104,10 +105,9 @@ class Domain2D:
 
     def perimeter(self, tol=1e-12):
         """Interface length by adaptive quadrature of the arc-length density."""
-        from scipy.integrate import quad
-        val, _ = quad(lambda t: float(self.speed(np.array(t))),
-                      0.0, 2 * np.pi, limit=400, epsabs=tol, epsrel=tol)
-        return val
+        return scipy.integrate.quad(
+            lambda t: float(self.speed(np.array(t))),
+            0.0, 2 * np.pi, limit=400, epsabs=tol, epsrel=tol)[0]
 
 
 class BoundaryChart:

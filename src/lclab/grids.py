@@ -44,10 +44,9 @@ these four arrays.
 """
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 from .errors import ContractError, DomainError
 from .geometry import Domain1D, Domain2D
@@ -58,9 +57,9 @@ from .kernels import _Factorization, require_symmetric, solve_spd, DEFAULT_SOLVE
 class SparseOperator:
     """Symmetric form matrix + cell measures; acts as m^{-1} K on values."""
 
-    matrix: sp.csr_matrix
+    matrix: "scipy.sparse.csr_matrix"
     mass: np.ndarray
-    _fact: Optional[_Factorization] = field(default=None, repr=False)
+    _fact: _Factorization | None = field(default=None, repr=False)
 
     def __post_init__(self):
         require_symmetric(self.matrix)
@@ -92,7 +91,6 @@ class SparseOperator:
 
     def export_matrix_market(self, path):
         """Write the form matrix K as a Matrix Market file (debugging aid)."""
-        import scipy.io  # deferred: a top-level import slows every start-up
         scipy.io.mmwrite(path, self.matrix)
 
 
@@ -101,7 +99,8 @@ def _assemble_from_links(n_nodes, i, j, c):
     rows = np.stack([i, j, i, j], axis=1).ravel()
     cols = np.stack([i, j, j, i], axis=1).ravel()
     vals = np.stack([c, c, -c, -c], axis=1).ravel()
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes))
+    mat = scipy.sparse.coo_matrix((vals, (rows, cols)),
+                                  shape=(n_nodes, n_nodes))
     return mat.tocsr()
 
 
@@ -111,7 +110,7 @@ def _dirichlet_restrict(matrix, keep):
     The form-based diagonal already counts every incident link, so the
     plain submatrix is the eliminated system.
     """
-    return sp.csr_matrix(matrix[np.ix_(keep, keep)])
+    return scipy.sparse.csr_matrix(matrix[np.ix_(keep, keep)])
 
 
 class _Grid:
@@ -171,37 +170,38 @@ class _Grid:
         mat = _assemble_from_links(self.int_idx.size,
                                    *self._links(interior=True))
         w = self.pot_measure[self.int_idx]
-        return SparseOperator((mat + sp.diags(lam * w)).tocsr(), w)
+        return SparseOperator((mat + scipy.sparse.diags(lam * w)).tocsr(), w)
 
     # -- traces ---------------------------------------------------------------
 
     def trace_gamma0(self, field, side="exterior"):
         return np.asarray(field, dtype=float)[self.interface_idx]
 
-    def gamma1_matrix(self, side):
-        """The gamma1 trace on ``side`` as a sparse |Gamma| x n_nodes matrix.
-
-        Each row is the one-sided second-order stencil (3, -4, 1) / (2 h)
-        on the interface node and the two node layers behind it, signed
-        for the normal pointing into the inclusion.  Built once per side.
-        """
+    def gamma1_stencil(self, side):
+        """The gamma1 trace on ``side`` as (coeffs, nodes): the one-sided
+        stencil (3, -4, 1) / (2 h), signed for the normal pointing into the
+        inclusion, and the |Gamma| x 3 nodes it weighs, each row being an
+        interface node and the two node layers behind it."""
         if side not in ("exterior", "interior"):
             raise DomainError(f"side must be interior or exterior, got {side}")
+        layers = [self._layer(side, k) for k in range(3)]
+        if any(nodes is None for nodes in layers):
+            raise DomainError("one-sided stencils need two layers per side")
+        # exterior layers run against the normal, interior ones along it
+        sign = 1.0 if side == "exterior" else -1.0
+        return (np.array([3.0, -4.0, 1.0]) * sign / (2 * self.normal_step),
+                np.stack(layers, axis=1))
+
+    def gamma1_matrix(self, side):
+        """``gamma1_stencil`` as a sparse |Gamma| x n_nodes matrix, cached."""
         if side not in self._gamma1:
-            layers = [self._layer(side, k) for k in range(3)]
-            if any(nodes is None for nodes in layers):
-                raise DomainError("one-sided stencils need two layers per side")
-            # the exterior layers run against the normal, the interior ones
-            # along it
-            coeffs = np.array([3.0, -4.0, 1.0]) * (
-                1.0 if side == "exterior" else -1.0)
-            m = self.interface_idx.size
+            coeffs, nodes = self.gamma1_stencil(side)
+            m = nodes.shape[0]
             # each row keeps the stencil's order (interface node first), so
             # a product sums the three terms in the order of the formula
-            self._gamma1[side] = sp.csr_matrix(
-                (np.tile(coeffs / (2 * self.normal_step), m),
-                 np.stack(layers, axis=1).ravel(), np.arange(0, 3 * m + 1, 3)),
-                shape=(m, self.n_nodes))
+            self._gamma1[side] = scipy.sparse.csr_matrix(
+                (np.tile(coeffs, m), nodes.ravel(),
+                 np.arange(0, 3 * m + 1, 3)), shape=(m, self.n_nodes))
         return self._gamma1[side]
 
     def trace_gamma1(self, field, side):
@@ -310,7 +310,7 @@ class Grid1D(_Grid):
         if lam <= 0:
             raise DomainError("coupling constant must be positive "
                               "(lam = 0 keeps the constant null vector)")
-        mat = self._stiffness + sp.diags(lam * self.pot_measure)
+        mat = self._stiffness + scipy.sparse.diags(lam * self.pot_measure)
         return SparseOperator(mat.tocsr(), self.w_full)
 
     def assemble_exterior(self):
@@ -467,7 +467,7 @@ class PolarGrid(_Grid):
         if lam <= 0:
             raise DomainError("coupling constant must be positive "
                               "(lam = 0 keeps the constant null vector)")
-        mat = self._stiffness + sp.diags(lam * self.pot_measure)
+        mat = self._stiffness + scipy.sparse.diags(lam * self.pot_measure)
         return SparseOperator(mat.tocsr(), self.w_full)
 
     def assemble_exterior(self):

@@ -4,12 +4,12 @@ iteration, dense symmetric spectra.
 The heavy lifting is delegated to LAPACK via numpy/scipy; every kernel
 checks its own contract (residual, symmetry, spectral identities) after
 the fact so downstream experiments never consume a silently bad solve.
+scipy is reached only as ``scipy.<sub>`` attributes, so each submodule
+loads on first use; the torus and disk experiments never use one.
 """
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy
 
 from .errors import ContractError, ConvergenceError, ResourceLimitError
 
@@ -19,7 +19,7 @@ MAX_DENSE_DIM = 4096
 
 def require_symmetric(mat, tol=1e-14):
     """Raise unless the sparse/dense matrix is symmetric to relative ``tol``."""
-    if sp.issparse(mat):
+    if not isinstance(mat, np.ndarray) and scipy.sparse.issparse(mat):
         gap = abs(mat - mat.T)
         worst = gap.max() if gap.nnz else 0.0
         scale = abs(mat).max()
@@ -39,23 +39,21 @@ class _Factorization:
     """
 
     def __init__(self, mat):
-        mat = sp.csr_matrix(mat)
+        mat = scipy.sparse.csr_matrix(mat)
         self.mat = mat
-        self.n = mat.shape[0]
-        self.norm_inf = spla.norm(mat, np.inf)
+        self.norm_inf = scipy.sparse.linalg.norm(mat, np.inf)
         coo = mat.tocoo()
         bandwidth = int(np.max(np.abs(coo.row - coo.col))) if coo.nnz else 0
         if bandwidth <= 1:
-            ab = np.zeros((2, self.n))
+            ab = np.zeros((2, mat.shape[0]))
             ab[1] = mat.diagonal()
-            if self.n > 1:
-                ab[0, 1:] = np.asarray(mat.diagonal(1)).ravel()
+            ab[0, 1:] = mat.diagonal(1)
             self._banded = scipy.linalg.cholesky_banded(ab, lower=False)
             self._solve = lambda b: scipy.linalg.cho_solve_banded(
                 (self._banded, False), b)
         else:
-            lu = spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
-            self._solve = lu.solve
+            self._solve = scipy.sparse.linalg.splu(
+                mat.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
 
     def solve(self, rhs):
         return self._solve(np.asarray(rhs, dtype=float))
@@ -65,7 +63,7 @@ def backward_error(mat, x, rhs, mat_scale=None):
     """Normwise backward error ||mat x - rhs|| / (||mat|| ||x|| + ||rhs||)
     of a solve with sparse ``mat``; ``mat_scale`` caches ||mat||_inf."""
     if mat_scale is None:
-        mat_scale = spla.norm(mat, np.inf)
+        mat_scale = scipy.sparse.linalg.norm(mat, np.inf)
     scale = mat_scale * np.linalg.norm(x) + np.linalg.norm(rhs)
     gap = np.linalg.norm(mat @ x - rhs)
     return gap / scale if scale > 0.0 else 0.0

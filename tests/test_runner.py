@@ -1,9 +1,14 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import scipy.io
 
 from lclab import ConvergenceError, InconclusiveError, runner
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _passes(config, art, dump=False):
@@ -140,3 +145,38 @@ def test_power_tol_is_no_longer_a_config_key(tmp_path, capsys):
     cfg.write_text("[tolerances]\npower_tol = 1e-8\n")
     assert runner.main(["rate1d", "--config", str(cfg)]) == 3
     assert "unknown key tolerances.power_tol" in capsys.readouterr().err
+
+
+# Run in a fresh interpreter, since this one loaded scipy long ago.  The
+# traced module names come from bench/tracing.py, which finds every lclab
+# module in sys.modules at install, so all must load with the runner.
+_LAZY_SCIPY_PROBE = """
+import json, sys, tempfile
+sys.path[:0] = sys.argv[1:3]
+from tracing import TRACED_FUNCTIONS, TRACED_METHODS
+import lclab.runner as runner
+traced = {entry[0] for entry in TRACED_FUNCTIONS + TRACED_METHODS}
+unloaded = sorted(traced - set(sys.modules))
+codes = {}
+for exp in sys.argv[3:]:
+    with tempfile.TemporaryDirectory() as out:
+        codes[exp], _ = runner.run_experiment(
+            runner.default_config(exp, seed=1), out_dir=out)
+subs = ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg",
+        "scipy.integrate", "scipy.io")
+print(json.dumps({"unloaded": unloaded, "codes": codes,
+                  "scipy": [name for name in subs if name in sys.modules]}))
+"""
+
+
+def test_torus_and_disk_experiments_load_no_scipy_submodule():
+    experiments = ("symbols", "bounds", "nbound", "compose", "weyl", "birman")
+    proc = subprocess.run(
+        [sys.executable, "-c", _LAZY_SCIPY_PROBE, str(ROOT / "src"),
+         str(ROOT / "bench"), *experiments],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report["unloaded"] == []
+    assert report["codes"] == dict.fromkeys(experiments, 0)
+    assert report["scipy"] == []
