@@ -11,23 +11,25 @@ the singular values, and the chain of comparisons runs
 with S = (exterior trace of normal derivative) o (exterior solve).
 On the disk the interface operator diagonalizes in angular modes with
 eigenvalues w_k = 1 / (|k|/R + sqrt((k/R)^2 + lam)), so both sides of
-the chain are computable exactly.  So does the discrete problem on a
-``PolarGrid``: E_lam and S* S act on each angular mode through one
-radial tridiagonal system, and their spectra and norms come from one
-batched solve over the modes.
+the chain are computable exactly.  So does the discrete problem: every
+grid supplies its coupled matrix as tridiagonal blocks (``mode_bands``:
+one per angular mode on a ``PolarGrid``, one over the nodes on a
+``Grid1D``), and the spectrum of E_lam and the norm of S each come from
+one batched tridiagonal solve over the blocks.  No sparse matrix is
+formed; the tests keep the sparse interface Schur complement as the
+oracle.
 """
 
 import math
 
 import numpy as np
-import scipy
 
 from .errors import (ContractError, DomainError, InconclusiveError,
                      ResourceLimitError)
 from .geometry import chart_atlas, metric_matrix, unit_normal
 from .grids import PolarGrid
-from .kernels import (_Factorization, dense_eigen, loglog_fit, solve_spd,
-                      solve_tridiagonal)
+# solve_spd stays bound here: bench/tracing.py wraps every binding site
+from .kernels import loglog_fit, solve_spd, solve_tridiagonal  # noqa: F401
 
 SPHERE_QUAD_POINTS = 512
 CIRCLE_MODE_CAP = 10 ** 7  # most angular modes counting_circle enumerates
@@ -41,69 +43,49 @@ def counting_function(eigenvalues, mu):
     return int(np.count_nonzero(eigenvalues > mu))
 
 
+def _band_layout(grid):
+    """Where the blocks of ``grid.mode_bands`` hold the problem: the rows
+    of each interface node of a block and of the two exterior layers
+    behind it (one row of three per node), the exterior rows, the
+    measure of every row and how many modes share each block."""
+    if isinstance(grid, PolarGrid):
+        g = grid.nr_int
+        return (g + np.arange(3)[None, :], np.arange(g + 1, grid.ntot + 1),
+                grid.ring_measure, grid.mode_multiplicity)
+    layers = grid.interface_idx[:, None] + np.outer([-1, 1], np.arange(3))
+    return layers, grid.ext_idx, grid.w_full, np.ones(1, dtype=int)
+
+
 def eigen_spectrum(grid, lam, tol=1e-10):
     """Nonzero spectrum of the resolvent difference E_lam, ascending.
 
-    E_lam has rank |Gamma| (see ``schur_spectrum``), and only those
-    |Gamma| eigenvalues are returned.  On a ``PolarGrid`` they come from
-    the angular modes (``mode_spectrum``); any other grid takes the
-    generic interface Schur complement.
+    Let Z be the coupled matrix A of a block of ``grid.mode_bands``
+    applied, inversely, to a unit load on each interface node.  The
+    Schur complement of A on the interface Gamma is Sigma = Z_GammaGamma^-1
+    and the exterior rows of A^-1 A_rGamma are -Z_ext Sigma, so
+
+        E_lam = Z_ext Z_GammaGamma^-1 Z_ext^T W
+
+    with W the exterior measures.  E_lam has rank |Gamma|, and its
+    nonzero eigenvalues, the only ones returned, are those of the pencil
+    (G, Z_GammaGamma) with G = Z_ext^T W Z_ext.  One batched tridiagonal
+    solve serves every block: the interval is one block with two
+    interface nodes, and on the disk each angular mode k is a block with
+    one, whose eigenvalue G / Z_GammaGamma modes k and -k share.
     """
-    if isinstance(grid, PolarGrid):
-        return mode_spectrum(grid, lam, tol)
-    return schur_spectrum(grid, lam, tol)
-
-
-def schur_spectrum(grid, lam, tol=1e-10):
-    """Nonzero spectrum of E_lam from the interface Schur complement.
-
-    Eliminating all nodes r off the interface Gamma from the coupled
-    matrix A (X = A_rr^{-1} A_rGamma: one factorization, |Gamma| checked
-    solves) leaves the Schur complement Sigma = A_GammaGamma - A_Gammar X,
-    the discrete exterior plus screened interior Dirichlet-to-Neumann map,
-    and E_lam = Y Sigma^{-1} Y^T W with Y the exterior rows of X and W the
-    exterior cell measures.  So E_lam has rank |Gamma|: its nonzero
-    eigenvalues, the only ones returned, are those of L^{-1} Y^T W Y L^{-T}
-    with Sigma = L L^T.  Serves every grid.
-    """
-    mat = grid.assemble_coupled(lam).matrix
-    gamma = grid.interface_idx
-    rest = np.setdiff1d(np.arange(mat.shape[0]), gamma)
-    a_rr, a_rg = mat[rest][:, rest], mat[rest][:, gamma].toarray()
-    fact = _Factorization(a_rr)
-    x = np.column_stack([solve_spd(a_rr, col, tol=tol, cache=fact)
-                         for col in a_rg.T])
-    sigma = mat[gamma][:, gamma].toarray() - a_rg.T @ x
-    y = x[np.searchsorted(rest, grid.ext_idx)]
-    gram = y.T @ (grid.w_ext[:, None] * y)
+    layers, ext, measure, multiplicity = _band_layout(grid)
+    gamma = layers[:, 0]
+    loads = np.zeros((gamma.size, 1, measure.size))
+    loads[np.arange(gamma.size), 0, gamma] = 1.0
+    z = solve_tridiagonal(*grid.mode_bands(lam), loads, tol=tol)
+    gram = np.einsum("ibn,jbn,n->bij", z[..., ext], z[..., ext], measure[ext])
     try:
-        chol = np.linalg.cholesky(0.5 * (sigma + sigma.T))
+        chol = np.linalg.cholesky(np.moveaxis(z[..., gamma], 0, 1))
     except np.linalg.LinAlgError as err:
-        raise ContractError(f"interface Schur complement not SPD: {err}")
-    half = scipy.linalg.solve_triangular(chol, gram, lower=True)
-    core = scipy.linalg.solve_triangular(chol, half.T, lower=True)
-    return dense_eigen(0.5 * (core + core.T))
-
-
-def mode_spectrum(grid, lam, tol=1e-10):
-    """Nonzero spectrum of E_lam on a ``PolarGrid``, one value per mode.
-
-    In angular mode k the coupled matrix is the tridiagonal block A_k of
-    ``PolarGrid.mode_bands``, and eliminating every node but the
-    interface one leaves the Schur scalar sigma_k > 0, so E_lam acts on
-    the mode as y_k sigma_k^{-1} y_k^T W.  Its eigenvalue is
-    y_k^T W y_k / sigma_k, taken by modes k and -k alike.  One batched
-    solve z_k = A_k^{-1} e_Gamma gives both: sigma_k = 1 / z_k[Gamma]
-    and y_k = -sigma_k z_k on the exterior rings.
-    """
-    g = grid.nr_int
-    rhs = np.zeros(grid.ntot + 1)
-    rhs[g] = 1.0
-    z = solve_tridiagonal(*grid.mode_bands(lam), rhs, tol=tol)
-    if not np.all(z[:, g] > 0.0):
-        raise ContractError("interface Schur scalar of a mode not positive")
-    values = (z[:, g + 1:] ** 2 @ grid.ring_measure[g + 1:]) / z[:, g]
-    return np.sort(np.repeat(values, grid.mode_multiplicity))
+        raise ContractError(f"interface block of A^-1 not SPD: {err}")
+    half = np.linalg.inv(chol)
+    values = np.linalg.eigvalsh(half @ gram @ np.swapaxes(half, 1, 2))
+    return np.sort(np.repeat(values, multiplicity, axis=0), axis=None)
 
 
 def trace_map_norm(grid, tol=1e-10):
@@ -112,29 +94,26 @@ def trace_map_norm(grid, tol=1e-10):
 
     With T the exterior gamma1 rows, K the exterior form matrix and G, W
     the interface and exterior measures, ||S||^2 is the top eigenvalue of
-    G^{1/2} T K^{-1} W K^{-1} T^T G^{1/2}.  On a ``PolarGrid`` that
-    matrix is diagonal in the angular modes: T is the same stencil row t
-    in each, so ||S||^2 = max_k g z_k^T W z_k with z_k = K_k^{-1} t.
-    Elsewhere it is formed with |Gamma| exterior solves.
+    Z^T W Z with Z = K^{-1} T^T G^{1/2}.  K is the exterior rows of the
+    blocks of ``grid.mode_bands`` (Dirichlet on Gamma, which leaves
+    exterior pieces on either side of it decoupled), so Z is one batched
+    solve and Z^T W Z is taken block by block; on the disk T is the same
+    stencil row in every mode.
     """
-    # exterior solves vanish on the interface: only the exterior nodes act
-    if isinstance(grid, PolarGrid):
-        g = grid.nr_int
-        lower, diag, upper = (band[:, g + 1:]
-                              for band in grid.mode_bands())
-        stencil = np.pad(grid.gamma1_stencil("exterior")[0][1:],
-                         (0, grid.nr_ext - 2))
-        z = solve_tridiagonal(lower, diag, upper, stencil, tol=tol)
-        top = grid.gamma_weights[0] * float(
-            np.max(z ** 2 @ grid.ring_measure[g + 1:]))
-        return math.sqrt(top)
-    tmat = grid.gamma1_matrix("exterior")[:, grid.ext_idx]
-    ext = grid.assemble_exterior()
-    z = np.column_stack([ext.solve_raw(row, tol=tol)
-                         for row in tmat.toarray()])
-    root = np.sqrt(grid.gamma_weights)
-    gram = root[:, None] * (z.T @ (grid.w_ext[:, None] * z)) * root
-    return math.sqrt(float(dense_eigen(0.5 * (gram + gram.T))[-1]))
+    coeffs = grid.gamma1_stencil("exterior")[0]
+    layers, ext, measure, _ = _band_layout(grid)
+    lower, diag, upper = (band[:, ext] for band in grid.mode_bands())
+    cut = np.flatnonzero(np.diff(ext) > 1)
+    upper[:, cut] = 0.0
+    lower[:, cut + 1] = 0.0
+    # one load per interface node of a block: its row of T^T G^{1/2}
+    p = len(layers)
+    loads = np.zeros((p, 1, ext.size))
+    loads[np.arange(p)[:, None], 0, np.searchsorted(ext, layers[:, 1:])] = (
+        np.sqrt(grid.gamma_weights[:p, None]) * coeffs[1:])
+    z = solve_tridiagonal(lower, diag, upper, loads, tol=tol)
+    gram = np.einsum("ibn,jbn,n->bij", z, z, measure[ext])
+    return math.sqrt(float(np.linalg.eigvalsh(gram).max()))
 
 
 # ---------------------------------------------------------------------------

@@ -34,13 +34,16 @@ supplies only:
     interface along its normal and their spacing, from which the one
     gamma1 stencil of every consumer is built.
 
-The sparse stiffness ``_stiffness`` is assembled from ``_links`` on
-first use only.  ``PolarGrid`` keeps its coefficients per ring, ring 0
-being the origin: ``ring_measure``, ``ring_potential`` (the potential
-measure), ``radial_conductance`` (ring m to m + 1) and
-``angular_conductance``.  Its nodal measures, its links and the
-per-angular-mode radial blocks of ``mode_bands`` are all built from
-these four arrays.
+Each geometry also supplies ``mode_bands(lam)``, the coupled form
+matrix as a batch of tridiagonal blocks for ``kernels.solve_tridiagonal``:
+one block over all nodes on a ``Grid1D``, one radial block per angular
+mode on a ``PolarGrid``.  The sparse stiffness ``_stiffness`` is
+assembled from ``_links`` on first use only.  ``PolarGrid`` keeps its
+coefficients per ring, ring 0 being the origin: ``ring_measure``,
+``ring_potential`` (the potential measure), ``radial_conductance``
+(ring m to m + 1) and ``angular_conductance``.  Its nodal measures, its
+links and the per-angular-mode radial blocks of ``mode_bands`` are all
+built from these four arrays.
 """
 
 from dataclasses import dataclass, field
@@ -296,6 +299,19 @@ class Grid1D(_Grid):
         cells = self.i2 - self.i1 if interior else self.n
         i = np.arange(cells)
         return i, i + 1, np.full(cells, 1.0 / self.h)
+
+    def mode_bands(self, lam=0.0):
+        """The form matrix K + lam diag(pot_measure) as one tridiagonal
+        block over the nodes, in the layout of ``PolarGrid.mode_bands``:
+        (lower, diag, upper), each of shape (1, n_nodes)."""
+        i, j, c = self._links()
+        links = np.zeros(self.n_nodes)
+        links[i] += c
+        links[j] += c
+        lower, upper = np.zeros((2, 1, self.n_nodes))
+        lower[0, j] = -c
+        upper[0, i] = -c
+        return lower, (links + lam * self.pot_measure)[None], upper
 
     def _layer(self, side, k):
         """The two nodes k steps off the endpoints on ``side``, or None."""

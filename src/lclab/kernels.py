@@ -1,7 +1,8 @@
-"""Linear-algebra kernels: SPD solves, batched tridiagonal solves, power
-iteration, dense symmetric spectra.
+"""Linear-algebra kernels: SPD solves, batched tridiagonal solves by
+cyclic reduction, power iteration, dense symmetric spectra.
 
-The heavy lifting is delegated to LAPACK via numpy/scipy; every kernel
+Sparse and dense work is delegated to LAPACK via numpy/scipy, and the
+tridiagonal batches are reduced level by level in numpy; every kernel
 checks its own contract (residual, symmetry, spectral identities) after
 the fact so downstream experiments never consume a silently bad solve.
 scipy is reached only as ``scipy.<sub>`` attributes, so each submodule
@@ -117,44 +118,65 @@ def tridiagonal_backward_error(lower, diag, upper, x, rhs):
 
 
 def solve_tridiagonal(lower, diag, upper, rhs, tol=DEFAULT_SOLVE_TOL):
-    """Solve a batch of tridiagonal systems by Thomas elimination.
+    """Solve a batch of tridiagonal systems by odd-even cyclic reduction.
 
-    All arrays have the shape (systems, n) (``rhs`` broadcasts to it and
-    may be complex); row i of system b reads
+    The bands have the shape (systems, n) and broadcast with ``rhs``,
+    which may be complex and may carry more leading axes (several right
+    sides per system); row i of system b reads
 
         lower[b, i] x[b, i-1] + diag[b, i] x[b, i] + upper[b, i] x[b, i+1]
             = rhs[b, i],
 
-    with ``lower[:, 0]`` and ``upper[:, -1]`` ignored.  The elimination is
-    vectorized over the systems and does not pivot, which suits the
-    positive definite or diagonally dominant blocks it serves.  The
-    normwise backward error of every system must not exceed ``tol``;
-    ConvergenceError carries the worst (a zero pivot makes it NaN).
+    with ``lower[:, 0]`` and ``upper[:, -1]`` ignored.  Each level of the
+    reduction eliminates the even rows against their odd neighbours, so
+    a chain of n rows takes ceil(log2 n) levels, each vectorized over the
+    whole batch.  It does not pivot, which suits the positive definite or
+    diagonally dominant blocks it serves.  The normwise backward error of
+    every system must not exceed ``tol``; ConvergenceError carries the
+    worst (a zero pivot makes it NaN).
     """
     if not 0.0 < tol <= 1e-6:
         raise ContractError(f"solve tolerance {tol} outside (0, 1e-6]")
     lower, diag, upper = (np.asarray(band, dtype=float)
                           for band in (lower, diag, upper))
-    rhs = np.broadcast_to(rhs, diag.shape)
-    n = diag.shape[-1]
-    ratio = np.empty_like(diag)
-    x = np.empty(diag.shape, dtype=np.result_type(diag, rhs))
+    rhs = np.asarray(rhs)
     with np.errstate(divide="ignore", invalid="ignore"):
-        pivot = diag[..., 0]
-        ratio[..., 0] = upper[..., 0] / pivot
-        x[..., 0] = rhs[..., 0] / pivot
-        for i in range(1, n):
-            pivot = diag[..., i] - lower[..., i] * ratio[..., i - 1]
-            ratio[..., i] = upper[..., i] / pivot
-            x[..., i] = (rhs[..., i] - lower[..., i] * x[..., i - 1]) / pivot
-        for i in range(n - 2, -1, -1):
-            x[..., i] -= ratio[..., i] * x[..., i + 1]
+        x = _cyclic_reduction(lower, diag, upper, rhs)
         residual = tridiagonal_backward_error(lower, diag, upper, x, rhs)
     worst = float(residual.max())
     if not worst <= tol:
         raise ConvergenceError(
             f"tridiagonal solve backward error {worst:.3e} exceeds tol "
             f"{tol:.1e}", residual=worst)
+    return x
+
+
+def _cyclic_reduction(lower, diag, upper, rhs):
+    """One level of odd-even reduction along the last axis, recursing on
+    the odd rows; ``solve_tridiagonal`` checks the result."""
+    n = diag.shape[-1]
+    if n == 1:
+        return rhs / diag
+    # odd row 2k + 1 has the even neighbours 2k and, for k < m_right, 2k + 2
+    m_right = (n - 1) // 2
+    left = -lower[..., 1::2] / diag[..., :-1:2]
+    right = -upper[..., 1:-1:2] / diag[..., 2::2]
+    diag_odd = diag[..., 1::2] + left * upper[..., :-1:2]
+    diag_odd[..., :m_right] += right * lower[..., 2::2]
+    rhs_odd = rhs[..., 1::2] + left * rhs[..., :-1:2]
+    rhs_odd[..., :m_right] += right * rhs[..., 2::2]
+    # the last odd row's upper entry is ignored, like every last one
+    upper_odd = np.zeros_like(diag_odd)
+    upper_odd[..., :m_right] = right * upper[..., 2::2]
+    x_odd = _cyclic_reduction(left * lower[..., :-1:2], diag_odd, upper_odd,
+                              rhs_odd)
+    x = np.empty(x_odd.shape[:-1] + (n,), dtype=x_odd.dtype)
+    x[..., 1::2] = x_odd
+    x_even = x[..., ::2]
+    x_even[...] = rhs[..., ::2]
+    x_even[..., :x_odd.shape[-1]] -= upper[..., :-1:2] * x_odd
+    x_even[..., 1:] -= lower[..., 2::2] * x_odd[..., :m_right]
+    x_even /= diag[..., ::2]
     return x
 
 

@@ -2,15 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from lclab import (DifferencePipeline, DomainError, Grid1D, PolarGrid,
-                   ResourceLimitError, birman_disk_check,
+from lclab import (ContractError, DifferencePipeline, DomainError, Grid1D,
+                   PolarGrid, ResourceLimitError, birman_disk_check,
                    birman_synthetic_check, circle_difference_eigenvalue,
                    convergence_rate_fit, counting_circle, counting_function,
                    dense_eigen, eigen_spectrum, power_iteration_sym,
-                   trace_map_norm)
-from lclab.counting import (CIRCLE_MODE_CAP, _comparison_violations,
-                            schur_spectrum)
+                   solve_spd, trace_map_norm)
+from lclab.counting import CIRCLE_MODE_CAP, _comparison_violations
+from lclab.kernels import _Factorization
 from lclab.runner import TOLERANCES, default_config, run_experiment
 
 LAM = 1e3
@@ -46,6 +47,66 @@ def test_eigen_spectrum_matches_densified_oracle(make_grid, domain1d,
     assert np.abs(eigs - oracle[-rank:]).max() <= 1e-10 * top
     # everything the reduction leaves out is zero in the oracle
     assert np.abs(oracle[:-rank]).max() <= 1e-10 * top
+
+
+def schur_spectrum(grid, lam, tol=1e-10):
+    """Oracle: the nonzero spectrum of E_lam from the interface Schur
+    complement of the sparse coupled matrix A.
+
+    Eliminating all nodes r off the interface Gamma (X = A_rr^{-1}
+    A_rGamma: one factorization, |Gamma| checked solves) leaves the
+    Schur complement Sigma = A_GammaGamma - A_Gammar X, and E_lam =
+    Y Sigma^{-1} Y^T W with Y the exterior rows of X and W the exterior
+    cell measures.  Its nonzero eigenvalues are those of
+    L^{-1} Y^T W Y L^{-T} with Sigma = L L^T.
+    """
+    mat = grid.assemble_coupled(lam).matrix
+    gamma = grid.interface_idx
+    rest = np.setdiff1d(np.arange(mat.shape[0]), gamma)
+    a_rr, a_rg = mat[rest][:, rest], mat[rest][:, gamma].toarray()
+    fact = _Factorization(a_rr)
+    x = np.column_stack([solve_spd(a_rr, col, tol=tol, cache=fact)
+                         for col in a_rg.T])
+    sigma = mat[gamma][:, gamma].toarray() - a_rg.T @ x
+    y = x[np.searchsorted(rest, grid.ext_idx)]
+    gram = y.T @ (grid.w_ext[:, None] * y)
+    chol = np.linalg.cholesky(0.5 * (sigma + sigma.T))
+    half = scipy.linalg.solve_triangular(chol, gram, lower=True)
+    core = scipy.linalg.solve_triangular(chol, half.T, lower=True)
+    return dense_eigen(0.5 * (core + core.T))
+
+
+@pytest.mark.parametrize("cells", [64, 4096])
+def test_grid1d_mode_bands_are_the_coupled_matrix(domain1d, cells):
+    grid = Grid1D(domain1d, cells)
+    for lam in (0.0, 1e3, 1e6):
+        lower, diag, upper = grid.mode_bands(lam)
+        assert diag.shape == (1, grid.n_nodes)
+        if lam > 0.0:
+            mat = grid.assemble_coupled(lam).matrix
+        else:
+            mat = grid._stiffness
+        assert np.array_equal(diag[0], mat.diagonal())
+        assert np.array_equal(lower[0, 1:], mat.diagonal(-1))
+        assert np.array_equal(upper[0, :-1], mat.diagonal(1))
+        assert lower[0, 0] == upper[0, -1] == 0.0
+
+
+@pytest.mark.parametrize("lam", [1e2, 1e4, 1e6])
+def test_grid1d_spectrum_matches_schur_oracle(domain1d, lam):
+    grid = Grid1D(domain1d, 256)
+    eigs = eigen_spectrum(grid, lam)
+    oracle = schur_spectrum(grid, lam)
+    assert eigs.shape == (2,)
+    assert np.abs(eigs - oracle).max() <= 1e-12 * oracle.max()
+
+
+def test_non_spd_interface_block_is_reported(disk_domain, monkeypatch):
+    grid = PolarGrid(disk_domain, nr_ext=8, ntheta=16)
+    flipped = tuple(-band for band in grid.mode_bands(LAM))
+    monkeypatch.setattr(grid, "mode_bands", lambda lam=0.0: flipped)
+    with pytest.raises(ContractError):
+        eigen_spectrum(grid, LAM)
 
 
 def power_trace_map_norm(grid, tol):

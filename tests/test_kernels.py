@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -53,23 +55,45 @@ def _random_bands(rng, systems=7, n=40):
     return lower, diag, upper
 
 
+def _solve_banded(lower, diag, upper, rhs):
+    """Oracle: one LAPACK banded solve per system."""
+    ab = np.zeros((3, diag.size))
+    ab[0, 1:] = upper[:-1]
+    ab[1] = diag
+    ab[2, :-1] = lower[1:]
+    return scipy.linalg.solve_banded((1, 1), ab, rhs)
+
+
+# cyclic reduction halves the chain per level: odd and even lengths at
+# every depth, powers of two and 2^k + 1 (the grids' 65 and 4097 nodes)
+TRIDIAGONAL_LENGTHS = (1, 2, 3, 4, 5, 7, 8, 64, 65, 4097)
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_tridiagonal_batch_matches_solve_banded(rng, dtype):
-    lower, diag, upper = _random_bands(rng)
-    rhs = rng.standard_normal(diag.shape).astype(dtype)
-    if dtype is complex:
-        rhs += 1j * rng.standard_normal(diag.shape)
+    for n, systems in itertools.product(TRIDIAGONAL_LENGTHS, (1, 7)):
+        lower, diag, upper = _random_bands(rng, systems, n)
+        rhs = rng.standard_normal(diag.shape).astype(dtype)
+        if dtype is complex:
+            rhs += 1j * rng.standard_normal(diag.shape)
+        x = solve_tridiagonal(lower, diag, upper, rhs)
+        assert x.shape == diag.shape and x.dtype == dtype
+        for b in range(systems):
+            ref = _solve_banded(lower[b], diag[b], upper[b], rhs[b])
+            assert np.abs(x[b] - ref).max() <= 1e-13 * np.abs(ref).max()
+        # one right side broadcasts to every system
+        shared = solve_tridiagonal(lower, diag, upper, rhs[0])
+        assert np.allclose(shared[0], x[0], rtol=0, atol=1e-15)
+
+
+def test_tridiagonal_right_sides_broadcast_over_systems(rng):
+    lower, diag, upper = _random_bands(rng, 3, 9)
+    rhs = rng.standard_normal((2, 3, 9))
     x = solve_tridiagonal(lower, diag, upper, rhs)
-    for b in range(diag.shape[0]):
-        ab = np.zeros((3, diag.shape[1]))
-        ab[0, 1:] = upper[b, :-1]
-        ab[1] = diag[b]
-        ab[2, :-1] = lower[b, 1:]
-        ref = scipy.linalg.solve_banded((1, 1), ab, rhs[b])
-        assert np.abs(x[b] - ref).max() <= 1e-13 * np.abs(ref).max()
-    # one right side broadcasts to every system
-    shared = solve_tridiagonal(lower, diag, upper, rhs[0])
-    assert np.allclose(shared[0], x[0], rtol=0, atol=1e-15)
+    assert x.shape == (2, 3, 9)
+    for load in range(2):
+        assert np.array_equal(
+            x[load], solve_tridiagonal(lower, diag, upper, rhs[load]))
 
 
 def test_tridiagonal_backward_error_is_checked(rng, monkeypatch):
@@ -82,6 +106,14 @@ def test_tridiagonal_backward_error_is_checked(rng, monkeypatch):
     bad[3, 0] = 0.0
     with pytest.raises(ConvergenceError):
         solve_tridiagonal(lower, bad, upper, rhs)
+    # a nonsingular matrix whose row 1 is reduced to the pivot
+    # 2 - 1 * 1 / 1 - 1 * 1 / 1 = 0 at the first level, used at the second
+    bands = (np.ones(4), np.array([1.0, 2.0, 1.0, 2.0]), np.ones(4))
+    assert np.linalg.det(np.diag(bands[1]) + np.diag(np.ones(3), 1)
+                         + np.diag(np.ones(3), -1)) != 0.0
+    with pytest.raises(ConvergenceError) as info:
+        solve_tridiagonal(*bands, np.arange(4.0))
+    assert np.isnan(info.value.residual)
     # one system over tolerance fails the whole batch, with its residual
     monkeypatch.setattr(kernels, "tridiagonal_backward_error",
                         lambda *args: np.array([0.0, 1e-3, 0.0]))

@@ -170,7 +170,8 @@ print(json.dumps({"unloaded": unloaded, "codes": codes,
 
 
 def test_torus_and_disk_experiments_load_no_scipy_submodule():
-    experiments = ("symbols", "bounds", "nbound", "compose", "weyl", "birman")
+    experiments = ("rate1d", "rate2d", "threshold", "symbols", "bounds",
+                   "nbound", "compose", "weyl", "birman")
     proc = subprocess.run(
         [sys.executable, "-c", _LAZY_SCIPY_PROBE, str(ROOT / "src"),
          str(ROOT / "bench"), *experiments],
