@@ -5,7 +5,7 @@ loads on first use; the torus and disk experiments never use one.
 
 Subpackages:
 
-  geometry   domains, interface graph charts, metric data, atlas quadrature
+  geometry   interval and disk domains, interface graph charts, metric data
   symbols    characteristic roots and interface operator symbols, class calculus
   torus      discrete Fourier model and exact operator-norm experiments
   grids      finite-difference grids and the transmission-problem operators
@@ -19,9 +19,8 @@ Subpackages:
 from .errors import (ConfigError, ContractError, ConvergenceError,
                      DegenerateCovectorError, DomainError, InconclusiveError,
                      LabError, ResourceLimitError)
-from .geometry import (BoundaryChart, Domain1D, Domain2D, chart_atlas,
-                       flat_chart, linear_chart, lipschitz_constant,
-                       metric_matrix, surface_density, unit_normal)
+from .geometry import (BoundaryChart, Domain1D, Domain2D, flat_chart,
+                       linear_chart, metric_matrix)
 from .symbols import (IDENTITY_SYMBOL, ParamSymbol, SymbolClass,
                       characteristic_roots, characteristic_roots_screened,
                       class_membership_estimate, difference_symbol,
@@ -39,9 +38,8 @@ from .coupling import (DifferencePipeline, GreenReport, RateFit,
 from .counting import (birman_disk_check, birman_synthetic_check,
                        circle_count_prediction, circle_difference_eigenvalue,
                        circle_model_exponent_fit, counting_circle,
-                       counting_function, eigen_spectrum,
-                       sphere_slice_integral, trace_map_norm,
-                       weyl_exponent_fit, weyl_rhs)
+                       counting_function, eigen_spectrum, trace_map_norm,
+                       weyl_exponent_fit)
 from .torus import (TorusGrid, apply_multiplier, apply_psdo,
                     composition_error_experiment, default_composition_symbols,
                     dft, idft, ntd_bound_experiment, operator_bound_experiment,

@@ -26,12 +26,10 @@ import numpy as np
 
 from .errors import (ContractError, DomainError, InconclusiveError,
                      ResourceLimitError)
-from .geometry import chart_atlas, metric_matrix, unit_normal
 from .grids import PolarGrid
 # solve_spd stays bound here: bench/tracing.py wraps every binding site
 from .kernels import loglog_fit, solve_spd, solve_tridiagonal  # noqa: F401
 
-SPHERE_QUAD_POINTS = 512
 CIRCLE_MODE_CAP = 10 ** 7  # most angular modes counting_circle enumerates
 
 
@@ -154,50 +152,6 @@ def counting_circle(radius, lam, mu):
 def circle_count_prediction(radius, lam, mu):
     """Phase-space prediction for the circle count: R (1/mu - lam mu)_+ ."""
     return radius * max(0.0, 1.0 / mu - lam * mu)
-
-
-def sphere_slice_integral(chart, xp, n):
-    """Angular integral I_n = int_{S^{n-2}} (1 - |nu'.theta'|^2)^{-(n-1)/2}.
-
-    n = 2: two-point sphere, closed form 2 / sqrt(1 - nu_1'^2);
-    n = 3: periodic trapezoid over the unit circle.
-    Satisfies omega_{n-2} <= I_n <= omega_{n-2} A_nn^{(n-1)/2}.
-    """
-    nu = unit_normal(chart, xp)
-    nu_p = nu[:-1]
-    t2 = float(nu_p @ nu_p)
-    if t2 >= 1.0:
-        raise DomainError("tangential normal part must satisfy |nu'| < 1")
-    if n == 2:
-        return 2.0 / math.sqrt(1.0 - t2)
-    if n == 3:
-        phi = 2 * np.pi * (np.arange(SPHERE_QUAD_POINTS) + 0.5) / SPHERE_QUAD_POINTS
-        theta = np.stack([np.cos(phi), np.sin(phi)])
-        dots = nu_p @ theta
-        vals = (1.0 - dots ** 2) ** (-1.0)
-        return float(vals.mean() * 2 * np.pi)
-    raise DomainError(f"sphere slice integral wired for n in (2, 3), got {n}")
-
-
-def weyl_rhs(domain, lam, mu, s_norm, n_charts=64):
-    """Boundary quadrature of the phase-space counting formula.
-
-    Evaluates (4 pi)^{1-n}/(n-1) * sum I_n (sqrt(A_nn)/mu~ -
-    lam mu~/sqrt(A_nn))_+^{n-1} dsigma with mu~ = mu / s_norm^2, using
-    tangent charts at the quadrature base points (where A_nn = 1 and the
-    arc-length weights already carry the surface measure); n = 2.
-    """
-    if mu <= 0:
-        raise DomainError("needs mu > 0")
-    mu_eff = mu / s_norm ** 2
-    atlas = chart_atlas(domain, n_charts, fit_support=False)
-    total = 0.0
-    for entry in atlas:
-        ann = metric_matrix(entry.chart, 0.0)[-1, -1]
-        root = math.sqrt(ann)
-        clipped = max(0.0, root / mu_eff - lam * mu_eff / root)
-        total += sphere_slice_integral(entry.chart, 0.0, 2) * clipped * entry.weight
-    return total / (4.0 * np.pi)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ oracle pipeline completely independent of the grids.
 Sign conventions follow the trace normal fixed in ``grids`` (pointing
 into the inclusion): the interface Neumann-to-Dirichlet matrix is
 negative definite, the interface difference operator W = -N D^{-1} is
-positive definite, and (E f, f) >= 0.
+positive definite, and (E f, f) >= 0.  Every grid closes the exterior
+with a Neumann outer boundary; in 1D that makes the transmission factor
+D the identity, so W = -N there.
 """
 
 import math
@@ -52,31 +54,14 @@ def ntd_matrix_1d(lam, inclusion_length):
     return -(1.0 / math.sqrt(lam)) * np.array([[coth, csch], [csch, coth]])
 
 
-def exterior_dtn_matrix_1d(domain, outer="neumann"):
-    """gamma1 of the exterior harmonic extension, as a 2x2 matrix.
+def difference_matrix_1d(domain, lam):
+    """Exact 2x2 interface difference operator W = -N D^{-1} (positive).
 
-    With the Neumann outer condition the harmonic extension is constant
-    on each component, so the map is zero; with the Dirichlet outer
-    condition it is diag(1/a1, 1/(L - a2)).
+    Under the Neumann outer boundary the exterior harmonic extension is
+    constant on each component, so its gamma1 vanishes, the transmission
+    factor D = Id - (exterior DtN) N is the identity and W = -N.
     """
-    if outer == "neumann":
-        return np.zeros((2, 2))
-    if outer == "dirichlet":
-        return np.diag([1.0 / domain.a1, 1.0 / (domain.length - domain.a2)])
-    raise DomainError(f"unknown outer condition {outer!r}")
-
-
-def transmission_factor_1d(domain, lam, outer="neumann"):
-    """Exact 2x2 transmission factor Id - (exterior DtN) (NtD)."""
-    n = ntd_matrix_1d(lam, domain.inclusion_length)
-    return np.eye(2) - exterior_dtn_matrix_1d(domain, outer) @ n
-
-
-def difference_matrix_1d(domain, lam, outer="neumann"):
-    """Exact 2x2 interface difference operator W = -N D^{-1} (positive)."""
-    n = ntd_matrix_1d(lam, domain.inclusion_length)
-    d = transmission_factor_1d(domain, lam, outer)
-    return -n @ np.linalg.inv(d)
+    return -ntd_matrix_1d(lam, domain.inclusion_length)
 
 
 def exterior_gram_1d(domain):
@@ -88,13 +73,13 @@ def exterior_gram_1d(domain):
     return np.diag([domain.a1, domain.length - domain.a2])
 
 
-def difference_norm_exact_1d(domain, lam, outer="neumann"):
+def difference_norm_exact_1d(domain, lam):
     """Norm of E_lam in 1D from the rank-2 factorization E = S* W S.
 
     The nonzero spectrum of S* W S equals that of W^{1/2} (S S*) W^{1/2},
     a 2x2 symmetric eigenproblem; no grid is involved anywhere.
     """
-    w = difference_matrix_1d(domain, lam, outer)
+    w = difference_matrix_1d(domain, lam)
     gram = exterior_gram_1d(domain)
     half = np.linalg.cholesky(w)
     return float(np.max(np.linalg.eigvalsh(half.T @ gram @ half)))
@@ -165,10 +150,9 @@ def convergence_rate_fit(grid, lambdas=DEFAULT_LAMBDA_SWEEP):
     return RateFit.from_sweep(lambdas, values)
 
 
-def convergence_rate_fit_exact_1d(domain, lambdas=DEFAULT_LAMBDA_SWEEP,
-                                  outer="neumann"):
+def convergence_rate_fit_exact_1d(domain, lambdas=DEFAULT_LAMBDA_SWEEP):
     """Same fit from the closed-form 1D norms (oracle pipeline)."""
-    values = [difference_norm_exact_1d(domain, lam, outer) for lam in lambdas]
+    values = [difference_norm_exact_1d(domain, lam) for lam in lambdas]
     return RateFit.from_sweep(lambdas, values)
 
 
@@ -210,18 +194,18 @@ def _interface_ntd_apply(grid, lam, phi):
     return np.real(np.fft.ifft(mult * coeffs))
 
 
-def _interface_difference_apply(grid, lam, phi, outer="neumann"):
+def _interface_difference_apply(grid, lam, phi):
     """Apply the exact interface difference operator W = -N D^{-1}."""
     phi = np.asarray(phi, dtype=float)
     if grid.dim == 1:
-        w = difference_matrix_1d(grid.domain, lam, outer)
+        w = difference_matrix_1d(grid.domain, lam)
         return w @ phi
     radius = grid.r_inc
     coeffs = np.fft.fft(phi)
     k = np.fft.fftfreq(phi.size, d=1.0 / phi.size)
     xi = np.abs(k) / radius
     eta = -np.sqrt(xi ** 2 + lam)
-    mult = 1.0 / (xi - eta)  # 1/(Re tau - Re eta); D = Id for Neumann outer
+    mult = 1.0 / (xi - eta)  # 1/(tau - eta): -N D^{-1} with D = 1 - tau/eta
     return np.real(np.fft.ifft(mult * coeffs))
 
 

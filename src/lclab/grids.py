@@ -20,12 +20,12 @@ interface and the mirror-Neumann closure on the outer boundary.
 
 The grid contract.  ``_Grid`` owns everything that does not depend on
 the geometry: restriction and extension, the weighted inner products,
-the gamma0 and gamma1 traces, the harmonic and screened extensions and
-the interior Neumann assembly.  A geometry (``Grid1D``, ``PolarGrid``)
+the gamma0 and gamma1 traces, the screened extension and the interior
+Neumann assembly.  A geometry (``Grid1D``, ``PolarGrid``)
 supplies only:
 
-  * the index sets ``interface_idx``, ``ext_idx`` (open exterior),
-    ``int_idx`` (closed inclusion) and ``outer_idx`` (outer boundary);
+  * the index sets ``interface_idx``, ``ext_idx`` (open exterior) and
+    ``int_idx`` (closed inclusion);
   * the measures ``w_full``, ``pot_measure`` and ``gamma_weights``;
   * ``_links(interior)``: the (i, j, c) conductance arrays of the whole
     grid, or of the closed inclusion alone in the numbering of
@@ -214,30 +214,6 @@ class _Grid:
 
     # -- boundary-data solves -------------------------------------------------
 
-    def harmonic_extension(self, phi, outer="neumann", tol=DEFAULT_SOLVE_TOL):
-        """Exterior field, harmonic, with gamma0 = phi on the interface.
-
-        ``outer`` selects the condition on the outer boundary: "neumann"
-        (matching the exterior operator domain) or "dirichlet".
-        Returns a full-domain field (zero inside the inclusion).
-        """
-        phi = np.asarray(phi, dtype=float)
-        lift = np.zeros(self.n_nodes)
-        lift[self.interface_idx] = phi
-        if outer == "neumann":
-            keep = self.ext_idx
-        elif outer == "dirichlet":
-            keep = np.setdiff1d(self.ext_idx, self.outer_idx)
-        else:
-            raise DomainError(f"unknown outer condition {outer!r}")
-        mat = _dirichlet_restrict(self._stiffness, keep)
-        # eliminated interface values enter through the lifted right side
-        rhs = -(self._stiffness @ lift)[keep]
-        sol = solve_spd(mat, rhs, tol=tol)
-        out = lift.copy()
-        out[keep] = sol
-        return out
-
     def screened_extension(self, lam, phi, tol=DEFAULT_SOLVE_TOL):
         """Interior field with (-Lap + lam) w = 0 and gamma1 w = phi.
 
@@ -281,7 +257,6 @@ class Grid1D(_Grid):
         self.ext_idx = np.concatenate([np.arange(0, self.i1),
                                        np.arange(self.i2 + 1, self.n_nodes)])
         self.int_idx = np.arange(self.i1, self.i2 + 1)  # closed inclusion
-        self.outer_idx = np.array([0, self.n])
 
         w = np.full(self.n_nodes, self.h)
         w[0] = w[-1] = self.h / 2
@@ -341,7 +316,7 @@ class PolarGrid(_Grid):
     The exterior is the annulus R < r < R_out with R_out the inscribed
     outer radius of the rectangle (mirror-Neumann there), so the
     quantitative 2D experiments see an interface-exact, second-order
-    discretization.  Requires a pure disk (no radius profile).  Node 0 is
+    discretization.  ``Domain2D`` is always a disk.  Node 0 is
     the origin; ring k = 1 .. ntot holds nodes 1 + (k - 1) ntheta + j.
     The grid is rotation invariant, so its operators split over the
     angular modes ``modes`` = 0 .. ntheta // 2 (see ``mode_bands``).
@@ -351,8 +326,6 @@ class PolarGrid(_Grid):
     dim = 2
 
     def __init__(self, domain: Domain2D, nr_ext: int, ntheta: int):
-        if domain.radius_profile is not None:
-            raise DomainError("polar mode requires a pure disk inclusion")
         self.domain = domain
         self.r_out = domain.inscribed_outer_radius
         self.r_inc = float(domain.radius)
@@ -378,7 +351,6 @@ class PolarGrid(_Grid):
         self.interface_idx = np.arange(first, first + self.ntheta)
         self.ext_idx = np.arange(first + self.ntheta, self.n_nodes)
         self.int_idx = np.arange(first + self.ntheta)
-        self.outer_idx = np.arange(self.n_nodes - self.ntheta, self.n_nodes)
         self.modes = np.arange(self.ntheta // 2 + 1)
         self.mode_multiplicity = np.where(
             (self.modes == 0) | (2 * self.modes == self.ntheta), 1, 2)

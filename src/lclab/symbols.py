@@ -94,15 +94,12 @@ IDENTITY_SYMBOL = ParamSymbol(eval=lambda xp, xip, lam: 1.0 + 0.0j, order=0.0,
 
 def _metric_pieces(chart, xp, xip):
     """A_nn = 1 + |grad chi|^2, cross = A_n. xi' = -grad chi . xi' and
-    |xi'|^2 at the chart point ``xp``.  On a 2-D chart ``xip`` holds one
-    scalar xi' per sample; on a higher-dimensional chart it is one
-    covector."""
+    |xi'|^2 at the chart point ``xp``; ``xip`` holds one scalar xi' per
+    sample."""
     g = chart.gradient(xp)
     ann = 1.0 + float(g @ g)
     xip = np.asarray(xip, dtype=float)
-    if g.size == 1:
-        return ann, -g[0] * xip, xip * xip
-    return ann, -float(g @ xip), float(xip @ xip)
+    return ann, -g[0] * xip, xip * xip
 
 
 def _root_pair(ann, cross, q):

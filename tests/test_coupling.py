@@ -10,7 +10,6 @@ from lclab import (ContractError, ConvergenceError, DifferencePipeline,
                    exterior_gram_1d, green_identity_check, green_test_fields,
                    kernels, nonlocal_bc_solve, ntd_matrix_1d,
                    transmission_solve)
-from lclab.coupling import exterior_dtn_matrix_1d, transmission_factor_1d
 from lclab.grids import PolarGrid
 
 LAMBDAS = (1e2, 1e3, 1e4, 1e5, 1e6)
@@ -73,16 +72,6 @@ def test_difference_matrix_positive_definite(domain1d):
         w = difference_matrix_1d(domain1d, lam)
         vals = np.linalg.eigvalsh(w)
         assert vals[0] > 0
-
-
-def test_exterior_dtn_variants(domain1d):
-    assert np.array_equal(exterior_dtn_matrix_1d(domain1d, "neumann"),
-                          np.zeros((2, 2)))
-    mat = exterior_dtn_matrix_1d(domain1d, "dirichlet")
-    assert np.allclose(np.diag(mat),
-                       [1 / domain1d.a1, 1 / (1 - domain1d.a2)])
-    assert np.allclose(transmission_factor_1d(domain1d, 50.0, "neumann"),
-                       np.eye(2))
 
 
 def test_exterior_gram_is_component_lengths(domain1d):

@@ -292,35 +292,6 @@ def test_polar_interface_is_grid_ring(disk_domain):
         PolarGrid(Domain2D(4.0, 4.0, (2.0, 2.0), 0.7), nr_ext=8, ntheta=16)
 
 
-def test_harmonic_extension_zero_and_linear(grid1d, polar_grid):
-    for grid in (grid1d, polar_grid):
-        out = grid.harmonic_extension(np.zeros(grid.interface_idx.size))
-        assert np.abs(out).max() == 0.0
-    # Dirichlet outer condition on the annulus: log(R_out / r) / log(R_out / R)
-    grid = polar_grid
-    out = grid.harmonic_extension(np.ones(grid.ntheta), outer="dirichlet")
-    r = np.repeat(grid.radii, grid.ntheta)[grid.ext_idx - 1]
-    exact = np.log(grid.r_out / r) / math.log(grid.r_out / grid.r_inc)
-    assert np.abs(out[grid.ext_idx] - exact).max() < 5e-5
-    assert np.abs(out[grid.outer_idx]).max() == 0.0
-    # Dirichlet outer condition: exact affine profile on (a2, L)
-    out = grid1d.harmonic_extension(np.array([0.0, 1.0]), outer="dirichlet")
-    x = grid1d.x[grid1d.i2:]
-    exact = 1.0 - (x - grid1d.domain.a2) / (1.0 - grid1d.domain.a2)
-    assert np.abs(out[grid1d.i2:] - exact).max() < 1e-10
-    assert np.abs(out[: grid1d.i1 + 1]).max() < 1e-12
-
-
-def test_harmonic_extension_maximum_principle(grid1d, polar_grid, rng):
-    for grid in (grid1d, polar_grid):
-        phi = rng.uniform(-1.0, 2.0, size=grid.interface_idx.size)
-        for outer, bounds in (("neumann", phi), ("dirichlet", [*phi, 0.0])):
-            out = grid.harmonic_extension(phi, outer=outer)
-            ext = out[grid.ext_idx]
-            assert ext.min() >= min(bounds) - 1e-12
-            assert ext.max() <= max(bounds) + 1e-12
-
-
 def test_screened_extension_matches_closed_form(domain1d, disk_domain):
     # oracle: w = c1 cosh(k(x - a1)) + c2 sinh(k(x - a1)) fitted to the
     # flux data in the into-inclusion orientation
