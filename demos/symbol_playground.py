@@ -8,8 +8,6 @@ computed exactly, mode by mode, and their decay is compared against the
 predicted exponents.
 """
 
-import numpy as np
-
 from lclab import (TorusGrid, characteristic_roots,
                    characteristic_roots_screened, class_membership_estimate,
                    difference_symbol, flat_ntd_symbol, linear_chart,

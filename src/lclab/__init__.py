@@ -1,7 +1,7 @@
 """Desk-scale laboratory for the large-coupling limit of Schrodinger
 operators with a piecewise-constant potential jump across an interface.
 scipy is reached only as ``scipy.<sub>`` attributes, so each submodule
-loads on first use; the torus and disk experiments never use one.
+loads on first use; no experiment uses one.
 
 Subpackages:
 

@@ -48,10 +48,10 @@ def _band_layout(grid):
     measure of every row and how many modes share each block."""
     if isinstance(grid, PolarGrid):
         g = grid.nr_int
-        return (g + np.arange(3)[None, :], np.arange(g + 1, grid.ntot + 1),
-                grid.ring_measure, grid.mode_multiplicity)
+        return (g + np.arange(3)[None, :], grid.ext_rows, grid.ring_measure,
+                grid.mode_multiplicity)
     layers = grid.interface_idx[:, None] + np.outer([-1, 1], np.arange(3))
-    return layers, grid.ext_idx, grid.w_full, np.ones(1, dtype=int)
+    return layers, grid.ext_rows, grid.w_full, np.ones(1, dtype=int)
 
 
 def eigen_spectrum(grid, lam, tol=1e-10):
@@ -92,18 +92,13 @@ def trace_map_norm(grid, tol=1e-10):
 
     With T the exterior gamma1 rows, K the exterior form matrix and G, W
     the interface and exterior measures, ||S||^2 is the top eigenvalue of
-    Z^T W Z with Z = K^{-1} T^T G^{1/2}.  K is the exterior rows of the
-    blocks of ``grid.mode_bands`` (Dirichlet on Gamma, which leaves
-    exterior pieces on either side of it decoupled), so Z is one batched
-    solve and Z^T W Z is taken block by block; on the disk T is the same
-    stencil row in every mode.
+    Z^T W Z with Z = K^{-1} T^T G^{1/2}.  K is ``grid.exterior_bands``,
+    so Z is one batched solve and Z^T W Z is taken block by block; on the
+    disk T is the same stencil row in every mode.
     """
     coeffs = grid.gamma1_stencil("exterior")[0]
     layers, ext, measure, _ = _band_layout(grid)
-    lower, diag, upper = (band[:, ext] for band in grid.mode_bands())
-    cut = np.flatnonzero(np.diff(ext) > 1)
-    upper[:, cut] = 0.0
-    lower[:, cut + 1] = 0.0
+    lower, diag, upper = grid.exterior_bands()
     # one load per interface node of a block: its row of T^T G^{1/2}
     p = len(layers)
     loads = np.zeros((p, 1, ext.size))

@@ -14,19 +14,23 @@ negative definite, the interface difference operator W = -N D^{-1} is
 positive definite, and (E f, f) >= 0.  Every grid closes the exterior
 with a Neumann outer boundary; in 1D that makes the transmission factor
 D the identity, so W = -N there.
+
+The interface identities (``green_identity_check``) solve and apply on
+the grid's tridiagonal blocks (``solve_coupled``, ``solve_exterior``,
+``apply_coupled``), on the interval and the disk alike, and the 1D
+nonlocal solve is one bordered tridiagonal chain.  ``DifferencePipeline``
+keeps the sparse assemblies as the tests' oracle.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .counting import eigen_spectrum
-from .errors import (ContractError, ConvergenceError, DomainError,
-                     InconclusiveError)
-from .kernels import (backward_error, loglog_fit, power_iteration_sym,
-                      solve_tridiagonal)
+from .errors import DomainError, InconclusiveError
+from .kernels import (loglog_fit, power_iteration_sym,
+                      solve_bordered_tridiagonal, solve_tridiagonal)
 
 MIN_RATE_R_SQUARED = 0.95
 DEFAULT_LAMBDA_SWEEP = (1e2, 1e3, 1e4, 1e5, 1e6)
@@ -173,7 +177,6 @@ class GreenReport:
     residual_iii: float
     residual_iv: float
     scale: float
-    details: dict = field(default_factory=dict)
 
     def as_tuple(self):
         return (self.residual_i, self.residual_ii,
@@ -215,35 +218,28 @@ def green_identity_check(grid, lam, f_ext, g_ext, tol=1e-10):
     f and g are exterior fields; u is the coupled solve of (extend f),
     v the exterior solve of g.  Items (iii) and (iv) use the exact
     interface operators (2x2 matrices in 1D, circle multipliers on the
-    polar grid).  Residuals are |lhs - rhs| / (||f|| ||g||).
+    polar grid).  Residuals are |lhs - rhs| / (||f|| ||g||).  Every
+    solve and operator product runs on the blocks of ``grid.mode_bands``.
     """
     f_ext = np.asarray(f_ext, dtype=float)
     g_ext = np.asarray(g_ext, dtype=float)
-    pipe = DifferencePipeline(grid, tol=tol)
-    coupled = pipe.coupled(lam)
-    exterior = pipe.exterior
-
-    u_full = coupled.solve(grid.extend(f_ext), tol=tol)
-    v_ext = exterior.solve(g_ext, tol=tol)
-    vf_ext = exterior.solve(f_ext, tol=tol)
+    u_full = grid.solve_coupled(lam, grid.extend(f_ext), tol=tol)
+    v_ext, vf_ext = grid.solve_exterior(np.stack([g_ext, f_ext]), tol=tol)
     u_ext = grid.restrict(u_full)
-
-    v_full = grid.embed_exterior(v_ext)      # zero interface values
-    vf_full = grid.embed_exterior(vf_ext)
+    v_full, vf_full = grid.extend(np.stack([v_ext, vf_ext]))  # zero on Gamma
 
     g0_u = grid.trace_gamma0(u_full)
-    g1_u = grid.trace_gamma1(u_full, "exterior")
-    g1_v = grid.trace_gamma1(v_full, "exterior")
-    g1_vf = grid.trace_gamma1(vf_full, "exterior")
+    g1_u, g1_v, g1_vf = grid.trace_gamma1(
+        np.stack([u_full, v_full, vf_full]), "exterior")
 
     scale = math.sqrt(grid.inner_ext(f_ext, f_ext)) \
         * math.sqrt(grid.inner_ext(g_ext, g_ext))
     if scale == 0.0:
         scale = 1.0
 
-    # (i) operator-level pairing difference vs the interface pairing
-    au = grid.restrict(coupled.apply(u_full))
-    bv = exterior.apply(v_ext)
+    # (i) operator-level pairing difference vs the interface pairing; on
+    # exterior rows the coupled operator acts on v_full as the exterior one
+    au, bv = grid.restrict(grid.apply_coupled(lam, np.stack([u_full, v_full])))
     lhs_i = grid.inner_ext(au, v_ext) - grid.inner_ext(u_ext, bv)
     rhs_boundary = grid.interface_pairing(g0_u, g1_v)
     res_i = abs(lhs_i - rhs_boundary) / scale
@@ -264,9 +260,7 @@ def green_identity_check(grid, lam, f_ext, g_ext, tol=1e-10):
         _interface_difference_apply(grid, lam, g1_vf), g1_v)
     res_iv = abs(lhs_iii - rhs_iv) / scale
 
-    return GreenReport(res_i, res_ii, res_iii, res_iv, scale,
-                       details={"pairing": rhs_boundary,
-                                "difference_form": lhs_iii})
+    return GreenReport(res_i, res_ii, res_iii, res_iv, scale)
 
 
 def green_test_fields(grid):
@@ -300,34 +294,29 @@ def green_test_fields(grid):
 def nonlocal_bc_solve_1d(grid, lam, f_ext, tol=1e-10):
     """Exterior solve closed by u = N (gamma1 u) on the interface (1D).
 
-    Unknowns are the closed-exterior nodes (interface included).  The
-    other rows are the grid's stiffness over the cell measures; the two
+    Unknowns are the closed-exterior nodes, ordered as one chain
+    0 .. a1, a2 .. L whose Laplacian is cut between a1 and a2.  The other
+    rows are the grid's stiffness over the cell measures; the two
     interface rows are I - N gamma1, with N the exact 2x2 NtD matrix and
     gamma1 the grid's exterior one-sided stencil, so they couple both
-    interface points.  The solve's normwise backward error must not
-    exceed ``tol``.
+    interface points.  ``kernels.solve_bordered_tridiagonal`` solves the
+    chain with these two dense rows; the normwise backward error of the
+    whole matrix must not exceed ``tol``.
     """
     if grid.dim != 1:
         raise DomainError("use nonlocal_bc_solve_polar for the disk")
-    if not 0.0 < tol <= 1e-6:
-        raise ContractError(f"solve tolerance {tol} outside (0, 1e-6]")
     nodes = np.union1d(grid.ext_idx, grid.interface_idx)
     gamma = np.searchsorted(nodes, grid.interface_idx)
-    mat = grid._stiffness[nodes][:, nodes]
     # row by row K / w: the -Laplacian acting on nodal values
-    mat.data /= np.repeat(grid.w_full[nodes], np.diff(mat.indptr))
+    lower, diag, upper = (band[0, nodes] / grid.w_full[nodes]
+                          for band in grid.mode_bands())
+    coeffs, stencil = grid.gamma1_stencil("exterior")
     n_mat = ntd_matrix_1d(lam, grid.domain.inclusion_length)
-    rows = -n_mat @ grid.gamma1_matrix("exterior")[:, nodes].toarray()
+    rows = np.zeros((2, nodes.size))
+    rows[:, np.searchsorted(nodes, stencil)] = -n_mat[:, :, None] * coeffs
     rows[[0, 1], gamma] += 1.0
-    mat = mat.tolil()
-    mat[gamma] = rows
-    mat = mat.tocsr()
-    rhs = grid.extend(f_ext)[nodes]
-    sol = scipy.sparse.linalg.spsolve(mat, rhs)
-    residual = backward_error(mat, sol, rhs)
-    if not residual <= tol:
-        raise ConvergenceError(f"nonlocal solve backward error {residual:.3e}"
-                               f" exceeds tol {tol:.1e}", residual=residual)
+    sol = solve_bordered_tridiagonal(lower, diag, upper, rows, gamma,
+                                     grid.extend(f_ext)[nodes], tol=tol)
     out = np.zeros(grid.n_nodes)
     out[nodes] = sol
     return grid.restrict(out)

@@ -20,9 +20,9 @@ interface and the mirror-Neumann closure on the outer boundary.
 
 The grid contract.  ``_Grid`` owns everything that does not depend on
 the geometry: restriction and extension, the weighted inner products,
-the gamma0 and gamma1 traces, the screened extension and the interior
-Neumann assembly.  A geometry (``Grid1D``, ``PolarGrid``)
-supplies only:
+the gamma0 and gamma1 traces, the band solves, the screened extension
+and the interior Neumann assembly.  A geometry (``Grid1D``,
+``PolarGrid``) supplies only:
 
   * the index sets ``interface_idx``, ``ext_idx`` (open exterior) and
     ``int_idx`` (closed inclusion);
@@ -32,18 +32,27 @@ supplies only:
     ``int_idx``, whose interface cells are halved;
   * ``_layer(side, k)`` and ``normal_step``: the nodes k steps off the
     interface along its normal and their spacing, from which the one
-    gamma1 stencil of every consumer is built.
+    gamma1 stencil of every consumer is built;
+  * ``mode_bands(lam)``, the coupled form matrix as a batch of
+    tridiagonal blocks for ``kernels.solve_tridiagonal`` (one block over
+    all nodes on a ``Grid1D``, one radial block per angular mode on a
+    ``PolarGrid``), ``ext_rows``, the exterior rows of every block, and
+    ``to_modes`` / ``from_modes``, which carry full fields to the blocks
+    and back (the identity on a ``Grid1D``, a unitary rfft per ring on a
+    ``PolarGrid``).
 
-Each geometry also supplies ``mode_bands(lam)``, the coupled form
-matrix as a batch of tridiagonal blocks for ``kernels.solve_tridiagonal``:
-one block over all nodes on a ``Grid1D``, one radial block per angular
-mode on a ``PolarGrid``.  The sparse stiffness ``_stiffness`` is
-assembled from ``_links`` on first use only.  ``PolarGrid`` keeps its
-coefficients per ring, ring 0 being the origin: ``ring_measure``,
-``ring_potential`` (the potential measure), ``radial_conductance``
-(ring m to m + 1) and ``angular_conductance``.  Its nodal measures, its
-links and the per-angular-mode radial blocks of ``mode_bands`` are all
-built from these four arrays.
+The band solves are built on these: ``solve_coupled`` and
+``apply_coupled`` on ``mode_bands``, ``solve_exterior`` on
+``exterior_bands``, the same blocks with Dirichlet rows on Gamma.  Every
+experiment solves on the blocks.  The sparse assemblies
+(``SparseOperator`` from ``assemble_*``, the stiffness ``_stiffness``
+assembled from ``_links`` on first use) serve the tests as oracles, the
+demos and ``--dump-matrices``.  ``PolarGrid`` keeps its coefficients per ring,
+ring 0 being the origin: ``ring_measure``, ``ring_potential`` (the
+potential measure), ``radial_conductance`` (ring m to m + 1) and
+``angular_conductance``.  Its nodal measures, its links and the
+per-angular-mode radial blocks of ``mode_bands`` are all built from
+these four arrays.
 """
 
 from dataclasses import dataclass, field
@@ -53,7 +62,8 @@ import scipy
 
 from .errors import ContractError, DomainError
 from .geometry import Domain1D, Domain2D
-from .kernels import _Factorization, require_symmetric, solve_spd, DEFAULT_SOLVE_TOL
+from .kernels import (DEFAULT_SOLVE_TOL, _Factorization, require_symmetric,
+                      solve_spd, solve_tridiagonal, tridiagonal_apply)
 
 
 @dataclass
@@ -116,6 +126,12 @@ def _dirichlet_restrict(matrix, keep):
     return scipy.sparse.csr_matrix(matrix[np.ix_(keep, keep)])
 
 
+def _require_coupling(lam):
+    if lam <= 0:
+        raise DomainError("coupling constant must be positive "
+                          "(lam = 0 keeps the constant null vector)")
+
+
 class _Grid:
     """The operations shared by every geometry (see the module docstring)."""
 
@@ -123,7 +139,6 @@ class _Grid:
         """Data derived from the geometry alone; ends every ``__init__``."""
         self.w_ext = self.w_full[self.ext_idx]
         self._stiffness_matrix = None
-        self._gamma1 = {}
 
     @property
     def _stiffness(self):
@@ -137,22 +152,19 @@ class _Grid:
     # -- index plumbing -----------------------------------------------------
 
     def restrict(self, field):
+        """Exterior values of a full field; leading axes batch."""
         field = np.asarray(field, dtype=float)
-        if field.shape != (self.n_nodes,):
+        if field.shape[-1:] != (self.n_nodes,):
             raise ContractError("restrict expects a full-domain field")
-        return field[self.ext_idx]
+        return field[..., self.ext_idx]
 
     def extend(self, ext_field):
+        """Full field, zero off the exterior; leading axes batch."""
         ext_field = np.asarray(ext_field, dtype=float)
-        if ext_field.shape != self.ext_idx.shape:
+        if ext_field.shape[-1:] != self.ext_idx.shape:
             raise ContractError("extend expects an exterior field")
-        out = np.zeros(self.n_nodes)
-        out[self.ext_idx] = ext_field
-        return out
-
-    def embed_exterior(self, ext_field, interface_values=0.0):
-        out = self.extend(ext_field)
-        out[self.interface_idx] = interface_values
+        out = np.zeros(ext_field.shape[:-1] + (self.n_nodes,))
+        out[..., self.ext_idx] = ext_field
         return out
 
     def inner_full(self, f, g):
@@ -195,22 +207,50 @@ class _Grid:
         return (np.array([3.0, -4.0, 1.0]) * sign / (2 * self.normal_step),
                 np.stack(layers, axis=1))
 
-    def gamma1_matrix(self, side):
-        """``gamma1_stencil`` as a sparse |Gamma| x n_nodes matrix, cached."""
-        if side not in self._gamma1:
-            coeffs, nodes = self.gamma1_stencil(side)
-            m = nodes.shape[0]
-            # each row keeps the stencil's order (interface node first), so
-            # a product sums the three terms in the order of the formula
-            self._gamma1[side] = scipy.sparse.csr_matrix(
-                (np.tile(coeffs, m), nodes.ravel(),
-                 np.arange(0, 3 * m + 1, 3)), shape=(m, self.n_nodes))
-        return self._gamma1[side]
-
     def trace_gamma1(self, field, side):
         """Normal derivative on the interface, normal pointing into the
-        inclusion, by the one-sided stencil on ``side``."""
-        return self.gamma1_matrix(side) @ np.asarray(field, dtype=float)
+        inclusion, by the one-sided stencil on ``side``; leading axes of
+        ``field`` batch.  The terms are summed in the stencil's order."""
+        coeffs, nodes = self.gamma1_stencil(side)
+        terms = np.asarray(field, dtype=float)[..., nodes] * coeffs
+        return terms[..., 0] + terms[..., 1] + terms[..., 2]
+
+    # -- band solves ----------------------------------------------------------
+
+    def exterior_bands(self):
+        """The exterior form matrix as blocks: the rows ``ext_rows`` of
+        ``mode_bands`` with Dirichlet data on Gamma, so the links to the
+        interface are cut and the exterior pieces on either side of it
+        decouple."""
+        ext = self.ext_rows
+        lower, diag, upper = (band[:, ext] for band in self.mode_bands())
+        cut = np.flatnonzero(np.diff(ext) > 1)
+        upper[:, cut] = 0.0
+        lower[:, cut + 1] = 0.0
+        return lower, diag, upper
+
+    def solve_coupled(self, lam, f, tol=DEFAULT_SOLVE_TOL):
+        """Solve the coupled problem (K + lam diag(pot_measure)) u = m f
+        for full fields f (leading axes batch), block by block."""
+        _require_coupling(lam)
+        rhs = self.to_modes(self.w_full * np.asarray(f, dtype=float))
+        return self.from_modes(
+            solve_tridiagonal(*self.mode_bands(lam), rhs, tol=tol))
+
+    def apply_coupled(self, lam, u):
+        """The coupled operator (K + lam diag(pot_measure)) u / m on full
+        fields, by band products block by block."""
+        coeffs = tridiagonal_apply(*self.mode_bands(lam), self.to_modes(u))
+        return self.from_modes(coeffs) / self.w_full
+
+    def solve_exterior(self, f_ext, tol=DEFAULT_SOLVE_TOL):
+        """Solve the exterior problem K_ext v = m f, Dirichlet on Gamma and
+        Neumann outer, for exterior fields f (leading axes batch)."""
+        full = self.w_full * self.extend(f_ext)
+        coeffs = self.to_modes(full)
+        coeffs[..., self.ext_rows] = solve_tridiagonal(
+            *self.exterior_bands(), coeffs[..., self.ext_rows], tol=tol)
+        return self.restrict(self.from_modes(coeffs))
 
     # -- boundary-data solves -------------------------------------------------
 
@@ -257,6 +297,7 @@ class Grid1D(_Grid):
         self.ext_idx = np.concatenate([np.arange(0, self.i1),
                                        np.arange(self.i2 + 1, self.n_nodes)])
         self.int_idx = np.arange(self.i1, self.i2 + 1)  # closed inclusion
+        self.ext_rows = self.ext_idx
 
         w = np.full(self.n_nodes, self.h)
         w[0] = w[-1] = self.h / 2
@@ -288,6 +329,15 @@ class Grid1D(_Grid):
         upper[0, i] = -c
         return lower, (links + lam * self.pot_measure)[None], upper
 
+    def to_modes(self, field):
+        """A full field (leading axes batch) in the layout of the one block
+        of ``mode_bands``: a copy of the nodal values."""
+        return np.array(field, dtype=float)[..., None, :]
+
+    def from_modes(self, coeffs):
+        """Inverse of ``to_modes``."""
+        return coeffs[..., 0, :]
+
     def _layer(self, side, k):
         """The two nodes k steps off the endpoints on ``side``, or None."""
         step = -k if side == "exterior" else k
@@ -298,9 +348,7 @@ class Grid1D(_Grid):
 
     def assemble_coupled(self, lam):
         """-Laplacian + lam * indicator(inclusion), Neumann outer boundary."""
-        if lam <= 0:
-            raise DomainError("coupling constant must be positive "
-                              "(lam = 0 keeps the constant null vector)")
+        _require_coupling(lam)
         mat = self._stiffness + scipy.sparse.diags(lam * self.pot_measure)
         return SparseOperator(mat.tocsr(), self.w_full)
 
@@ -351,6 +399,7 @@ class PolarGrid(_Grid):
         self.interface_idx = np.arange(first, first + self.ntheta)
         self.ext_idx = np.arange(first + self.ntheta, self.n_nodes)
         self.int_idx = np.arange(first + self.ntheta)
+        self.ext_rows = np.arange(self.nr_int + 1, self.ntot + 1)
         self.modes = np.arange(self.ntheta // 2 + 1)
         self.mode_multiplicity = np.where(
             (self.modes == 0) | (2 * self.modes == self.ntheta), 1, 2)
@@ -443,6 +492,28 @@ class PolarGrid(_Grid):
         upper[:, :-1] = off
         return lower, diag, upper
 
+    def to_modes(self, field):
+        """A full field (leading axes batch) in the unitary angular modes
+        of ``mode_bands``: the orthonormal rfft of every ring, with the
+        origin node in mode 0; shape (..., modes, ntot + 1), complex."""
+        field = np.asarray(field, dtype=float)
+        batch = field.shape[:-1]
+        rings = field[..., 1:].reshape(batch + (self.ntot, self.ntheta))
+        coeffs = np.zeros(batch + (self.modes.size, self.ntot + 1),
+                          dtype=complex)
+        coeffs[..., 1:] = np.swapaxes(
+            np.fft.rfft(rings, axis=-1, norm="ortho"), -1, -2)
+        coeffs[..., 0, 0] = field[..., 0]
+        return coeffs
+
+    def from_modes(self, coeffs):
+        """Inverse of ``to_modes``, back to real nodal values."""
+        rings = np.fft.irfft(np.swapaxes(coeffs[..., 1:], -1, -2),
+                             n=self.ntheta, axis=-1, norm="ortho")
+        return np.concatenate(
+            [coeffs[..., 0, :1].real,
+             rings.reshape(coeffs.shape[:-2] + (-1,))], axis=-1)
+
     def _layer(self, side, k):
         """The ring k steps off the interface on ``side``, or None."""
         ring = self.nr_int + k if side == "exterior" else self.nr_int - k
@@ -452,9 +523,7 @@ class PolarGrid(_Grid):
 
     def assemble_coupled(self, lam):
         """-Laplacian + lam * indicator(inclusion), Neumann outer boundary."""
-        if lam <= 0:
-            raise DomainError("coupling constant must be positive "
-                              "(lam = 0 keeps the constant null vector)")
+        _require_coupling(lam)
         mat = self._stiffness + scipy.sparse.diags(lam * self.pot_measure)
         return SparseOperator(mat.tocsr(), self.w_full)
 
@@ -464,16 +533,15 @@ class PolarGrid(_Grid):
         return SparseOperator(mat, self.w_ext)
 
 
-def transmission_solve(grid, lam, f, coupled=None, tol=DEFAULT_SOLVE_TOL,
-                       check=False):
-    """Solve the coupled problem (-Lap + lam 1_inclusion) u = f, Neumann outer.
+def transmission_solve(grid, lam, f, tol=DEFAULT_SOLVE_TOL, check=False):
+    """Solve the coupled problem (-Lap + lam 1_inclusion) u = f, Neumann outer,
+    on the blocks of ``grid.mode_bands``.
 
     With ``check=True`` the interface transmission conditions (equal
     traces, equal normal derivatives from both sides) are measured and
     returned alongside the field.
     """
-    op = coupled if coupled is not None else grid.assemble_coupled(lam)
-    u = op.solve(np.asarray(f, dtype=float), tol=tol)
+    u = grid.solve_coupled(lam, f, tol=tol)
     if not check:
         return u
     g0_gap = 0.0  # traces live on shared nodes: equality is structural

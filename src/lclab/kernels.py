@@ -1,12 +1,16 @@
 """Linear-algebra kernels: SPD solves, batched tridiagonal solves by
-cyclic reduction, power iteration, dense symmetric spectra.
+cyclic reduction and their band products, bordered tridiagonal solves,
+power iteration, dense symmetric spectra.
 
 Sparse and dense work is delegated to LAPACK via numpy/scipy, and the
 tridiagonal batches are reduced level by level in numpy; every kernel
 checks its own contract (residual, symmetry, spectral identities) after
 the fact so downstream experiments never consume a silently bad solve.
-scipy is reached only as ``scipy.<sub>`` attributes, so each submodule
-loads on first use; the torus and disk experiments never use one.
+The experiments run on the tridiagonal kernels alone; ``green``'s 1D
+nonlocal solve is a tridiagonal chain with two dense rows, closed by a
+rank-2 Woodbury correction.  The sparse SPD path serves the tests as an
+oracle.  scipy is reached only as ``scipy.<sub>`` attributes, so each
+submodule loads on first use; no experiment uses one.
 """
 
 import numpy as np
@@ -101,20 +105,39 @@ def solve_spd(mat, rhs, tol=DEFAULT_SOLVE_TOL, cache=None):
     return x
 
 
-def tridiagonal_backward_error(lower, diag, upper, x, rhs):
-    """Normwise backward error, as in ``backward_error``, of every system
-    of a tridiagonal batch (see ``solve_tridiagonal``); one per system."""
+def tridiagonal_apply(lower, diag, upper, x):
+    """Band product of a tridiagonal batch (see ``solve_tridiagonal``)
+    with ``x``, which may carry more leading axes."""
     ax = diag * x
     ax[..., 1:] += lower[..., 1:] * x[..., :-1]
     ax[..., :-1] += upper[..., :-1] * x[..., 1:]
+    return ax
+
+
+def _row_sums(lower, diag, upper):
+    """Absolute row sums of a tridiagonal batch; their maximum is its
+    inf-norm."""
     row_sums = np.abs(diag)
     row_sums[..., 1:] += np.abs(lower[..., 1:])
     row_sums[..., :-1] += np.abs(upper[..., :-1])
+    return row_sums
+
+
+def _normwise_error(ax, row_sums, x, rhs):
+    """||A x - rhs|| / (||A||_inf ||x|| + ||rhs||) along the last axis,
+    from A x and the absolute row sums of A."""
     scale = (row_sums.max(axis=-1) * np.linalg.norm(x, axis=-1)
              + np.linalg.norm(rhs, axis=-1))
     gap = np.linalg.norm(ax - rhs, axis=-1)
     # NaN scales (a zero pivot) must stay NaN, so mask only exact zeros
     return np.divide(gap, scale, out=np.zeros_like(gap), where=scale != 0.0)
+
+
+def tridiagonal_backward_error(lower, diag, upper, x, rhs):
+    """Normwise backward error, as in ``backward_error``, of every system
+    of a tridiagonal batch (see ``solve_tridiagonal``); one per system."""
+    return _normwise_error(tridiagonal_apply(lower, diag, upper, x),
+                           _row_sums(lower, diag, upper), x, rhs)
 
 
 def solve_tridiagonal(lower, diag, upper, rhs, tol=DEFAULT_SOLVE_TOL):
@@ -151,9 +174,63 @@ def solve_tridiagonal(lower, diag, upper, rhs, tol=DEFAULT_SOLVE_TOL):
     return x
 
 
+def bordered_backward_error(lower, diag, upper, rows, at, x, rhs):
+    """Normwise backward error of one solve with the tridiagonal matrix
+    whose rows ``at`` are the dense ``rows`` (see
+    ``solve_bordered_tridiagonal``): the whole matrix, borders included."""
+    ax = tridiagonal_apply(lower, diag, upper, x)
+    ax[at] = rows @ x
+    row_sums = _row_sums(lower, diag, upper)
+    row_sums[at] = np.abs(rows).sum(axis=1)
+    return float(_normwise_error(ax, row_sums, x, rhs))
+
+
+def solve_bordered_tridiagonal(lower, diag, upper, rows, at, rhs,
+                               tol=DEFAULT_SOLVE_TOL):
+    """Solve one tridiagonal system whose rows ``at`` are replaced by the
+    dense ``rows``, of shape (len(at), n).
+
+    T is the tridiagonal matrix with unit rows at ``at`` and V the dense
+    rows less those units, so the matrix is T + U V with U the unit
+    columns at ``at``, and the Woodbury identity closes it:
+
+        x = y - Z (I + V Z)^-1 V y,   with T [y, Z] = [rhs, U].
+
+    The data and the unit loads are one batched cyclic reduction.  Unit
+    rows, rather than the band entries of ``rows``, keep T the matrix
+    with Dirichlet rows at ``at``, so an ill-conditioned border stays in
+    the small dense system.  The normwise backward error of the whole
+    matrix (``bordered_backward_error``) must not exceed ``tol``;
+    ConvergenceError carries it.
+    """
+    if not 0.0 < tol <= 1e-6:
+        raise ContractError(f"solve tolerance {tol} outside (0, 1e-6]")
+    bands = tuple(np.array(band, dtype=float)
+                  for band in (lower, diag, upper))
+    rows, at = np.asarray(rows, dtype=float), np.asarray(at)
+    rhs = np.asarray(rhs, dtype=float)
+    k, n = rows.shape
+    units = np.zeros((k, n))
+    units[np.arange(k), at] = 1.0
+    for band, unit in zip(bands, (0.0, 1.0, 0.0)):
+        band[at] = unit
+    loads = np.concatenate([rhs[None], units])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = _cyclic_reduction(*bands, loads)
+        border = rows - units
+        x = y[0] - y[1:].T @ np.linalg.solve(np.eye(k) + border @ y[1:].T,
+                                             border @ y[0])
+        residual = bordered_backward_error(*bands, rows, at, x, rhs)
+    if not residual <= tol:
+        raise ConvergenceError(
+            f"bordered tridiagonal solve backward error {residual:.3e} "
+            f"exceeds tol {tol:.1e}", residual=residual)
+    return x
+
+
 def _cyclic_reduction(lower, diag, upper, rhs):
     """One level of odd-even reduction along the last axis, recursing on
-    the odd rows; ``solve_tridiagonal`` checks the result."""
+    the odd rows; its callers check the result."""
     n = diag.shape[-1]
     if n == 1:
         return rhs / diag

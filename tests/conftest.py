@@ -1,10 +1,22 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from lclab import (DifferencePipeline, Domain1D, Domain2D, Grid1D, PolarGrid,
                    eigen_spectrum, trace_map_norm)
 
 DISK_LAM = 1e3
+
+
+def gamma1_matrix(grid, side):
+    """Oracle: ``grid.gamma1_stencil`` as a sparse |Gamma| x n_nodes
+    matrix.  Each row keeps the stencil's order (interface node first), so
+    a product sums the three terms in the order of the formula."""
+    coeffs, nodes = grid.gamma1_stencil(side)
+    m = nodes.shape[0]
+    return sp.csr_matrix((np.tile(coeffs, m), nodes.ravel(),
+                          np.arange(0, 3 * m + 1, 3)),
+                         shape=(m, grid.n_nodes))
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,8 @@ from lclab.counting import CIRCLE_MODE_CAP, _comparison_violations
 from lclab.kernels import _Factorization
 from lclab.runner import TOLERANCES, default_config, run_experiment
 
+from conftest import gamma1_matrix
+
 LAM = 1e3
 
 
@@ -113,7 +115,7 @@ def power_trace_map_norm(grid, tol):
     """Oracle: ||S|| by power iteration on S* S, two exterior solves an
     action."""
     ext = grid.assemble_exterior()
-    tmat = grid.gamma1_matrix("exterior")[:, grid.ext_idx]
+    tmat = gamma1_matrix(grid, "exterior")[:, grid.ext_idx]
 
     def s_star_s(f):
         sf = tmat @ ext.solve(f)

@@ -1,18 +1,25 @@
+import copy
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from lclab import (ContractError, ConvergenceError, DifferencePipeline,
-                   Domain1D, DomainError, Grid1D, InconclusiveError, RateFit,
+                   DomainError, Grid1D, InconclusiveError, RateFit,
                    convergence_rate_fit_exact_1d, counting_zero_threshold,
-                   coupling, difference_matrix_1d, difference_norm_exact_1d,
+                   difference_matrix_1d, difference_norm_exact_1d,
                    exterior_gram_1d, green_identity_check, green_test_fields,
                    kernels, nonlocal_bc_solve, ntd_matrix_1d,
                    transmission_solve)
-from lclab.grids import PolarGrid
+
+from conftest import gamma1_matrix
 
 LAMBDAS = (1e2, 1e3, 1e4, 1e5, 1e6)
+# the sparse oracle refines its solves to this backward error: at the
+# default 1e-10 banded Cholesky stops 1.3e-12 from the solution on
+# 2,048 cells, where the band route sits within 1.2e-14
+ORACLE_TOL = 1e-16
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +179,55 @@ def test_green_item_antisymmetry_identity(grid1d, rng):
     assert gap <= 1e-10 * np.linalg.norm(f) * np.linalg.norm(g)
 
 
+def _sparse_route(grid, lam):
+    """Oracle: a copy of ``grid`` whose coupled and exterior solves and
+    operator products run on the sparse assemblies (``SparseOperator``)."""
+    coupled, exterior = grid.assemble_coupled(lam), grid.assemble_exterior()
+    oracle = copy.copy(grid)
+    oracle.solve_coupled = lambda lam, f, tol: coupled.solve(f, ORACLE_TOL)
+    oracle.solve_exterior = lambda fs, tol: np.stack(
+        [exterior.solve(f, ORACLE_TOL) for f in fs])
+    oracle.apply_coupled = lambda lam, us: np.stack(
+        [coupled.apply(u) for u in us])
+    return oracle
+
+
+def _rel(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("make_grid", [
+    lambda d1, pg: Grid1D(d1, 1024), lambda d1, pg: Grid1D(d1, 2048),
+    lambda d1, pg: pg], ids=["grid1d-1024", "grid1d-2048", "polar"])
+def test_green_band_route_matches_sparse_oracle(make_grid, domain1d,
+                                                polar_grid):
+    lam = 1e3
+    grid = make_grid(domain1d, polar_grid)
+    oracle = _sparse_route(grid, lam)
+    f, g = green_test_fields(grid)
+    u = grid.solve_coupled(lam, grid.extend(f))
+    fields = grid.solve_exterior(np.stack([g, f]))
+    assert _rel(u, oracle.solve_coupled(lam, grid.extend(f), None)) <= 1e-12
+    for got, want in zip(fields, oracle.solve_exterior([g, f], None)):
+        assert _rel(got, want) <= 1e-12
+    report = green_identity_check(grid, lam, f, g).as_tuple()
+    expected = green_identity_check(oracle, lam, f, g).as_tuple()
+    assert np.allclose(report, expected, rtol=1e-6, atol=0.0)
+
+
+@pytest.mark.parametrize("make_grid", [
+    lambda d1, pg: Grid1D(d1, 1024), lambda d1, pg: pg],
+    ids=["grid1d", "polar"])
+def test_transmission_solve_matches_sparse_oracle(make_grid, domain1d,
+                                                  polar_grid):
+    grid = make_grid(domain1d, polar_grid)
+    f = grid.extend(green_test_fields(grid)[0])
+    for lam in (1e3, 1e6):
+        u = transmission_solve(grid, lam, f)
+        assert _rel(u, grid.assemble_coupled(lam).solve(f, ORACLE_TOL)) \
+            <= 1e-12
+
+
 def test_green_2d_polar_identities(polar_grid):
     f, g = green_test_fields(polar_grid)
     report = green_identity_check(polar_grid, 1e3, f, g)
@@ -210,14 +266,15 @@ def test_nonlocal_solve_rejects_tolerance_outside_contract(grid1d,
 
 
 def test_nonlocal_solve_checks_its_backward_error(grid1d, monkeypatch):
+    # the check covers the whole bordered matrix, interface rows included
     f, _ = green_test_fields(grid1d)
-    original, seen = coupling.backward_error, []
+    original, seen = kernels.bordered_backward_error, []
 
     def spy(*args, **kwargs):
         seen.append(original(*args, **kwargs))
         return seen[-1]
 
-    monkeypatch.setattr(coupling, "backward_error", spy)
+    monkeypatch.setattr(kernels, "bordered_backward_error", spy)
     nonlocal_bc_solve(grid1d, 1e3, f)
     assert len(seen) == 1 and 0.0 < seen[0] <= 1e-10
     with pytest.raises(ConvergenceError) as info:
@@ -248,6 +305,32 @@ def test_nonlocal_polar_checks_its_backward_error(polar_grid, monkeypatch):
     with pytest.raises(ConvergenceError) as info:
         nonlocal_bc_solve(polar_grid, 1e3, f)
     assert info.value.residual == 1e-6
+
+
+def _spsolve_nonlocal(grid, lam, f_ext):
+    """Oracle: the 1D nonlocal solve as one sparse matrix, the stiffness
+    rows over the cell measures with the two I - N gamma1 rows written
+    in, solved by sparse LU."""
+    nodes = np.union1d(grid.ext_idx, grid.interface_idx)
+    gamma = np.searchsorted(nodes, grid.interface_idx)
+    mat = grid._stiffness[nodes][:, nodes]
+    mat.data /= np.repeat(grid.w_full[nodes], np.diff(mat.indptr))
+    n_mat = ntd_matrix_1d(lam, grid.domain.inclusion_length)
+    rows = -n_mat @ gamma1_matrix(grid, "exterior")[:, nodes].toarray()
+    rows[[0, 1], gamma] += 1.0
+    mat = mat.tolil()
+    mat[gamma] = rows
+    out = np.zeros(grid.n_nodes)
+    out[nodes] = scipy.sparse.linalg.spsolve(mat.tocsr(),
+                                             grid.extend(f_ext)[nodes])
+    return grid.restrict(out)
+
+
+def test_nonlocal_bordered_solve_matches_spsolve(grid1d):
+    f, _ = green_test_fields(grid1d)
+    for lam in (1.0, 1e3, 1e6):
+        assert _rel(nonlocal_bc_solve(grid1d, lam, f),
+                    _spsolve_nonlocal(grid1d, lam, f)) <= 1e-12
 
 
 def test_nonlocal_matches_transmission_1d(domain1d):

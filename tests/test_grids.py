@@ -10,6 +10,8 @@ from lclab import (ContractError, Domain1D, Domain2D, DomainError, Grid1D,
                    PolarGrid, transmission_solve)
 from lclab.kernels import require_symmetric
 
+from conftest import gamma1_matrix
+
 
 def _loop_assemble(n_nodes, links):
     """Stiffness from a list of (i, j, c) links, one link at a time."""
@@ -155,12 +157,37 @@ def test_gamma1_matrix_is_the_one_sided_stencil(grid1d, polar_grid, rng):
     for grid in (grid1d, polar_grid):
         u = rng.standard_normal(grid.n_nodes)
         for side in ("exterior", "interior"):
-            mat = grid.gamma1_matrix(side)
-            assert mat is grid.gamma1_matrix(side)
+            mat = gamma1_matrix(grid, side)
             assert mat.shape == (grid.interface_idx.size, grid.n_nodes)
             assert np.all(np.diff(mat.indptr) == 3)
-            assert np.array_equal(grid.trace_gamma1(u, side),
-                                  _stencil_formula(grid, u, side))
+            formula = _stencil_formula(grid, u, side)
+            assert np.array_equal(mat @ u, formula)
+            assert np.array_equal(grid.trace_gamma1(u, side), formula)
+            # leading axes batch
+            batch = grid.trace_gamma1(np.stack([u, 2 * u]), side)
+            assert np.array_equal(batch, np.stack([formula, 2 * formula]))
+
+
+@pytest.mark.parametrize("make_grid", [
+    lambda d1, d2: Grid1D(d1, 64),
+    lambda d1, d2: PolarGrid(d2, nr_ext=8, ntheta=16),
+    lambda d1, d2: PolarGrid(d2, nr_ext=12, ntheta=15),  # odd: no Nyquist
+], ids=["grid1d", "polar-8x16", "polar-12x15"])
+def test_band_products_are_the_sparse_operators(make_grid, domain1d,
+                                                disk_domain, rng):
+    grid = make_grid(domain1d, disk_domain)
+    u = rng.standard_normal((2, grid.n_nodes))
+    assert np.allclose(grid.from_modes(grid.to_modes(u)), u,
+                       rtol=0.0, atol=1e-14)
+    coupled, exterior = grid.assemble_coupled(5.0), grid.assemble_exterior()
+    v = grid.restrict(u)
+    au = grid.apply_coupled(5.0, u)
+    # on exterior rows the coupled operator acts on extend(v) as the
+    # exterior operator on v
+    bv = grid.restrict(grid.apply_coupled(5.0, grid.extend(v)))
+    for b in range(2):
+        assert np.allclose(au[b], coupled.apply(u[b]), rtol=1e-12, atol=1e-10)
+        assert np.allclose(bv[b], exterior.apply(v[b]), rtol=1e-12, atol=1e-10)
 
 
 def test_gamma1_needs_two_layers_per_side(disk_domain):

@@ -8,7 +8,8 @@ import scipy.sparse as sp
 from lclab import (ContractError, ConvergenceError, dense_eigen, kernels,
                    loglog_fit, power_iteration_sym, solve_spd)
 from lclab.errors import ResourceLimitError
-from lclab.kernels import solve_tridiagonal
+from lclab.kernels import (solve_bordered_tridiagonal, solve_tridiagonal,
+                           tridiagonal_apply)
 
 
 def random_spd(rng, n=50):
@@ -120,6 +121,48 @@ def test_tridiagonal_backward_error_is_checked(rng, monkeypatch):
     with pytest.raises(ConvergenceError) as info:
         solve_tridiagonal(lower, diag, upper, rhs)
     assert info.value.residual == 1e-3
+
+
+def _dense(lower, diag, upper):
+    return np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+
+
+def test_tridiagonal_apply_matches_dense_product(rng):
+    lower, diag, upper = _random_bands(rng, 3, 9)
+    x = rng.standard_normal((2, 3, 9))
+    ax = tridiagonal_apply(lower, diag, upper, x)
+    for b in range(3):
+        dense = _dense(lower[b], diag[b], upper[b])
+        assert np.allclose(ax[:, b], x[:, b] @ dense.T, rtol=1e-14)
+
+
+@pytest.mark.parametrize("at", [[0, 1], [3, 4], [5, 11], [0, 11]])
+def test_bordered_solve_matches_dense_solve(rng, at):
+    # dense rows anywhere, the chain's ends included
+    lower, diag, upper = (band[0] for band in _random_bands(rng, 1, 12))
+    at = np.array(at)
+    rows = rng.standard_normal((2, 12))
+    rows[[0, 1], at] += 12.0
+    dense = _dense(lower, diag, upper)
+    dense[at] = rows
+    rhs = rng.standard_normal(12)
+    x = solve_bordered_tridiagonal(lower, diag, upper, rows, at, rhs)
+    assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=1e-13,
+                       atol=1e-13)
+    # the check measures the whole matrix: its norm includes the rows
+    off = x + 1e-3 * rng.standard_normal(12)
+    expected = np.linalg.norm(dense @ off - rhs) / (
+        np.abs(dense).sum(axis=1).max() * np.linalg.norm(off)
+        + np.linalg.norm(rhs))
+    assert kernels.bordered_backward_error(
+        lower, diag, upper, rows, at, off, rhs) == pytest.approx(expected,
+                                                                 rel=1e-12)
+    with pytest.raises(ContractError):
+        solve_bordered_tridiagonal(lower, diag, upper, rows, at, rhs, tol=0.0)
+    with pytest.raises(ConvergenceError) as info:
+        solve_bordered_tridiagonal(lower, diag, upper, rows, at, rhs,
+                                   tol=1e-30)
+    assert info.value.residual > 1e-30
 
 
 def test_power_iteration_simple_spectra():
