@@ -50,9 +50,9 @@ rows = birman_disk_check(eigs, s_norm, 1.0, lam,
 print(f"holds across a 20-point mu grid: {all(r['holds'] for r in rows)}")
 
 fit = weyl_exponent_fit(eigs)
-print(f"\ncount growth over the top mu-decade: slope {fit['slope']:+.3f}")
+print(f"\ncount growth over the top mu-decade: slope {fit.slope:+.3f}")
 model = circle_model_exponent_fit(1.0, lam)
-print(f"circle-model count growth (small mu): slope {model['slope']:+.4f}"
+print(f"circle-model count growth (small mu): slope {model.slope:+.4f}"
       "  (the phase-space law gives -1)")
 
 mu = norm / 10

@@ -10,7 +10,7 @@ residuals shrink at second order under refinement.
 import numpy as np
 
 from lclab import (Domain1D, Grid1D, green_identity_check, green_test_fields,
-                   nonlocal_bc_solve, ntd_matrix_1d, transmission_solve)
+                   nonlocal_bc_solve, ntd_matrix_1d)
 
 domain = Domain1D(length=1.0, a1=5 / 16, a2=11 / 16)
 lam = 1e3
@@ -34,7 +34,7 @@ for cells in (512, 1024, 2048, 4096):
 print("\nthe nonlocal interface condition reproduces the coupled solve:")
 grid = Grid1D(domain, 2048)
 f, _ = green_test_fields(grid)
-u_coupled = grid.restrict(transmission_solve(grid, lam, grid.extend(f)))
+u_coupled = grid.restrict(grid.solve_coupled(lam, grid.extend(f)))
 u_nonlocal = nonlocal_bc_solve(grid, lam, f)
 gap = np.linalg.norm(u_nonlocal - u_coupled) / np.linalg.norm(u_coupled)
 print(f"  relative L2 gap at h = 1/2048: {gap:.3e}")

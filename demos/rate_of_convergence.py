@@ -23,14 +23,14 @@ lambdas = (1e2, 1e3, 1e4, 1e5, 1e6)
 
 print("exact 1D pipeline (no grid):")
 exact = convergence_rate_fit_exact_1d(domain, lambdas)
-for lam, val in zip(exact.lambdas, exact.values):
+for lam, val in zip(exact.x, exact.y):
     print(f"  lam = {lam:8.0f}   ||difference|| = {val:.6e}")
 print(f"  fitted slope {exact.slope:+.4f}   (R^2 = {exact.r_squared:.5f})")
 
 print("\ndiscrete 1D pipeline (h = 1/4096):")
 grid = Grid1D(domain, 4096)
 fit = convergence_rate_fit(grid, lambdas)
-for lam, val, ex in zip(lambdas, fit.values, exact.values):
+for lam, val, ex in zip(lambdas, fit.y, exact.y):
     print(f"  lam = {lam:8.0f}   discrete = {val:.6e}   exact = {ex:.6e}"
           f"   rel gap = {abs(val - ex) / ex:.2e}")
 print(f"  fitted slope {fit.slope:+.4f}")
@@ -40,7 +40,7 @@ disk = Domain2D(lx=4.0, ly=4.0, center=(2.0, 2.0), radius=1.0)
 polar = PolarGrid(disk, nr_ext=64, ntheta=128)
 sweep2d = tuple(10.0 ** e for e in (1.0, 1.75, 2.5, 3.25, 4.0))
 fit2d = convergence_rate_fit(polar, sweep2d)
-for lam, val in zip(sweep2d, fit2d.values):
+for lam, val in zip(sweep2d, fit2d.y):
     print(f"  lam = {lam:10.2f}   ||difference|| = {val:.6e}")
 print(f"  fitted slope {fit2d.slope:+.4f}")
 

@@ -10,7 +10,7 @@ Subpackages:
   torus      discrete Fourier model and exact operator-norm experiments
   grids      finite-difference grids and the transmission-problem operators
   kernels    SPD and batched tridiagonal solves, power iteration, dense
-             symmetric eigensolver
+             symmetric eigensolver, the log-log ``Fit`` of every slope
   coupling   the resolvent difference, its decay rate, interface identities
   counting   eigenvalue counting, comparison inequalities, phase-space laws
   runner     experiment orchestration and the ``lclab`` command line
@@ -27,9 +27,10 @@ from .symbols import (IDENTITY_SYMBOL, ParamSymbol, SymbolClass,
                       difference_symbol_expanded, eta_symbol, flat_ntd_symbol,
                       flat_transmission_symbol, make_symbol, ntd_symbol,
                       product_symbol, tau_symbol, transmission_symbol)
-from .grids import Grid1D, PolarGrid, SparseOperator, transmission_solve
-from .kernels import dense_eigen, loglog_fit, power_iteration_sym, solve_spd
-from .coupling import (DifferencePipeline, GreenReport, RateFit,
+from .grids import Grid1D, PolarGrid, SparseOperator
+from .kernels import (Fit, dense_eigen, loglog_fit, power_iteration_sym,
+                      solve_spd)
+from .coupling import (DifferencePipeline, GreenReport,
                        convergence_rate_fit, convergence_rate_fit_exact_1d,
                        counting_zero_threshold, difference_matrix_1d,
                        difference_norm_exact_1d, exterior_gram_1d,

@@ -18,6 +18,9 @@ one per angular mode on a ``PolarGrid``, one over the nodes on a
 one batched tridiagonal solve over the blocks.  No sparse matrix is
 formed; the tests keep the sparse interface Schur complement as the
 oracle.
+
+The two counting-law fits return a ``kernels.Fit`` of N(mu) against mu
+over one decade, conclusive at r^2 >= ``MIN_COUNT_R_SQUARED``.
 """
 
 import math
@@ -31,6 +34,9 @@ from .grids import PolarGrid
 from .kernels import loglog_fit, solve_spd, solve_tridiagonal  # noqa: F401
 
 CIRCLE_MODE_CAP = 10 ** 7  # most angular modes counting_circle enumerates
+FIT_POINTS = 11            # geometric mu per counting-law decade
+MIN_DECADE_COUNT = 5       # fewest eigenvalues a counting-law decade needs
+MIN_COUNT_R_SQUARED = 0.95
 
 
 def counting_function(eigenvalues, mu):
@@ -206,45 +212,31 @@ def birman_disk_check(eigenvalues, s_norm, radius, lam, mu_grid, slack=2):
     return rows
 
 
-def weyl_exponent_fit(eigenvalues, mu_hi=None, mu_lo=None, points=11,
-                      min_counts=5):
-    """Slope of log N(mu) vs log mu over a geometric mu-decade.
-
-    The grid defaults to the decade just below the largest modulus (the
-    regime the desk-scale spectra resolve cleanly) with at least
-    ``min_counts`` eigenvalues at the small end; too few eigenvalues
-    flags the fit as inconclusive.
-    """
+def weyl_exponent_fit(eigenvalues):
+    """Slope of log N(mu) vs log mu over ``FIT_POINTS`` geometric mu in the
+    decade below 0.95 x the largest modulus (the regime the desk-scale
+    spectra resolve cleanly); fewer than ``MIN_DECADE_COUNT`` eigenvalues
+    above its smallest mu make the fit inconclusive."""
     moduli = np.abs(np.asarray(eigenvalues, dtype=float))
-    top = float(moduli.max())
-    if mu_hi is None:
-        mu_hi = 0.95 * top
-    if mu_lo is None:
-        mu_lo = mu_hi / 10.0
-    mu_grid = np.geomspace(mu_hi, mu_lo, points)
+    mu_hi = 0.95 * float(moduli.max())
+    mu_grid = np.geomspace(mu_hi, mu_hi / 10.0, FIT_POINTS)
     counts = np.array([counting_function(moduli, mu) for mu in mu_grid])
-    if counts[-1] < min_counts:
+    if counts[-1] < MIN_DECADE_COUNT:
         raise InconclusiveError(
             f"only {counts[-1]} eigenvalues above the smallest mu")
-    keep = counts > 0
-    slope, intercept, r2 = loglog_fit(mu_grid[keep], counts[keep])
-    return {"slope": slope, "intercept": intercept, "r_squared": r2,
-            "mu_grid": mu_grid, "counts": counts}
+    return loglog_fit(mu_grid, counts, MIN_COUNT_R_SQUARED)
 
 
-def circle_model_exponent_fit(radius, lam, mu_hi=None, points=11):
-    """Count slope of the pure circle model over a small-mu decade.
-
-    The enumeration of the angular-mode eigenvalues is the ground truth;
-    deep in the decade the counts follow R/mu, so the fitted slope sits
-    at -1 without any discretization noise.
-    """
-    if mu_hi is None:
-        mu_hi = 1.0 / (25.0 * math.sqrt(lam))  # well inside the 1/mu regime
-    mu_grid = np.geomspace(mu_hi, mu_hi / 10.0, points)
+def circle_model_exponent_fit(radius, lam):
+    """Count slope of the pure circle model over the mu-decade below
+    1 / (25 sqrt(lam)), well inside the 1/mu regime: the enumeration of
+    the angular-mode eigenvalues is the ground truth, and the counts
+    follow R/mu there, so the slope sits at -1 with no discretization
+    noise."""
+    mu_hi = 1.0 / (25.0 * math.sqrt(lam))
+    mu_grid = np.geomspace(mu_hi, mu_hi / 10.0, FIT_POINTS)
     counts = np.array([counting_circle(radius, lam, mu) for mu in mu_grid])
-    if counts[0] < 5:
-        raise InconclusiveError("mu decade starts with fewer than 5 modes")
-    slope, intercept, r2 = loglog_fit(mu_grid, counts)
-    return {"slope": slope, "intercept": intercept, "r_squared": r2,
-            "mu_grid": mu_grid, "counts": counts}
+    if counts[0] < MIN_DECADE_COUNT:
+        raise InconclusiveError(
+            f"mu decade starts with fewer than {MIN_DECADE_COUNT} modes")
+    return loglog_fit(mu_grid, counts, MIN_COUNT_R_SQUARED)

@@ -34,6 +34,7 @@ from .kernels import (loglog_fit, power_iteration_sym,
 
 MIN_RATE_R_SQUARED = 0.95
 DEFAULT_LAMBDA_SWEEP = (1e2, 1e3, 1e4, 1e5, 1e6)
+THRESHOLD_REL_TOL = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -115,34 +116,20 @@ class DifferencePipeline:
         return self.grid.restrict(u) - v
 
     def norm(self, lam, tol=1e-8, seed=0):
-        val, _ = power_iteration_sym(lambda f: self.apply(lam, f),
-                                     self.grid.ext_idx.size, tol=tol,
-                                     weights=self.grid.w_ext, seed=seed)
-        return val
+        return power_iteration_sym(lambda f: self.apply(lam, f),
+                                   self.grid.ext_idx.size, tol=tol,
+                                   weights=self.grid.w_ext, seed=seed)[0]
 
 
-@dataclass
-class RateFit:
-    """A lambda-sweep of norms with its log-log fit."""
-
-    lambdas: np.ndarray
-    values: np.ndarray
-    slope: float
-    intercept: float
-    r_squared: float
-    conclusive: bool = True
-
-    @classmethod
-    def from_sweep(cls, lambdas, values):
-        lambdas = np.asarray(lambdas, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if len(lambdas) < 3 or np.any(np.diff(lambdas) <= 0):
-            raise DomainError("sweep must be increasing with >= 3 points")
-        if lambdas[-1] / lambdas[0] < 10.0 ** 3:
-            raise DomainError("sweep must span at least three decades")
-        slope, intercept, r2 = loglog_fit(lambdas, values)
-        return cls(lambdas, values, slope, intercept, r2,
-                   conclusive=r2 >= MIN_RATE_R_SQUARED)
+def _rate_fit(lambdas, values):
+    """Log-log fit of a coupling sweep of norms; the sweep must increase,
+    with at least three points over at least three decades."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    if len(lambdas) < 3 or np.any(np.diff(lambdas) <= 0):
+        raise DomainError("sweep must be increasing with >= 3 points")
+    if lambdas[-1] / lambdas[0] < 10.0 ** 3:
+        raise DomainError("sweep must span at least three decades")
+    return loglog_fit(lambdas, values, MIN_RATE_R_SQUARED)
 
 
 def convergence_rate_fit(grid, lambdas=DEFAULT_LAMBDA_SWEEP):
@@ -150,14 +137,14 @@ def convergence_rate_fit(grid, lambdas=DEFAULT_LAMBDA_SWEEP):
 
     Each norm is the top of ``eigen_spectrum``: exact, with no seed.
     """
-    values = [eigen_spectrum(grid, lam).max() for lam in lambdas]
-    return RateFit.from_sweep(lambdas, values)
+    return _rate_fit(lambdas, [eigen_spectrum(grid, lam).max()
+                               for lam in lambdas])
 
 
 def convergence_rate_fit_exact_1d(domain, lambdas=DEFAULT_LAMBDA_SWEEP):
     """Same fit from the closed-form 1D norms (oracle pipeline)."""
-    values = [difference_norm_exact_1d(domain, lam) for lam in lambdas]
-    return RateFit.from_sweep(lambdas, values)
+    return _rate_fit(lambdas, [difference_norm_exact_1d(domain, lam)
+                               for lam in lambdas])
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +349,9 @@ def nonlocal_bc_solve(grid, lam, f_ext, tol=1e-10):
     return nonlocal_bc_solve_polar(grid, lam, f_ext, tol=tol)
 
 
-def counting_zero_threshold(norm_fn, mu, lam_lo=1.0, lam_hi=1e12,
-                            rel_tol=1e-3, check_monotone=True):
-    """Smallest coupling beyond which ||E_lam|| stays below mu (bisection).
+def counting_zero_threshold(norm_fn, mu, lam_lo=1.0, lam_hi=1e12):
+    """Smallest coupling beyond which ||E_lam|| stays below mu, bisected
+    to a relative ``THRESHOLD_REL_TOL``.
 
     ``norm_fn`` maps lam to the norm.  The predicate is verified to be
     monotone along a coarse sweep first; non-monotone data flags the
@@ -372,17 +359,16 @@ def counting_zero_threshold(norm_fn, mu, lam_lo=1.0, lam_hi=1e12,
     """
     if mu <= 0:
         raise DomainError("threshold needs mu > 0")
-    if check_monotone:
-        probes = np.geomspace(lam_lo, lam_hi, 13)
-        vals = np.array([norm_fn(l) for l in probes])
-        if np.any(np.diff(vals) > 1e-9 * vals[:-1]):
-            raise InconclusiveError("||E_lam|| sweep is not nonincreasing")
+    probes = np.geomspace(lam_lo, lam_hi, 13)
+    vals = np.array([norm_fn(l) for l in probes])
+    if np.any(np.diff(vals) > 1e-9 * vals[:-1]):
+        raise InconclusiveError("||E_lam|| sweep is not nonincreasing")
     if norm_fn(lam_lo) < mu:
         return lam_lo
     if norm_fn(lam_hi) >= mu:
         raise DomainError(f"mu={mu} not reached below lam={lam_hi:g}")
     lo, hi = lam_lo, lam_hi
-    while hi / lo > 1.0 + rel_tol:
+    while hi / lo > 1.0 + THRESHOLD_REL_TOL:
         mid = math.sqrt(lo * hi)
         if norm_fn(mid) < mu:
             hi = mid

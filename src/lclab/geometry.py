@@ -18,6 +18,8 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 
+GRADIENT_SAMPLES = 7  # chart points where grad_chi meets finite differences
+
 
 @dataclass(frozen=True)
 class Domain1D:
@@ -83,8 +85,8 @@ class BoundaryChart:
         if validate:
             self._validate_gradient()
 
-    def _validate_gradient(self, samples=7, tol=1e-5):
-        radii = np.linspace(-0.8, 0.8, samples) * self.support_radius
+    def _validate_gradient(self, tol=1e-5):
+        radii = np.linspace(-0.8, 0.8, GRADIENT_SAMPLES) * self.support_radius
         h = 1e-6 * max(1.0, self.support_radius)
         for t in radii:
             g = np.atleast_1d(np.asarray(self.grad_chi(float(t)), dtype=float))

@@ -98,9 +98,8 @@ class SparseOperator:
         return solve_spd(self.matrix, np.asarray(rhs, dtype=float),
                          tol=tol, cache=self._fact)
 
-    def quadratic_form(self, u, v=None):
-        v = u if v is None else v
-        return float(np.asarray(u) @ (self.matrix @ np.asarray(v)))
+    def quadratic_form(self, u):
+        return float(np.asarray(u) @ (self.matrix @ np.asarray(u)))
 
     def export_matrix_market(self, path):
         """Write the form matrix K as a Matrix Market file (debugging aid)."""
@@ -189,7 +188,8 @@ class _Grid:
 
     # -- traces ---------------------------------------------------------------
 
-    def trace_gamma0(self, field, side="exterior"):
+    def trace_gamma0(self, field):
+        """Values on the interface nodes, which both sides share."""
         return np.asarray(field, dtype=float)[self.interface_idx]
 
     def gamma1_stencil(self, side):
@@ -532,21 +532,3 @@ class PolarGrid(_Grid):
         mat = _dirichlet_restrict(self._stiffness, self.ext_idx)
         return SparseOperator(mat, self.w_ext)
 
-
-def transmission_solve(grid, lam, f, tol=DEFAULT_SOLVE_TOL, check=False):
-    """Solve the coupled problem (-Lap + lam 1_inclusion) u = f, Neumann outer,
-    on the blocks of ``grid.mode_bands``.
-
-    With ``check=True`` the interface transmission conditions (equal
-    traces, equal normal derivatives from both sides) are measured and
-    returned alongside the field.
-    """
-    u = grid.solve_coupled(lam, f, tol=tol)
-    if not check:
-        return u
-    g0_gap = 0.0  # traces live on shared nodes: equality is structural
-    g1_ext = grid.trace_gamma1(u, "exterior")
-    g1_int = grid.trace_gamma1(u, "interior")
-    scale = max(float(np.abs(g1_ext).max()), 1e-300)
-    g1_gap = float(np.abs(g1_ext - g1_int).max()) / scale
-    return u, {"gamma0_gap": g0_gap, "gamma1_gap": g1_gap}

@@ -1,6 +1,7 @@
 """Linear-algebra kernels: SPD solves, batched tridiagonal solves by
 cyclic reduction and their band products, bordered tridiagonal solves,
-power iteration, dense symmetric spectra.
+power iteration, dense symmetric spectra, and the one log-log ``Fit``
+behind every fitted slope of the lab.
 
 Sparse and dense work is delegated to LAPACK via numpy/scipy, and the
 tridiagonal batches are reduced level by level in numpy; every kernel
@@ -13,6 +14,8 @@ oracle.  scipy is reached only as ``scipy.<sub>`` attributes, so each
 submodule loads on first use; no experiment uses one.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy
 
@@ -20,6 +23,10 @@ from .errors import ContractError, ConvergenceError, ResourceLimitError
 
 DEFAULT_SOLVE_TOL = 1e-10
 MAX_DENSE_DIM = 4096
+SYMMETRY_TRIALS = 3      # random pairs behind each operator symmetry check
+POWER_MAX_ITER = 5000
+EIGEN_SPOT_CHECKS = 10   # random eigenpairs whose residual is checked
+FLAT_SPREAD_DECADES = 0.1   # y spreading less than this gives slope ~ 0
 
 
 def require_symmetric(mat, tol=1e-14):
@@ -257,9 +264,8 @@ def _cyclic_reduction(lower, diag, upper, rhs):
     return x
 
 
-def _check_action_symmetry(action, dim, rng, weights, trials=3, tol=1e-10):
-    w = weights if weights is not None else 1.0
-    for _ in range(trials):
+def _check_action_symmetry(action, dim, rng, w, tol=1e-10):
+    for _ in range(SYMMETRY_TRIALS):
         x = rng.standard_normal(dim)
         y = rng.standard_normal(dim)
         ax, ay = action(x), action(y)
@@ -273,60 +279,43 @@ def _check_action_symmetry(action, dim, rng, weights, trials=3, tol=1e-10):
                 f"{abs(lhs - rhs):.3e} vs scale {scale:.3e}")
 
 
-def power_iteration_sym(action, dim, tol=1e-8, weights=None, n_values=1,
-                        max_iter=5000, seed=0, check_symmetry=True):
-    """Dominant eigenvalues (by modulus) of a symmetric operator action.
+def power_iteration_sym(action, dim, tol=1e-8, weights=None, seed=0):
+    """Dominant eigenvalue (by modulus) of a symmetric operator action.
 
     ``action`` maps a vector to a vector; symmetry is with respect to the
     (optionally weighted) inner product and is spot-checked on random
-    pairs before iterating.  Returns ``(values, vectors)`` with
-    ``n_values`` entries obtained by deflation, values sorted by
-    decreasing modulus.  Convergence is on the Rayleigh quotient.
+    pairs before iterating.  Returns ``(value, vector)``.  Convergence is
+    on the norm quotient, within ``POWER_MAX_ITER`` iterations.
     """
     rng = np.random.default_rng(seed)
     w = np.ones(dim) if weights is None else np.asarray(weights, dtype=float)
-    if check_symmetry:
-        _check_action_symmetry(action, dim, rng, w)
+    _check_action_symmetry(action, dim, rng, w)
 
-    def dot(a, b):
-        return float(np.sum(w * a * b))
+    def norm(a):
+        return np.sqrt(float(np.sum(w * a * a)))
 
-    values, vectors = [], []
-    for _ in range(n_values):
-        v = rng.standard_normal(dim)
-        for prev in vectors:
-            v = v - dot(v, prev) * prev
-        nv = np.sqrt(dot(v, v))
-        if nv == 0.0:
-            raise ConvergenceError("deflation exhausted the space")
-        v /= nv
-        mu = 0.0
-        mu_prev = None
-        for _ in range(max_iter):
-            av = action(v)
-            for prev in vectors:
-                av = av - dot(av, prev) * prev
-            # norm quotient, not the Rayleigh quotient: it converges to the
-            # spectral radius even when the top eigenvalues come in +/- pairs
-            mu = np.sqrt(dot(av, av))
-            if mu == 0.0:
-                break
-            v = av / mu
-            if mu_prev is not None and abs(mu - mu_prev) <= tol * max(mu, 1e-300):
-                break
-            mu_prev = mu
-        else:
-            raise ConvergenceError(
-                f"power iteration stagnated after {max_iter} iterations "
-                f"(last value {mu:.6e})")
-        values.append(mu)
-        vectors.append(v)
-    if n_values == 1:
-        return values[0], vectors[0]
-    return values, vectors
+    v = rng.standard_normal(dim)
+    v /= norm(v)
+    mu_prev = None
+    for _ in range(POWER_MAX_ITER):
+        av = action(v)
+        # norm quotient, not the Rayleigh quotient: it converges to the
+        # spectral radius even when the top eigenvalues come in +/- pairs
+        mu = norm(av)
+        if mu == 0.0:
+            break
+        v = av / mu
+        if mu_prev is not None and abs(mu - mu_prev) <= tol * max(mu, 1e-300):
+            break
+        mu_prev = mu
+    else:
+        raise ConvergenceError(
+            f"power iteration stagnated after {POWER_MAX_ITER} iterations "
+            f"(last value {mu:.6e})")
+    return mu, v
 
 
-def dense_eigen(mat, spot_checks=10, seed=0):
+def dense_eigen(mat, seed=0):
     """Full ascending spectrum of a dense symmetric matrix.
 
     Residuals ||A v - mu v|| <= 1e-9 ||A|| are spot-checked on random
@@ -341,20 +330,39 @@ def dense_eigen(mat, spot_checks=10, seed=0):
     vals, vecs = np.linalg.eigh(mat)
     scale = max(np.abs(vals).max() if n else 0.0, 1e-300)
     rng = np.random.default_rng(seed)
-    for idx in rng.choice(n, size=min(spot_checks, n), replace=False):
+    for idx in rng.choice(n, size=min(EIGEN_SPOT_CHECKS, n), replace=False):
         res = np.linalg.norm(mat @ vecs[:, idx] - vals[idx] * vecs[:, idx])
         if res > 1e-9 * scale:
             raise ContractError(f"eigenpair residual {res:.3e} exceeds 1e-9*|A|")
     return vals
 
 
-def loglog_fit(x, y):
-    """Least-squares slope/intercept/R^2 of log10(y) against log10(x)."""
-    lx = np.log10(np.asarray(x, dtype=float))
-    ly = np.log10(np.asarray(y, dtype=float))
+@dataclass(frozen=True)
+class Fit:
+    """Least-squares line through (log10 x, log10 y) of the data as given,
+    with the caller's predicted slope ``expected``, if any."""
+
+    x: np.ndarray
+    y: np.ndarray
+    slope: float
+    intercept: float
+    r_squared: float
+    flat: bool
+    conclusive: bool
+    expected: float | None = None
+
+
+def loglog_fit(x, y, min_r_squared, expected=None):
+    """Fit log10(y) against log10(x).  It is ``flat`` when y spans less
+    than ``FLAT_SPREAD_DECADES`` (slope ~ 0 whatever r^2 says), and
+    ``conclusive`` when flat or when r^2 >= ``min_r_squared``."""
+    x, y = np.asarray(x), np.asarray(y)
+    lx, ly = np.log10(x.astype(float)), np.log10(y.astype(float))
     slope, intercept = np.polyfit(lx, ly, 1)
     fitted = slope * lx + intercept
     ss_res = float(np.sum((ly - fitted) ** 2))
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return float(slope), float(intercept), r_squared
+    flat = bool(ly.max() - ly.min() < FLAT_SPREAD_DECADES)
+    return Fit(x, y, float(slope), float(intercept), r_squared, flat,
+               flat or r_squared >= min_r_squared, expected)

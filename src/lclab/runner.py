@@ -28,11 +28,10 @@ from . import counting as ct
 from . import coupling as cp
 from . import torus as tr
 from .errors import ConfigError, InconclusiveError, LabError
-from .geometry import Domain1D, Domain2D
-from .grids import Grid1D, PolarGrid, transmission_solve
+from .geometry import Domain1D, Domain2D, flat_chart
+from .grids import Grid1D, PolarGrid
 from .symbols import (IDENTITY_SYMBOL, class_membership_estimate, eta_symbol,
                       flat_ntd_symbol, flat_transmission_symbol, make_symbol)
-from .geometry import flat_chart
 
 SCHEMA_VERSION = 1
 
@@ -257,6 +256,11 @@ class _Artifacts:
         print(f"[{verdict}] {name}: {_fmt(value)}{win}")
         return ok
 
+    def check(self, name, value, window):
+        """Gate on an inclusive (lo, hi) window or a scalar upper bound."""
+        lo, hi = window if isinstance(window, tuple) else (-np.inf, window)
+        return self.criterion(name, value, lo <= value <= hi, window)
+
     def write_csv(self, name, header, rows):
         path = self.out / f"{name}.csv"
         with open(path, "w") as fh:
@@ -302,8 +306,10 @@ def _tolerance_tag():
     return hashlib.sha256(blob.encode()).hexdigest()[:8]
 
 
-def _in_window(value, window):
-    return window[0] <= value <= window[1]
+def _require_conclusive(message, *fits):
+    """Raise InconclusiveError(message) unless every fit is conclusive."""
+    if not all(fit.conclusive for fit in fits):
+        raise InconclusiveError(message)
 
 
 def _domain1d(config):
@@ -332,21 +338,16 @@ def _run_rate1d(config, art, dump=False):
             art.out / "coupled_matrix.mtx")
         grid.assemble_exterior().export_matrix_market(
             art.out / "exterior_matrix.mtx")
-    art.write_csv("rate1d",
-                  ["lambda", "norm_discrete", "norm_exact"],
-                  [(l, v, e) for l, v, e in
-                   zip(lambdas, fit.values, exact.values)])
+    art.write_csv("rate1d", ["lambda", "norm_discrete", "norm_exact"],
+                  list(zip(lambdas, fit.y, exact.y)))
     art.data["rate1d"] = {"slope_discrete": fit.slope,
                           "slope_exact": exact.slope,
                           "r_squared": fit.r_squared}
-    if not (fit.conclusive and exact.conclusive):
-        raise InconclusiveError("rate fit r^2 below 0.95")
-    ok = art.criterion("rate1d.exact_slope", exact.slope, _in_window(
-        exact.slope, TOLERANCES["rate1d_exact_slope"]),
-        TOLERANCES["rate1d_exact_slope"])
-    ok &= art.criterion("rate1d.discrete_slope", fit.slope, _in_window(
-        fit.slope, TOLERANCES["rate1d_discrete_slope"]),
-        TOLERANCES["rate1d_discrete_slope"])
+    _require_conclusive("rate fit r^2 below 0.95", fit, exact)
+    ok = art.check("rate1d.exact_slope", exact.slope,
+                   TOLERANCES["rate1d_exact_slope"])
+    ok &= art.check("rate1d.discrete_slope", fit.slope,
+                    TOLERANCES["rate1d_discrete_slope"])
     return ok
 
 
@@ -359,13 +360,10 @@ def _run_rate2d(config, art, dump=False):
         grid.assemble_exterior().export_matrix_market(
             art.out / "exterior_matrix_2d.mtx")
     art.write_csv("rate2d", ["lambda", "norm_discrete"],
-                  list(zip(lambdas, fit.values)))
+                  list(zip(lambdas, fit.y)))
     art.data["rate2d"] = {"slope": fit.slope, "r_squared": fit.r_squared}
-    if not fit.conclusive:
-        raise InconclusiveError("2D rate fit r^2 below 0.95")
-    return art.criterion("rate2d.slope", fit.slope,
-                         _in_window(fit.slope, TOLERANCES["rate2d_slope"]),
-                         TOLERANCES["rate2d_slope"])
+    _require_conclusive("2D rate fit r^2 below 0.95", fit)
+    return art.check("rate2d.slope", fit.slope, TOLERANCES["rate2d_slope"])
 
 
 def _run_green(config, art, dump=False):
@@ -384,33 +382,27 @@ def _run_green(config, art, dump=False):
                   rows)
     art.data["green"] = {"fine": fine.as_tuple(), "coarse": coarse.as_tuple()}
     worst = max(fine.as_tuple())
-    ok = art.criterion("green.residual_max", worst,
-                       worst <= TOLERANCES["green_residual_max"],
-                       TOLERANCES["green_residual_max"])
+    ok = art.check("green.residual_max", worst,
+                   TOLERANCES["green_residual_max"])
     for label, idx in (("i", 0), ("ii", 1)):
         ratio = coarse.as_tuple()[idx] / fine.as_tuple()[idx]
-        ok &= art.criterion(f"green.refinement_ratio_{label}", ratio,
-                            _in_window(ratio, TOLERANCES["green_ratio_window"]),
-                            TOLERANCES["green_ratio_window"])
+        ok &= art.check(f"green.refinement_ratio_{label}", ratio,
+                        TOLERANCES["green_ratio_window"])
 
-    # interface condition against the exact closed-form operator
-    grid = Grid1D(domain, n)
-    f, _ = cp.green_test_fields(grid)
-    u = transmission_solve(grid, lam, grid.extend(f),
+    # interface condition against the exact operator, on the fine grid
+    u = grid.solve_coupled(lam, grid.extend(f),
                            tol=config["tolerances.solve_tol"])
     g0 = grid.trace_gamma0(u)
     g1 = grid.trace_gamma1(u, "exterior")
     n_mat = cp.ntd_matrix_1d(lam, domain.inclusion_length)
     rel = float(np.abs(g0 - n_mat @ g1).max() / np.abs(g0).max())
-    ok &= art.criterion("green.ntd_consistency", rel,
-                        rel <= TOLERANCES["ntd_consistency_rel"],
-                        TOLERANCES["ntd_consistency_rel"])
+    ok &= art.check("green.ntd_consistency", rel,
+                    TOLERANCES["ntd_consistency_rel"])
     u_nl = cp.nonlocal_bc_solve(grid, lam, f)
     u_tr = grid.restrict(u)
     disc = float(np.linalg.norm(u_nl - u_tr) / np.linalg.norm(u_tr))
-    ok &= art.criterion("green.nonlocal_discrepancy", disc,
-                        disc <= TOLERANCES["nonlocal_discrepancy_rel"],
-                        TOLERANCES["nonlocal_discrepancy_rel"])
+    ok &= art.check("green.nonlocal_discrepancy", disc,
+                    TOLERANCES["nonlocal_discrepancy_rel"])
     return ok
 
 
@@ -448,12 +440,10 @@ def _run_bounds(config, art, dump=False):
     for name, sym, m, r, s in cases:
         fit = tr.operator_bound_experiment(grid, sym, m, r, s, lambdas)
         rows.append((name, m, r, s, fit.slope, fit.expected, fit.r_squared))
-        if not fit.conclusive:
-            raise InconclusiveError(f"bound fit {name} inconclusive")
+        _require_conclusive(f"bound fit {name} inconclusive", fit)
         tol = TOLERANCES["bound_exponent_abs_err"]
-        ok &= art.criterion(f"bounds.{name}", fit.slope,
-                            abs(fit.slope - fit.expected) <= tol,
-                            (fit.expected - tol, fit.expected + tol))
+        ok &= art.check(f"bounds.{name}", fit.slope,
+                        (fit.expected - tol, fit.expected + tol))
     art.write_csv("bounds",
                   ["case", "m", "r", "s", "slope", "expected", "r_squared"],
                   rows)
@@ -467,12 +457,10 @@ def _run_nbound(config, art, dump=False):
     rows, ok = [], True
     for s, fit in sorted(fits.items()):
         rows.append((s, fit.slope, fit.expected, fit.r_squared, fit.flat))
-        if not fit.conclusive:
-            raise InconclusiveError(f"nbound fit s={s} inconclusive")
+        _require_conclusive(f"nbound fit s={s} inconclusive", fit)
         tol = TOLERANCES["nbound_exponent_abs_err"]
-        ok &= art.criterion(f"nbound.s_{s:g}", fit.slope,
-                            abs(fit.slope - fit.expected) <= tol,
-                            (fit.expected - tol, fit.expected + tol))
+        ok &= art.check(f"nbound.s_{s:g}", fit.slope,
+                        (fit.expected - tol, fit.expected + tol))
     art.write_csv("nbound", ["s", "slope", "expected", "r_squared", "flat"],
                   rows)
     return ok
@@ -485,47 +473,43 @@ def _run_compose(config, art, dump=False):
     rem, comp = tr.composition_error_experiment(
         grid, a, b, da, dxb, 1.0, -1.0, 0.5, lambdas)
     art.write_csv("compose", ["lambda", "remainder_ratio", "composition_ratio"],
-                  list(zip(lambdas, rem.ratios, comp.ratios)))
+                  list(zip(lambdas, rem.y, comp.y)))
     art.data["compose"] = {"remainder_slope": rem.slope,
                            "corollary_slope": comp.slope,
                            "r_squared": rem.r_squared}
-    if not rem.conclusive:
-        raise InconclusiveError("composition remainder fit inconclusive")
-    return art.criterion("compose.remainder_slope", rem.slope,
-                         rem.slope <= TOLERANCES["compose_exponent_max"],
-                         TOLERANCES["compose_exponent_max"])
+    _require_conclusive("composition remainder fit inconclusive", rem)
+    return art.check("compose.remainder_slope", rem.slope,
+                     TOLERANCES["compose_exponent_max"])
 
 
 def _run_weyl(config, art, dump=False):
     lam = config["sweep.lam"]
     radius = config["domain2d.radius"]
     model = ct.circle_model_exponent_fit(radius, lam)
-    ok = art.criterion("weyl.circle_model_slope", model["slope"],
-                       _in_window(model["slope"],
-                                  TOLERANCES["weyl_circle_slope"]),
-                       TOLERANCES["weyl_circle_slope"])
+    _require_conclusive("circle model count fit inconclusive", model)
+    ok = art.check("weyl.circle_model_slope", model.slope,
+                   TOLERANCES["weyl_circle_slope"])
     grid = PolarGrid(_domain2d(config), config["grid.radial_ext"],
                      config["grid.angular"])
     eigs = ct.eigen_spectrum(grid, lam, tol=config["tolerances.solve_tol"])
+    # not gated: the top decade is a multiplicity-2 staircase (r^2 0.874)
     fit = ct.weyl_exponent_fit(eigs)
-    ok &= art.criterion("weyl.disk_slope", fit["slope"],
-                        _in_window(fit["slope"], TOLERANCES["weyl_disk_slope"]),
-                        TOLERANCES["weyl_disk_slope"])
+    ok &= art.check("weyl.disk_slope", fit.slope,
+                    TOLERANCES["weyl_disk_slope"])
     s_norm = ct.trace_map_norm(grid, tol=config["tolerances.solve_tol"])
     rows = [(mu, count, ct.circle_count_prediction(radius, lam,
                                                    mu / s_norm ** 2))
-            for mu, count in zip(fit["mu_grid"], fit["counts"])]
+            for mu, count in zip(fit.x, fit.y)]
     art.write_csv("weyl", ["mu", "count_empirical", "weyl_rhs"], rows)
-    art.data["weyl"] = {"circle_slope": model["slope"],
-                        "disk_slope": fit["slope"], "s_norm": s_norm}
+    art.data["weyl"] = {"circle_slope": model.slope,
+                        "disk_slope": fit.slope, "s_norm": s_norm}
     return ok
 
 
 def _run_birman(config, art, dump=False):
     violations = ct.birman_synthetic_check(100, seed=config.seed())
-    ok = art.criterion("birman.synthetic_violations", violations,
-                       violations == TOLERANCES["birman_violations"],
-                       TOLERANCES["birman_violations"])
+    ok = art.check("birman.synthetic_violations", violations,
+                   TOLERANCES["birman_violations"])
     lam = config["sweep.lam"]
     grid = PolarGrid(_domain2d(config), config["grid.radial_ext"],
                      config["grid.angular"])
@@ -554,14 +538,10 @@ def _run_threshold(config, art, dump=False):
     art.write_csv("threshold", ["mu", "lambda0"],
                   list(zip(mus, thresholds)))
     factor = TOLERANCES["threshold_decade_factor"]
-    ok = True
-    ratios = []
-    for lo, hi in zip(thresholds, thresholds[1:]):
-        ratio = hi / lo
-        ratios.append(ratio)
-        ok &= art.criterion("threshold.mu_decade_ratio", ratio,
-                            100.0 / factor <= ratio <= 100.0 * factor,
-                            (100.0 / factor, 100.0 * factor))
+    ratios = [hi / lo for lo, hi in zip(thresholds, thresholds[1:])]
+    ok = all([art.check("threshold.mu_decade_ratio", ratio,
+                        (100.0 / factor, 100.0 * factor))
+              for ratio in ratios])
     art.data["threshold"] = {"thresholds": thresholds, "ratios": ratios}
     return ok
 

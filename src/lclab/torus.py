@@ -18,12 +18,13 @@ multiplier's norm is the mode-wise maximum of <k>^t |b(k)| <k>^(-r).
 Any other operator is written as its coefficient matrix (coefficients
 in, coefficients out), and its norm is the largest singular value of
 <k>^t M <k>^(-r), where <k> = (1 + k^2)^(1/2).
+Each experiment returns a ``kernels.Fit`` of its norms against
+tau = sqrt(lambda) (lambda for ``ntd_bound_experiment``), with the
+predicted slope as ``expected``, conclusive at r^2 >= ``MIN_R_SQUARED``.
 """
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -32,8 +33,8 @@ from .kernels import loglog_fit
 
 PSDO_MAX_POINTS = 512
 COMPOSE_MAX_POINTS = 256
-FLAT_SPREAD_DECADES = 0.1   # log-log fits flatter than this count as slope ~ 0
 MIN_R_SQUARED = 0.98
+COMPOSE_AMPLITUDES = (0.5, 0.4)  # x-modulation of the default pair a, b
 
 
 class TorusGrid:
@@ -118,38 +119,6 @@ def apply_psdo(grid, symbol, lam, values, matrix=None):
 # measured operator bounds
 
 
-@dataclass
-class ExponentFit:
-    """Log-log fit of a measured norm ratio against the sweep variable."""
-
-    sweep: np.ndarray          # lambda values
-    ratios: np.ndarray
-    slope: float
-    intercept: float
-    r_squared: float
-    conclusive: bool
-    flat: bool                 # spread below FLAT_SPREAD_DECADES
-    expected: Optional[float] = None
-
-    @property
-    def inconclusive(self):
-        return not self.conclusive
-
-
-def _fit_ratios(lambdas, ratios, vs="tau", expected=None):
-    lambdas = np.asarray(lambdas, dtype=float)
-    ratios = np.asarray(ratios, dtype=float)
-    xs = np.sqrt(lambdas) if vs == "tau" else lambdas
-    logr = np.log10(ratios)
-    spread = float(logr.max() - logr.min())
-    slope, intercept, r2 = loglog_fit(xs, ratios)
-    flat = spread < FLAT_SPREAD_DECADES
-    conclusive = flat or r2 >= MIN_R_SQUARED
-    return ExponentFit(sweep=lambdas, ratios=ratios, slope=slope,
-                       intercept=intercept, r_squared=r2,
-                       conclusive=conclusive, flat=flat, expected=expected)
-
-
 def _multiplier_norm_ratio(grid, symbol, lam, r, s_target):
     """Exact H^r -> H^{s_target} operator norm of a multiplier by mode-wise
     maximization over the frequency set."""
@@ -199,7 +168,8 @@ def operator_bound_experiment(grid, symbol, m, r, s, lambdas):
     else:
         ratios = [_map_norm(grid, psdo_matrix(grid, symbol, lam), r, s - m)
                   for lam in lambdas]
-    return _fit_ratios(lambdas, ratios, vs="tau", expected=-(r - s))
+    return loglog_fit(np.sqrt(lambdas), ratios, MIN_R_SQUARED,
+                      expected=-(r - s))
 
 
 def ntd_bound_experiment(grid, s_values, lambdas):
@@ -212,13 +182,13 @@ def ntd_bound_experiment(grid, s_values, lambdas):
     """
     from .symbols import flat_ntd_symbol
     symbol = flat_ntd_symbol()
-    lambdas = np.asarray(lambdas, dtype=float)
     fits = {}
     for s in s_values:
         ratios = [_multiplier_norm_ratio(grid, symbol, lam, 0.5, s)
                   for lam in lambdas]
         expected = -0.5 if s <= 0.5 else -(0.75 - s / 2.0)
-        fits[s] = _fit_ratios(lambdas, ratios, vs="lambda", expected=expected)
+        fits[s] = loglog_fit(lambdas, ratios, MIN_R_SQUARED,
+                             expected=expected)
     return fits
 
 
@@ -241,7 +211,7 @@ def taylor_composition_symbol(a, b, da_dxi, dxb, terms):
                        k=int(math.floor(a.order)) if a.order >= 0 else None)
 
 
-def default_composition_symbols(amp_a=0.5, amp_b=0.4):
+def default_composition_symbols():
     """Standard test pair for the composition calculus: a = phi(x) <xi>
     (order 1, not polynomial in xi, so the expansion does not terminate)
     against b = psi(x) / eta (order -1, x-dependent, so the remainder is
@@ -249,6 +219,7 @@ def default_composition_symbols(amp_a=0.5, amp_b=0.4):
     alongside to keep the Taylor symbol finite-difference free.
     """
     from .symbols import make_symbol
+    amp_a, amp_b = COMPOSE_AMPLITUDES
 
     def a_fn(xp, xip, lam):
         return (1.0 + amp_a * np.cos(xp)) * np.sqrt(1.0 + xip * xip)
@@ -303,5 +274,6 @@ def composition_error_experiment(grid, a, b, da_dxi, dxb, m1, m2, r, lambdas):
         abu = wa @ (np.fft.fft(bu, axis=0) / grid.m)
         rem_ratios.append(_map_norm(grid, abu - cu, r, t_norm, band))
         comp_ratios.append(_map_norm(grid, abu, r, r - m1, band))
-    return (_fit_ratios(lambdas, rem_ratios, vs="tau", expected=-abs(m2)),
-            _fit_ratios(lambdas, comp_ratios, vs="tau", expected=-abs(m2)))
+    tau = np.sqrt(lambdas)
+    return (loglog_fit(tau, rem_ratios, MIN_R_SQUARED, expected=-abs(m2)),
+            loglog_fit(tau, comp_ratios, MIN_R_SQUARED, expected=-abs(m2)))

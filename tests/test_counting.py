@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lclab import (ContractError, DifferencePipeline, DomainError, Grid1D,
+from lclab import (ContractError, DifferencePipeline, DomainError, Fit, Grid1D,
                    PolarGrid, ResourceLimitError, birman_disk_check,
                    birman_synthetic_check, circle_difference_eigenvalue,
                    convergence_rate_fit, counting_circle, counting_function,
-                   dense_eigen, eigen_spectrum, power_iteration_sym,
-                   solve_spd, trace_map_norm)
+                   circle_model_exponent_fit, dense_eigen, eigen_spectrum,
+                   power_iteration_sym, solve_spd, trace_map_norm,
+                   weyl_exponent_fit)
 from lclab.counting import CIRCLE_MODE_CAP, _comparison_violations
 from lclab.kernels import _Factorization
 from lclab.runner import TOLERANCES, default_config, run_experiment
@@ -155,7 +156,7 @@ def test_trace_map_norm_on_grid1d(grid1d):
 def test_rate_fit_norms_are_spectral_tops(make_grid, domain1d, disk_domain):
     grid = make_grid(domain1d, disk_domain)
     lambdas = (1e2, 1e3, 1e4, 1e5)
-    values = convergence_rate_fit(grid, lambdas).values
+    values = convergence_rate_fit(grid, lambdas).y
     # the oracle subtracts two O(1) solves, so its absolute error is about
     # 1e-16: at lam = 1e5 (norm 2.4e-4 on the disk) that is 2e-12 relative
     for lam, value in zip(lambdas[:3], values):
@@ -271,6 +272,20 @@ def test_criteria_do_not_depend_on_the_seed(tmp_path, experiment):
         assert status == 0
         values.append([(c["name"], c["value"]) for c in summary["criteria"]])
     assert values[0] == values[1]
+
+
+def test_weyl_fits_are_fits(disk_spectrum):
+    model = circle_model_exponent_fit(1.0, LAM)
+    disk = weyl_exponent_fit(disk_spectrum["eigs"])
+    for fit in (model, disk):
+        assert isinstance(fit, Fit)
+        assert fit.x.size == fit.y.size == 11
+        assert fit.x[0] > fit.x[-1]
+        assert fit.y.dtype.kind == "i"  # counts, written as integers
+    assert model.conclusive and model.r_squared > 0.9999
+    assert model.y[0] == counting_circle(1.0, LAM, model.x[0])
+    moduli = np.abs(disk_spectrum["eigs"])
+    assert list(disk.y) == [counting_function(moduli, mu) for mu in disk.x]
 
 
 def test_weyl_artifacts_are_byte_identical(tmp_path):

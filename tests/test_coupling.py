@@ -6,12 +6,12 @@ import pytest
 import scipy.sparse.linalg
 
 from lclab import (ContractError, ConvergenceError, DifferencePipeline,
-                   DomainError, Grid1D, InconclusiveError, RateFit,
-                   convergence_rate_fit_exact_1d, counting_zero_threshold,
-                   difference_matrix_1d, difference_norm_exact_1d,
-                   exterior_gram_1d, green_identity_check, green_test_fields,
-                   kernels, nonlocal_bc_solve, ntd_matrix_1d,
-                   transmission_solve)
+                   DomainError, Fit, Grid1D, InconclusiveError,
+                   convergence_rate_fit, convergence_rate_fit_exact_1d,
+                   counting_zero_threshold, difference_matrix_1d,
+                   difference_norm_exact_1d, exterior_gram_1d,
+                   green_identity_check, green_test_fields, kernels,
+                   nonlocal_bc_solve, ntd_matrix_1d)
 
 from conftest import gamma1_matrix
 
@@ -136,11 +136,21 @@ def test_exact_norm_slope(domain1d):
     assert -0.52 <= fit.slope <= -0.48
 
 
-def test_rate_fit_validates_sweep():
+def test_rate_fit_validates_sweep(domain1d):
     with pytest.raises(DomainError):
-        RateFit.from_sweep((1e2, 1e3), (1.0, 0.5))
+        convergence_rate_fit_exact_1d(domain1d, (1e2, 1e3))
     with pytest.raises(DomainError):
-        RateFit.from_sweep((1e2, 1e3, 1e4), (1.0, 0.5, 0.2))  # 2 decades
+        convergence_rate_fit_exact_1d(domain1d, (1e2, 1e3, 1e4))  # 2 decades
+
+
+def test_rate_fits_are_fits(domain1d):
+    exact = convergence_rate_fit_exact_1d(domain1d, LAMBDAS)
+    fit = convergence_rate_fit(Grid1D(domain1d, 64), LAMBDAS)
+    for got in (exact, fit):
+        assert isinstance(got, Fit)
+        assert np.array_equal(got.x, LAMBDAS)
+        assert got.conclusive and not got.flat
+    assert exact.y[0] == difference_norm_exact_1d(domain1d, LAMBDAS[0])
 
 
 # ---------------------------------------------------------------------------
@@ -218,12 +228,12 @@ def test_green_band_route_matches_sparse_oracle(make_grid, domain1d,
 @pytest.mark.parametrize("make_grid", [
     lambda d1, pg: Grid1D(d1, 1024), lambda d1, pg: pg],
     ids=["grid1d", "polar"])
-def test_transmission_solve_matches_sparse_oracle(make_grid, domain1d,
-                                                  polar_grid):
+def test_solve_coupled_matches_sparse_oracle(make_grid, domain1d,
+                                             polar_grid):
     grid = make_grid(domain1d, polar_grid)
     f = grid.extend(green_test_fields(grid)[0])
     for lam in (1e3, 1e6):
-        u = transmission_solve(grid, lam, f)
+        u = grid.solve_coupled(lam, f)
         assert _rel(u, grid.assemble_coupled(lam).solve(f, ORACLE_TOL)) \
             <= 1e-12
 
@@ -244,7 +254,7 @@ def test_transmission_satisfies_exact_ntd(domain1d):
     lam = 1e3
     grid = Grid1D(domain1d, 2048)
     f, _ = green_test_fields(grid)
-    u = transmission_solve(grid, lam, grid.extend(f))
+    u = grid.solve_coupled(lam, grid.extend(f))
     g0 = grid.trace_gamma0(u)
     g1 = grid.trace_gamma1(u, "exterior")
     n_mat = ntd_matrix_1d(lam, domain1d.inclusion_length)
@@ -337,7 +347,7 @@ def test_nonlocal_matches_transmission_1d(domain1d):
     lam = 1e3
     grid = Grid1D(domain1d, 2048)
     f, _ = green_test_fields(grid)
-    u_tr = grid.restrict(transmission_solve(grid, lam, grid.extend(f)))
+    u_tr = grid.restrict(grid.solve_coupled(lam, grid.extend(f)))
     u_nl = nonlocal_bc_solve(grid, lam, f)
     rel = np.linalg.norm(u_nl - u_tr) / np.linalg.norm(u_tr)
     assert rel <= 1e-4
@@ -350,7 +360,7 @@ def test_nonlocal_polar_improves_with_coupling(polar_grid):
     gaps = []
     for lam in (10.0, 10.0 ** 1.5, 10.0 ** 2.25):
         u_tr = polar_grid.restrict(
-            transmission_solve(polar_grid, lam, polar_grid.extend(f)))
+            polar_grid.solve_coupled(lam, polar_grid.extend(f)))
         u_nl = nonlocal_bc_solve(polar_grid, lam, f)
         gaps.append(np.linalg.norm(u_nl - u_tr) / np.linalg.norm(u_tr))
     assert gaps[0] > gaps[1] > gaps[2]

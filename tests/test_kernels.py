@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from lclab import (ContractError, ConvergenceError, dense_eigen, kernels,
-                   loglog_fit, power_iteration_sym, solve_spd)
+from lclab import (ContractError, ConvergenceError, Fit, dense_eigen,
+                   kernels, loglog_fit, power_iteration_sym, solve_spd)
 from lclab.errors import ResourceLimitError
 from lclab.kernels import (solve_bordered_tridiagonal, solve_tridiagonal,
                            tridiagonal_apply)
@@ -226,7 +226,44 @@ def test_dense_eigen_requires_symmetry():
 
 def test_loglog_fit_recovers_power_law():
     x = np.geomspace(1, 1e4, 9)
-    slope, intercept, r2 = loglog_fit(x, 3.0 * x ** -0.5)
-    assert slope == pytest.approx(-0.5)
-    assert 10 ** intercept == pytest.approx(3.0)
-    assert r2 == pytest.approx(1.0)
+    fit = loglog_fit(x, 3.0 * x ** -0.5, 0.95, expected=-0.5)
+    assert isinstance(fit, Fit)
+    assert fit.slope == pytest.approx(-0.5)
+    assert 10 ** fit.intercept == pytest.approx(3.0)
+    assert fit.r_squared == pytest.approx(1.0)
+    assert fit.conclusive and not fit.flat
+    assert fit.expected == -0.5
+
+
+def test_loglog_fit_below_threshold_is_inconclusive():
+    # a power law with a zigzag: the slope is right but r^2 is 0.82
+    x = np.geomspace(1, 1e4, 9)
+    y = x ** -0.5 * 10.0 ** np.array([0.3, -0.3] * 4 + [0.3])
+    fit = loglog_fit(x, y, 0.95)
+    assert fit.slope == pytest.approx(-0.5, abs=0.1)
+    assert fit.r_squared == pytest.approx(0.8242, abs=1e-4)
+    assert not fit.flat and not fit.conclusive
+
+
+def test_loglog_fit_flat_data_is_conclusive():
+    # spread 0.05 decades, all noise: r^2 is low, the slope is ~0 anyway
+    x = np.geomspace(1, 1e4, 9)
+    y = 10.0 ** np.array([0.0, 0.05, 0.0, 0.05, 0.0, 0.05, 0.0, 0.05, 0.0])
+    fit = loglog_fit(x, y, 0.95)
+    assert fit.flat and fit.conclusive
+    assert fit.r_squared < 0.1
+    assert abs(fit.slope) < kernels.FLAT_SPREAD_DECADES
+
+
+def test_loglog_fit_threshold_is_inclusive():
+    x = np.geomspace(1, 1e4, 9)
+    y = x ** -0.5 * 10.0 ** np.array([0.3, -0.3] * 4 + [0.3])
+    r_squared = loglog_fit(x, y, 0.95).r_squared
+    assert loglog_fit(x, y, r_squared).conclusive
+    assert not loglog_fit(x, y, np.nextafter(r_squared, 1.0)).conclusive
+
+
+def test_loglog_fit_keeps_the_data_as_given():
+    counts = np.array([1, 3, 5, 9])
+    fit = loglog_fit([1.0, 2.0, 3.0, 5.0], counts, 0.95)
+    assert fit.y.dtype == counts.dtype and np.array_equal(fit.y, counts)

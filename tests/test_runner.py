@@ -61,6 +61,39 @@ def test_failure_or_error_exits_one_and_outranks_inconclusive(
     assert verdicts == {"a": "inconclusive", "b": verdict, "c": "pass"}
 
 
+def test_check_gates_on_inclusive_windows_and_bounds(tmp_path, capsys):
+    art = runner._Artifacts(tmp_path, runner.default_config())
+    assert art.check("edge.lo", -0.6, (-0.6, -0.4))
+    assert art.check("edge.hi", -0.4, (-0.6, -0.4))
+    assert not art.check("below", -0.61, (-0.6, -0.4))
+    assert not art.check("above", -0.39, (-0.6, -0.4))
+    assert art.check("bound.at", 1e-6, 1e-6)
+    assert art.check("bound.under", -5.0, 1e-6)
+    assert not art.check("bound.over", 2e-6, 1e-6)
+    assert [(c["name"], c["window"], c["pass"]) for c in art.criteria] == [
+        ("edge.lo", (-0.6, -0.4), True), ("edge.hi", (-0.6, -0.4), True),
+        ("below", (-0.6, -0.4), False), ("above", (-0.6, -0.4), False),
+        ("bound.at", 1e-6, True), ("bound.under", 1e-6, True),
+        ("bound.over", 1e-6, False)]
+    assert "[FAIL] bound.over: 1.9999999999999999e-06 window=1e-06" \
+        in capsys.readouterr().out
+
+
+def test_flat_rate_sweep_fails_rather_than_inconclusive(monkeypatch,
+                                                        tmp_path):
+    # norms that do not decay: r^2 is low, but the fit is flat, so it is
+    # conclusive and its slope ~0 lies outside the rate window
+    def flat(grid, lambdas):
+        return runner.cp._rate_fit(lambdas, [1.0, 1.05, 1.0, 1.05, 1.0])
+
+    monkeypatch.setattr(runner.cp, "convergence_rate_fit", flat)
+    code, summary = runner.run_experiment(runner.default_config("rate2d"),
+                                          out_dir=tmp_path)
+    assert code == 1
+    assert summary["experiments"] == {"rate2d": "fail"}
+    assert summary["data"]["rate2d"]["r_squared"] < 0.95
+
+
 def test_config_errors_exit_three_and_are_all_reported(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[grid]\nangulr = 64\nradial_ext = many\n[sweeps]\n")

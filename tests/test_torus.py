@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lclab import (ConfigError, TorusGrid, apply_multiplier, apply_psdo,
+from lclab import (ConfigError, Fit, TorusGrid, apply_multiplier, apply_psdo,
                    default_composition_symbols, dft, flat_ntd_symbol, idft,
                    make_symbol, ntd_bound_experiment, operator_bound_experiment,
                    sobolev_norm, composition_error_experiment, IDENTITY_SYMBOL)
@@ -147,7 +147,7 @@ def test_operator_bound_ntd_decay():
     # mode-wise supremum of <k>^{1/2} |b| <k>^{-1/2} is lam^{-1/2}
     ks = grid.freqs.astype(float)
     oracle = np.max(1.0 / np.sqrt(ks * ks + 1e4))
-    assert fit.ratios[4] == pytest.approx(oracle, rel=1e-9)
+    assert fit.y[4] == pytest.approx(oracle, rel=1e-9)
 
 
 def test_operator_bound_identity_is_flat():
@@ -155,7 +155,25 @@ def test_operator_bound_identity_is_flat():
                                     SWEEP)
     assert fit.flat and fit.conclusive
     assert abs(fit.slope) < 0.05
-    assert np.allclose(fit.ratios, 1.0)
+    assert np.allclose(fit.y, 1.0)
+
+
+def test_experiments_return_fits():
+    lambdas = np.array(SWEEP[:3])
+    bound = operator_bound_experiment(GRID, flat_ntd_symbol(), -1.0, 0.5,
+                                      -0.5, lambdas)
+    nbound = ntd_bound_experiment(GRID, (0.5,), lambdas)[0.5]
+    a, b, da, dxb = default_composition_symbols()
+    rem, comp = composition_error_experiment(GRID, a, b, da, dxb, 1.0, -1.0,
+                                             0.5, lambdas)
+    for fit, x, expected in ((bound, np.sqrt(lambdas), -1.0),
+                             (nbound, lambdas, -0.5),
+                             (rem, np.sqrt(lambdas), -1.0),
+                             (comp, np.sqrt(lambdas), -1.0)):
+        assert isinstance(fit, Fit)
+        assert np.array_equal(fit.x, x)
+        assert fit.expected == expected
+        assert fit.conclusive
 
 
 def test_ntd_bound_two_regimes():
@@ -167,7 +185,7 @@ def test_ntd_bound_two_regimes():
     ks = grid.freqs.astype(float)
     oracle = np.max((1 + ks * ks) ** 0.5 / np.sqrt(ks * ks + 1e3)
                     * (1 + ks * ks) ** -0.25)
-    assert fits[1.0].ratios[2] == pytest.approx(oracle, rel=1e-9)
+    assert fits[1.0].y[2] == pytest.approx(oracle, rel=1e-9)
     assert fits[1.0].slope == pytest.approx(-0.25, abs=0.07)
 
 
@@ -300,7 +318,7 @@ def test_x_dependent_bound_is_exact_and_bounds_every_trial(rng):
     fit = operator_bound_experiment(GRID, symbol, m, r, s, SWEEP)
     assert fit.conclusive
     assert fit.slope == pytest.approx(-1.0, abs=0.1)
-    for lam, exact in zip(SWEEP[::2], fit.ratios[::2]):
+    for lam, exact in zip(SWEEP[::2], fit.y[::2]):
         matrix = psdo_matrix(GRID, symbol, lam)
         for _ in range(16):
             u = idft(GRID, trial_coefficients(GRID, r, rng))
@@ -323,7 +341,7 @@ def test_composition_norms_are_exact_and_bound_every_trial(rng):
                                              0.5, lambdas)
     r, t, band = 0.5, 1.5, grid.m // 4  # t = r + 1 - m1 + [m1]
     keep = np.abs(grid.freqs) <= band
-    for lam, exact_rem, exact_comp in zip(lambdas, rem.ratios, comp.ratios):
+    for lam, exact_rem, exact_comp in zip(lambdas, rem.y, comp.y):
         wa, wb, wc = (psdo_matrix(grid, sym, lam) for sym in (a, b, taylor))
 
         def ratios(coeffs):
