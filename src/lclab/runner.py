@@ -247,6 +247,14 @@ class _Artifacts:
         self.config = config
         self.criteria = []
         self.data = {}
+        # one hash of the config and of the windows serves every file
+        self.config_hash = config.config_hash()
+        self.tolerances = {k: list(v) if isinstance(v, tuple) else v
+                           for k, v in TOLERANCES.items()}
+        tag = hashlib.sha256(json.dumps(self.tolerances, sort_keys=True)
+                             .encode()).hexdigest()[:8]
+        self.csv_header = (f"# schema={SCHEMA_VERSION}"
+                           f" config={self.config_hash} tolerances={tag}\n")
 
     def criterion(self, name, value, ok, window=None):
         self.criteria.append({"name": name, "value": value,
@@ -264,8 +272,7 @@ class _Artifacts:
     def write_csv(self, name, header, rows):
         path = self.out / f"{name}.csv"
         with open(path, "w") as fh:
-            fh.write(f"# schema={SCHEMA_VERSION} config={self.config.config_hash()}"
-                     f" tolerances={_tolerance_tag()}\n")
+            fh.write(self.csv_header)
             fh.write(",".join(header) + "\n")
             for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -276,17 +283,15 @@ class _Artifacts:
             "schema_version": SCHEMA_VERSION,
             "experiment": experiment,
             "experiments": verdicts,
-            "config_hash": self.config.config_hash(),
+            "config_hash": self.config_hash,
             "seed": self.config.seed(),
-            "tolerances": {k: list(v) if isinstance(v, tuple) else v
-                           for k, v in TOLERANCES.items()},
+            "tolerances": self.tolerances,
             "criteria": self.criteria,
             "data": self.data,
             "status": status,
         }
         with open(self.out / "summary.json", "w") as fh:
-            json.dump(summary, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(summary, indent=1, sort_keys=True) + "\n")
         return summary
 
 
@@ -298,12 +303,6 @@ def _fmt(value):
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.17g}"
     return str(value)
-
-
-def _tolerance_tag():
-    blob = json.dumps({k: list(v) if isinstance(v, tuple) else v
-                       for k, v in TOLERANCES.items()}, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:8]
 
 
 def _require_conclusive(message, *fits):

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lclab import (DegenerateCovectorError, characteristic_roots,
-                   characteristic_roots_screened, class_membership_estimate,
+from lclab import (ContractError, DegenerateCovectorError,
+                   characteristic_roots, characteristic_roots_screened,
+                   class_membership_estimate,
                    difference_symbol, difference_symbol_expanded, eta_symbol,
                    flat_chart, flat_ntd_symbol, flat_transmission_symbol,
                    linear_chart, make_symbol, ntd_symbol, product_symbol,
@@ -260,12 +261,24 @@ def test_one_degenerate_entry_raises():
     assert np.all(wm.real < 0) and np.all(wp.real > 0)
 
 
+def fd(fn, x, order, h):
+    """Scalar central difference of ``fn`` at ``x``, order 0 to 3."""
+    if order == 0:
+        return fn(x)
+    if order == 1:
+        return (fn(x + h) - fn(x - h)) / (2 * h)
+    if order == 2:
+        return (fn(x + h) - 2 * fn(x) + fn(x - h)) / (h * h)
+    assert order == 3
+    return (fn(x + 2 * h) - 2 * fn(x + h) + 2 * fn(x - h)
+            - fn(x - 2 * h)) / (2 * h ** 3)
+
+
 def scalar_membership(symbol, m, k, xi_range=(1.0, 1e3), lam_range=(1.0, 1e6),
                       n_xi=12, n_lam=13, x_points=(0.0,), max_x_derivative=2):
     """Oracle: the certificate with one scalar symbol call per stencil point
     and sample; returns (constants, growth_slopes, refinement_factors,
     passed) by the rules of ``class_membership_estimate``."""
-    from lclab.symbols import _fd_derivative as fd
 
     def run(n_xi_pts, n_lam_pts):
         xis = np.geomspace(xi_range[0], xi_range[1], n_xi_pts)
@@ -308,12 +321,22 @@ def scalar_membership(symbol, m, k, xi_range=(1.0, 1e3), lam_range=(1.0, 1e6),
     return fine, slopes, factors, passed
 
 
+MEMBERSHIP_CASES = {
+    "ntd": flat_ntd_symbol(),
+    "eta": make_symbol(lambda xp, xip, lam: eta_symbol(FLAT, xp, xip, lam),
+                       1.0, kind="P", x_support_radius=0.0),
+    # x-dependent and asymmetric in x', so every beta-derivative is nonzero
+    "x_dependent": make_symbol(
+        lambda xp, xip, lam: (1.0 + 0.5 * np.cos(xp + 0.3))
+        / np.sqrt(xip * xip + lam), -1.0, kind="P"),
+}
+
+
 @pytest.mark.parametrize("name, order, k", [
-    ("ntd", -1.0, 2), ("eta", 1.0, 2), ("eta", 0.0, 1)])
+    ("ntd", -1.0, 2), ("eta", 1.0, 2), ("eta", 0.0, 1),
+    ("x_dependent", -1.0, 1), ("ntd", -1.0, 3)])
 def test_class_membership_matches_scalar_loop(name, order, k):
-    symbol = flat_ntd_symbol() if name == "ntd" else make_symbol(
-        lambda xp, xip, lam: eta_symbol(FLAT, xp, xip, lam), 1.0, kind="P",
-        x_support_radius=0.0)
+    symbol = MEMBERSHIP_CASES[name]
     report = class_membership_estimate(symbol, order, k)
     constants, slopes, factors, passed = scalar_membership(symbol, order, k)
     assert report.passed == passed
@@ -332,3 +355,30 @@ def test_class_membership_fails_on_a_nan_sample():
     report = class_membership_estimate(make_symbol(fn, -1.0), -1.0, 1)
     assert not report.passed
     assert "non-finite" in report.notes
+
+
+def _counted_ntd():
+    """The flat NtD symbol built by ``make_symbol``, and the list in which
+    it logs the x' of every call."""
+    calls = []
+
+    def fn(xp, xip, lam):
+        calls.append(xp)
+        return -1.0 / np.sqrt(xip * xip + lam)
+    return make_symbol(fn, -1.0), calls
+
+
+def test_class_membership_calls_once_per_x_stencil_point():
+    sym, calls = _counted_ntd()
+    assert class_membership_estimate(sym, -1.0, 2).passed
+    # x' = -h, 0, +h on the coarse grid, then again on the fine grid
+    assert len(calls) == 6
+    assert calls[:3] == calls[3:] == [-1e-4, 0.0, 1e-4]
+
+
+@pytest.mark.parametrize("k", [-1, 4])
+def test_class_membership_rejects_unwired_k_before_any_call(k):
+    sym, calls = _counted_ntd()
+    with pytest.raises(ContractError):
+        class_membership_estimate(sym, -1.0, k)
+    assert calls == []
