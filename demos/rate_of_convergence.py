@@ -48,6 +48,6 @@ print("\na tenfold smaller norm gap costs a hundredfold coupling:")
 for mu_scale in (1e-2, 1e-3):
     mu = mu_scale * difference_norm_exact_1d(domain, 1.0)
     lam_grid = np.geomspace(1, 1e10, 200)
-    vals = np.array([difference_norm_exact_1d(domain, l) for l in lam_grid])
+    vals = difference_norm_exact_1d(domain, lam_grid)
     lam0 = lam_grid[np.argmax(vals < mu)]
     print(f"  ||difference|| < {mu:.2e} from lam ~ {lam0:.3g}")

@@ -82,7 +82,8 @@ def eigen_spectrum(grid, lam, tol=1e-10):
     loads = np.zeros((gamma.size, 1, measure.size))
     loads[np.arange(gamma.size), 0, gamma] = 1.0
     z = solve_tridiagonal(*grid.mode_bands(lam), loads, tol=tol)
-    gram = np.einsum("ibn,jbn,n->bij", z[..., ext], z[..., ext], measure[ext])
+    z_ext = z[..., ext]
+    gram = np.einsum("ijbn,n->bij", z_ext[:, None] * z_ext, measure[ext])
     try:
         chol = np.linalg.cholesky(np.moveaxis(z[..., gamma], 0, 1))
     except np.linalg.LinAlgError as err:

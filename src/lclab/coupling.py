@@ -82,12 +82,15 @@ def difference_norm_exact_1d(domain, lam):
     """Norm of E_lam in 1D from the rank-2 factorization E = S* W S.
 
     The nonzero spectrum of S* W S equals that of W^{1/2} (S S*) W^{1/2},
-    a 2x2 symmetric eigenproblem; no grid is involved anywhere.
+    a 2x2 symmetric eigenproblem; no grid is involved anywhere.  A
+    sequence ``lam`` gives one norm per entry, the scalar calls' to the
+    bit, from one stacked ``cholesky`` and ``eigvalsh``.
     """
-    w = difference_matrix_1d(domain, lam)
+    w = np.stack([difference_matrix_1d(domain, l) for l in np.ravel(lam)])
     gram = exterior_gram_1d(domain)
     half = np.linalg.cholesky(w)
-    return float(np.max(np.linalg.eigvalsh(half.T @ gram @ half)))
+    norms = np.linalg.eigvalsh(np.swapaxes(half, 1, 2) @ gram @ half).max(1)
+    return float(norms[0]) if np.ndim(lam) == 0 else norms
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +146,7 @@ def convergence_rate_fit(grid, lambdas=DEFAULT_LAMBDA_SWEEP):
 
 def convergence_rate_fit_exact_1d(domain, lambdas=DEFAULT_LAMBDA_SWEEP):
     """Same fit from the closed-form 1D norms (oracle pipeline)."""
-    return _rate_fit(lambdas, [difference_norm_exact_1d(domain, lam)
-                               for lam in lambdas])
+    return _rate_fit(lambdas, difference_norm_exact_1d(domain, lambdas))
 
 
 # ---------------------------------------------------------------------------
@@ -349,29 +351,36 @@ def nonlocal_bc_solve(grid, lam, f_ext, tol=1e-10):
     return nonlocal_bc_solve_polar(grid, lam, f_ext, tol=tol)
 
 
-def counting_zero_threshold(norm_fn, mu, lam_lo=1.0, lam_hi=1e12):
-    """Smallest coupling beyond which ||E_lam|| stays below mu, bisected
-    to a relative ``THRESHOLD_REL_TOL``.
+def counting_zero_threshold(norm_fn, mus, lam_lo=1.0, lam_hi=1e12):
+    """The smallest couplings beyond which ||E_lam|| stays below mu, one
+    per mu of the sequence ``mus`` (a list), each bisected to a relative
+    ``THRESHOLD_REL_TOL``.
 
-    ``norm_fn`` maps lam to the norm.  The predicate is verified to be
-    monotone along a coarse sweep first; non-monotone data flags the
-    search as inconclusive.
+    ``norm_fn`` maps a sequence of lam to their norms.  The predicate is
+    verified to be monotone along a coarse sweep first; non-monotone data
+    flags the search as inconclusive.  The mus are bisected in lockstep,
+    one ``norm_fn`` call per step, each until its own ``hi / lo`` test
+    stops it, so each threshold is that of its own bisection.
     """
-    if mu <= 0:
+    mus = np.asarray(mus, dtype=float)
+    if np.any(mus <= 0):
         raise DomainError("threshold needs mu > 0")
+    # geomspace puts lam_lo and lam_hi themselves at the ends
     probes = np.geomspace(lam_lo, lam_hi, 13)
-    vals = np.array([norm_fn(l) for l in probes])
+    vals = np.asarray(norm_fn(probes))
     if np.any(np.diff(vals) > 1e-9 * vals[:-1]):
         raise InconclusiveError("||E_lam|| sweep is not nonincreasing")
-    if norm_fn(lam_lo) < mu:
-        return lam_lo
-    if norm_fn(lam_hi) >= mu:
-        raise DomainError(f"mu={mu} not reached below lam={lam_hi:g}")
-    lo, hi = lam_lo, lam_hi
-    while hi / lo > 1.0 + THRESHOLD_REL_TOL:
-        mid = math.sqrt(lo * hi)
-        if norm_fn(mid) < mu:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    at_lo = vals[0] < mus
+    unreached = ~at_lo & (vals[-1] >= mus)
+    if np.any(unreached):
+        raise DomainError(f"mu={mus[unreached][0]} not reached below "
+                          f"lam={lam_hi:g}")
+    # a mu met at lam_lo starts closed, with hi = lo = lam_lo
+    lo = np.full(mus.shape, float(lam_lo))
+    hi = np.where(at_lo, lo, float(lam_hi))
+    while np.any(open_ := hi / lo > 1.0 + THRESHOLD_REL_TOL):
+        mid = np.sqrt(lo[open_] * hi[open_])
+        below = np.asarray(norm_fn(mid)) < mus[open_]
+        hi[open_] = np.where(below, mid, hi[open_])
+        lo[open_] = np.where(below, lo[open_], mid)
+    return hi.tolist()

@@ -33,13 +33,19 @@ and the interior Neumann assembly.  A geometry (``Grid1D``,
   * ``_layer(side, k)`` and ``normal_step``: the nodes k steps off the
     interface along its normal and their spacing, from which the one
     gamma1 stencil of every consumer is built;
-  * ``mode_bands(lam)``, the coupled form matrix as a batch of
-    tridiagonal blocks for ``kernels.solve_tridiagonal`` (one block over
-    all nodes on a ``Grid1D``, one radial block per angular mode on a
-    ``PolarGrid``), ``ext_rows``, the exterior rows of every block, and
-    ``to_modes`` / ``from_modes``, which carry full fields to the blocks
-    and back (the identity on a ``Grid1D``, a unitary rfft per ring on a
-    ``PolarGrid``).
+  * ``_band_parts()``, the lam-free parts of the coupled form matrix as
+    a batch of tridiagonal blocks for ``kernels.solve_tridiagonal`` (one
+    block over all nodes on a ``Grid1D``, one radial block per angular
+    mode on a ``PolarGrid``), ``ext_rows``, the exterior rows of every
+    block, and ``to_modes`` / ``from_modes``, which carry full fields to
+    the blocks and back (the identity on a ``Grid1D``, a unitary rfft
+    per ring on a ``PolarGrid``).
+
+The band contract.  lam touches only the potential, so the lam-free
+parts (the links, the disk's angular term, the lower and upper bands)
+are built once per grid and returned read-only: writing to them raises
+``ValueError``.  ``mode_bands(lam)`` forms only ``diag = base + lam *
+potential`` per call, a new array.
 
 The band solves are built on these: ``solve_coupled`` and
 ``apply_coupled`` on ``mode_bands``, ``solve_exterior`` on
@@ -138,6 +144,9 @@ class _Grid:
         """Data derived from the geometry alone; ends every ``__init__``."""
         self.w_ext = self.w_full[self.ext_idx]
         self._stiffness_matrix = None
+        *self._bands, self._band_potential = self._band_parts()
+        for band in self._bands:
+            band.flags.writeable = False
 
     @property
     def _stiffness(self):
@@ -216,6 +225,12 @@ class _Grid:
         return terms[..., 0] + terms[..., 1] + terms[..., 2]
 
     # -- band solves ----------------------------------------------------------
+
+    def mode_bands(self, lam=0.0):
+        """The form matrix K + lam diag(pot_measure) as the blocks
+        (lower, diag, upper) of ``_band_parts`` (see the band contract)."""
+        lower, base, upper = self._bands
+        return lower, base + lam * self._band_potential, upper
 
     def exterior_bands(self):
         """The exterior form matrix as blocks: the rows ``ext_rows`` of
@@ -316,10 +331,11 @@ class Grid1D(_Grid):
         i = np.arange(cells)
         return i, i + 1, np.full(cells, 1.0 / self.h)
 
-    def mode_bands(self, lam=0.0):
-        """The form matrix K + lam diag(pot_measure) as one tridiagonal
-        block over the nodes, in the layout of ``PolarGrid.mode_bands``:
-        (lower, diag, upper), each of shape (1, n_nodes)."""
+    def _band_parts(self):
+        """The form matrix as one tridiagonal block over the nodes, in the
+        layout of ``PolarGrid._band_parts``: (lower, base, upper), each of
+        shape (1, n_nodes), with base the stiffness diagonal, and the
+        potential ``pot_measure``."""
         i, j, c = self._links()
         links = np.zeros(self.n_nodes)
         links[i] += c
@@ -327,7 +343,7 @@ class Grid1D(_Grid):
         lower, upper = np.zeros((2, 1, self.n_nodes))
         lower[0, j] = -c
         upper[0, i] = -c
-        return lower, (links + lam * self.pot_measure)[None], upper
+        return lower, links[None], upper, self.pot_measure
 
     def to_modes(self, field):
         """A full field (leading axes batch) in the layout of the one block
@@ -462,7 +478,7 @@ class PolarGrid(_Grid):
                       nth)
         return i, j, c
 
-    def mode_bands(self, lam=0.0):
+    def _band_parts(self):
         """The radial systems of the angular modes k = 0 .. ntheta // 2.
 
         In the unitary angular Fourier basis the form matrix K + lam
@@ -472,8 +488,10 @@ class PolarGrid(_Grid):
         links as 2 (1 - cos k htheta) c_ang[m] on its diagonal.  Only
         mode 0 sees the origin, through -c_spoke sqrt(ntheta); in every
         other block the origin row is decoupled, so zero data leave it
-        zero.  Returns the bands (lower, diag, upper), each of shape
-        (modes, ntot + 1), as ``kernels.solve_tridiagonal`` reads them.
+        zero.  Returns the bands (lower, base, upper), each of shape
+        (modes, ntot + 1), as ``kernels.solve_tridiagonal`` reads them,
+        with base the diagonal at lam = 0, and the potential
+        ``ring_potential``.
         """
         c_rad, nth = self.radial_conductance, self.ntheta
         links = np.zeros(self.ntot + 1)
@@ -481,16 +499,15 @@ class PolarGrid(_Grid):
         links[1:] += c_rad
         links[1:-1] += c_rad[1:]
         angular = 2.0 * (1.0 - np.cos(self.modes * self.htheta))
-        diag = (links + angular[:, None] * self.angular_conductance
-                + lam * self.ring_potential)
+        base = links + angular[:, None] * self.angular_conductance
         off = np.tile(-c_rad, (self.modes.size, 1))
         off[0, 0] *= np.sqrt(nth)
         off[1:, 0] = 0.0
-        lower = np.zeros_like(diag)
-        upper = np.zeros_like(diag)
+        lower = np.zeros_like(base)
+        upper = np.zeros_like(base)
         lower[:, 1:] = off
         upper[:, :-1] = off
-        return lower, diag, upper
+        return lower, base, upper, self.ring_potential
 
     def to_modes(self, field):
         """A full field (leading axes batch) in the unitary angular modes

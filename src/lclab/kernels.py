@@ -171,7 +171,7 @@ def solve_tridiagonal(lower, diag, upper, rhs, tol=DEFAULT_SOLVE_TOL):
                           for band in (lower, diag, upper))
     rhs = np.asarray(rhs)
     with np.errstate(divide="ignore", invalid="ignore"):
-        x = _cyclic_reduction(lower, diag, upper, rhs)
+        x = _cyclic_reduction(-lower, diag, -upper, rhs)
         residual = tridiagonal_backward_error(lower, diag, upper, x, rhs)
     worst = float(residual.max())
     if not worst <= tol:
@@ -223,7 +223,7 @@ def solve_bordered_tridiagonal(lower, diag, upper, rows, at, rhs,
         band[at] = unit
     loads = np.concatenate([rhs[None], units])
     with np.errstate(divide="ignore", invalid="ignore"):
-        y = _cyclic_reduction(*bands, loads)
+        y = _cyclic_reduction(-bands[0], bands[1], -bands[2], loads)
         border = rows - units
         x = y[0] - y[1:].T @ np.linalg.solve(np.eye(k) + border @ y[1:].T,
                                              border @ y[0])
@@ -235,31 +235,36 @@ def solve_bordered_tridiagonal(lower, diag, upper, rows, at, rhs,
     return x
 
 
-def _cyclic_reduction(lower, diag, upper, rhs):
+def _cyclic_reduction(neg_lower, diag, neg_upper, rhs):
     """One level of odd-even reduction along the last axis, recursing on
-    the odd rows; its callers check the result."""
+    the odd rows; its callers check the result.  It takes the negated
+    off-diagonals, -lower and -upper: negation is exact, so every step
+    rounds as it would on the bands themselves."""
     n = diag.shape[-1]
     if n == 1:
         return rhs / diag
     # odd row 2k + 1 has the even neighbours 2k and, for k < m_right, 2k + 2
     m_right = (n - 1) // 2
-    left = -lower[..., 1::2] / diag[..., :-1:2]
-    right = -upper[..., 1:-1:2] / diag[..., 2::2]
-    diag_odd = diag[..., 1::2] + left * upper[..., :-1:2]
-    diag_odd[..., :m_right] += right * lower[..., 2::2]
+    left = neg_lower[..., 1::2] / diag[..., :-1:2]
+    right = neg_upper[..., 1:-1:2] / diag[..., 2::2]
+    diag_odd = diag[..., 1::2] - left * neg_upper[..., :-1:2]
+    diag_odd[..., :m_right] -= right * neg_lower[..., 2::2]
     rhs_odd = rhs[..., 1::2] + left * rhs[..., :-1:2]
     rhs_odd[..., :m_right] += right * rhs[..., 2::2]
     # the last odd row's upper entry is ignored, like every last one
-    upper_odd = np.zeros_like(diag_odd)
-    upper_odd[..., :m_right] = right * upper[..., 2::2]
-    x_odd = _cyclic_reduction(left * lower[..., :-1:2], diag_odd, upper_odd,
+    neg_upper_odd = np.zeros_like(diag_odd)
+    neg_upper_odd[..., :m_right] = right * neg_upper[..., 2::2]
+    neg_lower_odd = left * neg_lower[..., :-1:2]
+    del left, right   # free what the back-substitution does not read
+    x_odd = _cyclic_reduction(neg_lower_odd, diag_odd, neg_upper_odd,
                               rhs_odd)
+    del neg_lower_odd, diag_odd, neg_upper_odd, rhs_odd
     x = np.empty(x_odd.shape[:-1] + (n,), dtype=x_odd.dtype)
     x[..., 1::2] = x_odd
     x_even = x[..., ::2]
     x_even[...] = rhs[..., ::2]
-    x_even[..., :x_odd.shape[-1]] -= upper[..., :-1:2] * x_odd
-    x_even[..., 1:] -= lower[..., 2::2] * x_odd[..., :m_right]
+    x_even[..., :x_odd.shape[-1]] += neg_upper[..., :-1:2] * x_odd
+    x_even[..., 1:] += neg_lower[..., 2::2] * x_odd[..., :m_right]
     x_even /= diag[..., ::2]
     return x
 

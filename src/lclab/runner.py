@@ -247,6 +247,7 @@ class _Artifacts:
         self.config = config
         self.criteria = []
         self.data = {}
+        self.shared = {}   # results that experiments of this run share
         # one hash of the config and of the windows serves every file
         self.config_hash = config.config_hash()
         self.tolerances = {k: list(v) if isinstance(v, tuple) else v
@@ -481,6 +482,19 @@ def _run_compose(config, art, dump=False):
                      TOLERANCES["compose_exponent_max"])
 
 
+def _disk_spectrum(config, art):
+    """The E_lam spectrum and ||S|| on the disk grid, which weyl and
+    birman share: computed once per ``run_experiment`` call, whose
+    ``_Artifacts`` holds them."""
+    if "disk" not in art.shared:
+        grid = PolarGrid(_domain2d(config), config["grid.radial_ext"],
+                         config["grid.angular"])
+        lam, tol = config["sweep.lam"], config["tolerances.solve_tol"]
+        art.shared["disk"] = (ct.eigen_spectrum(grid, lam, tol=tol),
+                              ct.trace_map_norm(grid, tol=tol))
+    return art.shared["disk"]
+
+
 def _run_weyl(config, art, dump=False):
     lam = config["sweep.lam"]
     radius = config["domain2d.radius"]
@@ -488,14 +502,11 @@ def _run_weyl(config, art, dump=False):
     _require_conclusive("circle model count fit inconclusive", model)
     ok = art.check("weyl.circle_model_slope", model.slope,
                    TOLERANCES["weyl_circle_slope"])
-    grid = PolarGrid(_domain2d(config), config["grid.radial_ext"],
-                     config["grid.angular"])
-    eigs = ct.eigen_spectrum(grid, lam, tol=config["tolerances.solve_tol"])
+    eigs, s_norm = _disk_spectrum(config, art)
     # not gated: the top decade is a multiplicity-2 staircase (r^2 0.874)
     fit = ct.weyl_exponent_fit(eigs)
     ok &= art.check("weyl.disk_slope", fit.slope,
                     TOLERANCES["weyl_disk_slope"])
-    s_norm = ct.trace_map_norm(grid, tol=config["tolerances.solve_tol"])
     rows = [(mu, count, ct.circle_count_prediction(radius, lam,
                                                    mu / s_norm ** 2))
             for mu, count in zip(fit.x, fit.y)]
@@ -510,10 +521,7 @@ def _run_birman(config, art, dump=False):
     ok = art.check("birman.synthetic_violations", violations,
                    TOLERANCES["birman_violations"])
     lam = config["sweep.lam"]
-    grid = PolarGrid(_domain2d(config), config["grid.radial_ext"],
-                     config["grid.angular"])
-    eigs = ct.eigen_spectrum(grid, lam, tol=config["tolerances.solve_tol"])
-    s_norm = ct.trace_map_norm(grid, tol=config["tolerances.solve_tol"])
+    eigs, s_norm = _disk_spectrum(config, art)
     top = float(np.abs(eigs).max())
     mu_grid = np.geomspace(top / 100.0, top, config["sweep.mu_points"])[::-1]
     rows = ct.birman_disk_check(eigs, s_norm, config["domain2d.radius"], lam,
@@ -530,10 +538,10 @@ def _run_birman(config, art, dump=False):
 
 def _run_threshold(config, art, dump=False):
     domain = _domain1d(config)
-    norm_fn = lambda lam: cp.difference_norm_exact_1d(domain, lam)
+    norm_fn = lambda lams: cp.difference_norm_exact_1d(domain, lams)
     base = norm_fn(1.0)
     mus = [base * 1e-2, base * 1e-3, base * 1e-4]
-    thresholds = [cp.counting_zero_threshold(norm_fn, mu) for mu in mus]
+    thresholds = cp.counting_zero_threshold(norm_fn, mus)
     art.write_csv("threshold", ["mu", "lambda0"],
                   list(zip(mus, thresholds)))
     factor = TOLERANCES["threshold_decade_factor"]

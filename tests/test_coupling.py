@@ -12,6 +12,7 @@ from lclab import (ContractError, ConvergenceError, DifferencePipeline,
                    difference_norm_exact_1d, exterior_gram_1d,
                    green_identity_check, green_test_fields, kernels,
                    nonlocal_bc_solve, ntd_matrix_1d)
+from lclab.coupling import THRESHOLD_REL_TOL
 
 from conftest import gamma1_matrix
 
@@ -371,22 +372,21 @@ def test_nonlocal_polar_improves_with_coupling(polar_grid):
 
 
 def test_threshold_returns_lower_end_for_huge_mu(domain1d):
-    norm_fn = lambda lam: difference_norm_exact_1d(domain1d, lam)
-    assert counting_zero_threshold(norm_fn, 10.0, lam_lo=1.0) == 1.0
+    norm_fn = lambda lams: difference_norm_exact_1d(domain1d, lams)
+    assert counting_zero_threshold(norm_fn, [10.0], lam_lo=1.0) == [1.0]
 
 
 def test_threshold_scales_like_mu_squared(domain1d):
-    norm_fn = lambda lam: difference_norm_exact_1d(domain1d, lam)
-    base = norm_fn(1.0)
-    t1 = counting_zero_threshold(norm_fn, 1e-2 * base)
-    t2 = counting_zero_threshold(norm_fn, 1e-3 * base)
+    norm_fn = lambda lams: difference_norm_exact_1d(domain1d, lams)
+    base = difference_norm_exact_1d(domain1d, 1.0)
+    t1, t2 = counting_zero_threshold(norm_fn, [1e-2 * base, 1e-3 * base])
     assert 100 / 1.5 <= t2 / t1 <= 100 * 1.5
 
 
 def test_threshold_confirmed_by_spectrum(domain1d):
-    norm_fn = lambda lam: difference_norm_exact_1d(domain1d, lam)
-    mu = 1e-2 * norm_fn(1.0)
-    lam0 = counting_zero_threshold(norm_fn, mu)
+    norm_fn = lambda lams: difference_norm_exact_1d(domain1d, lams)
+    mu = 1e-2 * difference_norm_exact_1d(domain1d, 1.0)
+    [lam0] = counting_zero_threshold(norm_fn, [mu])
     grid = Grid1D(domain1d, 256)
     pipe = DifferencePipeline(grid)
     dim = grid.ext_idx.size
@@ -398,6 +398,67 @@ def test_threshold_confirmed_by_spectrum(domain1d):
 
 
 def test_threshold_flags_non_monotone_data():
-    wiggle = lambda lam: 1.0 / lam + 0.5 * math.sin(math.log(lam)) ** 2
+    wiggle = lambda lams: 1.0 / lams + 0.5 * np.sin(np.log(lams)) ** 2
     with pytest.raises(InconclusiveError):
-        counting_zero_threshold(wiggle, 0.3, lam_lo=1.0, lam_hi=1e6)
+        counting_zero_threshold(wiggle, [0.3], lam_lo=1.0, lam_hi=1e6)
+
+
+def scalar_threshold(norm_fn, mu, lam_lo=1.0, lam_hi=1e12):
+    """Oracle: one bisection for one mu, one scalar ``norm_fn`` call per
+    probe and per step."""
+    if mu <= 0:
+        raise DomainError("threshold needs mu > 0")
+    vals = np.array([norm_fn(l) for l in np.geomspace(lam_lo, lam_hi, 13)])
+    if np.any(np.diff(vals) > 1e-9 * vals[:-1]):
+        raise InconclusiveError("||E_lam|| sweep is not nonincreasing")
+    if norm_fn(lam_lo) < mu:
+        return lam_lo
+    if norm_fn(lam_hi) >= mu:
+        raise DomainError(f"mu={mu} not reached below lam={lam_hi:g}")
+    lo, hi = lam_lo, lam_hi
+    while hi / lo > 1.0 + THRESHOLD_REL_TOL:
+        mid = math.sqrt(lo * hi)
+        if norm_fn(mid) < mu:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def test_difference_norm_batch_is_the_scalar_calls(domain1d, rng):
+    lams = np.concatenate([np.geomspace(1.0, 1e12, 13),
+                           10.0 ** rng.uniform(0.0, 12.0, 50)])
+    batch = difference_norm_exact_1d(domain1d, lams)
+    scalar = [difference_norm_exact_1d(domain1d, lam) for lam in lams]
+    assert all(type(v) is float for v in scalar)
+    assert batch.shape == lams.shape and batch.tolist() == scalar
+
+
+def test_threshold_matches_scalar_bisections(domain1d):
+    calls = []
+
+    def norm_fn(lams):
+        calls.append(len(lams))
+        return difference_norm_exact_1d(domain1d, lams)
+
+    scalar_fn = lambda lam: difference_norm_exact_1d(domain1d, lam)
+    base = scalar_fn(1.0)
+    # 10.0 is met at lam_lo; the rest are bisected, 0.37 off the decades
+    mus = [base * 1e-2, 10.0, base * 1e-3, base * 0.37, base * 1e-4]
+    got = counting_zero_threshold(norm_fn, mus)
+    assert got == [scalar_threshold(scalar_fn, mu) for mu in mus]
+    assert got[1] == 1.0
+    # one probe sweep, then one call per lockstep step: the scalar
+    # bisections make 30 calls for each mu met past lam_lo
+    assert calls[0] == 13 and len(calls) <= 18
+    # a mu never reached fails the call, as its scalar bisection does
+    with pytest.raises(DomainError):
+        scalar_threshold(scalar_fn, 1e-3 * scalar_fn(1e12))
+    with pytest.raises(DomainError):
+        counting_zero_threshold(norm_fn, [base * 1e-2,
+                                          1e-3 * scalar_fn(1e12)])
+    wiggle = lambda lam: 1.0 / lam + 0.5 * np.sin(np.log(lam)) ** 2
+    with pytest.raises(InconclusiveError):
+        scalar_threshold(wiggle, 0.3, lam_hi=1e6)
+    with pytest.raises(InconclusiveError):
+        counting_zero_threshold(wiggle, [0.3], lam_hi=1e6)

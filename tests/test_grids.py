@@ -168,11 +168,14 @@ def test_gamma1_matrix_is_the_one_sided_stencil(grid1d, polar_grid, rng):
             assert np.array_equal(batch, np.stack([formula, 2 * formula]))
 
 
-@pytest.mark.parametrize("make_grid", [
+BAND_GRIDS = pytest.mark.parametrize("make_grid", [
     lambda d1, d2: Grid1D(d1, 64),
     lambda d1, d2: PolarGrid(d2, nr_ext=8, ntheta=16),
     lambda d1, d2: PolarGrid(d2, nr_ext=12, ntheta=15),  # odd: no Nyquist
 ], ids=["grid1d", "polar-8x16", "polar-12x15"])
+
+
+@BAND_GRIDS
 def test_band_products_are_the_sparse_operators(make_grid, domain1d,
                                                 disk_domain, rng):
     grid = make_grid(domain1d, disk_domain)
@@ -188,6 +191,23 @@ def test_band_products_are_the_sparse_operators(make_grid, domain1d,
     for b in range(2):
         assert np.allclose(au[b], coupled.apply(u[b]), rtol=1e-12, atol=1e-10)
         assert np.allclose(bv[b], exterior.apply(v[b]), rtol=1e-12, atol=1e-10)
+
+
+@BAND_GRIDS
+def test_cached_bands_are_read_only_and_match_a_fresh_build(
+        make_grid, domain1d, disk_domain):
+    grid = make_grid(domain1d, disk_domain)
+    lower, diag, upper = grid.mode_bands(1e3)
+    for band in (lower, upper, *grid._bands):
+        with pytest.raises(ValueError):
+            band[..., 0] = 1.0
+    diag[...] = 0.0  # each call's diag belongs to its caller
+    for lam in (1e3, 10.0):
+        cached = grid.mode_bands(lam)
+        assert cached[0] is lower and cached[2] is upper
+        fresh = make_grid(domain1d, disk_domain).mode_bands(lam)
+        for got, want in zip(cached, fresh):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_gamma1_needs_two_layers_per_side(disk_domain):

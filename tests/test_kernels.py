@@ -87,6 +87,48 @@ def test_tridiagonal_batch_matches_solve_banded(rng, dtype):
         assert np.allclose(shared[0], x[0], rtol=0, atol=1e-15)
 
 
+def _cyclic_reduction_oracle(lower, diag, upper, rhs):
+    """Oracle: odd-even reduction on the bands themselves, negating the
+    off-diagonals at every level."""
+    n = diag.shape[-1]
+    if n == 1:
+        return rhs / diag
+    m_right = (n - 1) // 2
+    left = -lower[..., 1::2] / diag[..., :-1:2]
+    right = -upper[..., 1:-1:2] / diag[..., 2::2]
+    diag_odd = diag[..., 1::2] + left * upper[..., :-1:2]
+    diag_odd[..., :m_right] += right * lower[..., 2::2]
+    rhs_odd = rhs[..., 1::2] + left * rhs[..., :-1:2]
+    rhs_odd[..., :m_right] += right * rhs[..., 2::2]
+    upper_odd = np.zeros_like(diag_odd)
+    upper_odd[..., :m_right] = right * upper[..., 2::2]
+    x_odd = _cyclic_reduction_oracle(left * lower[..., :-1:2], diag_odd,
+                                     upper_odd, rhs_odd)
+    x = np.empty(x_odd.shape[:-1] + (n,), dtype=x_odd.dtype)
+    x[..., 1::2] = x_odd
+    x_even = x[..., ::2]
+    x_even[...] = rhs[..., ::2]
+    x_even[..., :x_odd.shape[-1]] -= upper[..., :-1:2] * x_odd
+    x_even[..., 1:] -= lower[..., 2::2] * x_odd[..., :m_right]
+    x_even /= diag[..., ::2]
+    return x
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_cyclic_reduction_is_bit_identical_to_the_oracle(rng, dtype,
+                                                         polar_grid):
+    cases = [_random_bands(rng, systems, n) for n, systems in
+             itertools.product(TRIDIAGONAL_LENGTHS, (1, 7))]
+    cases.append(polar_grid.mode_bands(1e3))  # exact zeros off the origin
+    for lower, diag, upper in cases:
+        rhs = rng.standard_normal((2,) + diag.shape).astype(dtype)
+        if dtype is complex:
+            rhs += 1j * rng.standard_normal(rhs.shape)
+        got = kernels._cyclic_reduction(-lower, diag, -upper, rhs)
+        want = _cyclic_reduction_oracle(lower, diag, upper, rhs)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def test_tridiagonal_right_sides_broadcast_over_systems(rng):
     lower, diag, upper = _random_bands(rng, 3, 9)
     rhs = rng.standard_normal((2, 3, 9))
