@@ -14,8 +14,10 @@ eigenvalues w_k = 1 / (|k|/R + sqrt((k/R)^2 + lam)), so both sides of
 the chain are computable exactly.  So does the discrete problem: every
 grid supplies its coupled matrix as tridiagonal blocks (``mode_bands``:
 one per angular mode on a ``PolarGrid``, one over the nodes on a
-``Grid1D``), and the spectrum of E_lam and the norm of S each come from
-one batched tridiagonal solve over the blocks.  No sparse matrix is
+``Grid1D``) and the place of the interface in them (``gamma_rows``,
+``ext_rows``, ``row_measure``, ``mode_multiplicity``), and the spectrum
+of E_lam and the norm of S each come from one batched tridiagonal solve
+over the blocks, with no branch on the geometry.  No sparse matrix is
 formed; the tests keep the sparse interface Schur complement as the
 oracle.
 
@@ -29,7 +31,6 @@ import numpy as np
 
 from .errors import (ContractError, DomainError, InconclusiveError,
                      ResourceLimitError)
-from .grids import PolarGrid
 # solve_spd stays bound here: bench/tracing.py wraps every binding site
 from .kernels import loglog_fit, solve_spd, solve_tridiagonal  # noqa: F401
 
@@ -45,19 +46,6 @@ def counting_function(eigenvalues, mu):
         raise DomainError("counting function needs mu > 0")
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     return int(np.count_nonzero(eigenvalues > mu))
-
-
-def _band_layout(grid):
-    """Where the blocks of ``grid.mode_bands`` hold the problem: the rows
-    of each interface node of a block and of the two exterior layers
-    behind it (one row of three per node), the exterior rows, the
-    measure of every row and how many modes share each block."""
-    if isinstance(grid, PolarGrid):
-        g = grid.nr_int
-        return (g + np.arange(3)[None, :], grid.ext_rows, grid.ring_measure,
-                grid.mode_multiplicity)
-    layers = grid.interface_idx[:, None] + np.outer([-1, 1], np.arange(3))
-    return layers, grid.ext_rows, grid.w_full, np.ones(1, dtype=int)
 
 
 def eigen_spectrum(grid, lam, tol=1e-10):
@@ -77,8 +65,8 @@ def eigen_spectrum(grid, lam, tol=1e-10):
     interface nodes, and on the disk each angular mode k is a block with
     one, whose eigenvalue G / Z_GammaGamma modes k and -k share.
     """
-    layers, ext, measure, multiplicity = _band_layout(grid)
-    gamma = layers[:, 0]
+    gamma, ext = grid.gamma_rows[:, 0], grid.ext_rows
+    measure = grid.row_measure
     loads = np.zeros((gamma.size, 1, measure.size))
     loads[np.arange(gamma.size), 0, gamma] = 1.0
     z = solve_tridiagonal(*grid.mode_bands(lam), loads, tol=tol)
@@ -90,7 +78,8 @@ def eigen_spectrum(grid, lam, tol=1e-10):
         raise ContractError(f"interface block of A^-1 not SPD: {err}")
     half = np.linalg.inv(chol)
     values = np.linalg.eigvalsh(half @ gram @ np.swapaxes(half, 1, 2))
-    return np.sort(np.repeat(values, multiplicity, axis=0), axis=None)
+    return np.sort(np.repeat(values, grid.mode_multiplicity, axis=0),
+                   axis=None)
 
 
 def trace_map_norm(grid, tol=1e-10):
@@ -104,7 +93,7 @@ def trace_map_norm(grid, tol=1e-10):
     disk T is the same stencil row in every mode.
     """
     coeffs = grid.gamma1_stencil("exterior")[0]
-    layers, ext, measure, _ = _band_layout(grid)
+    layers, ext = grid.gamma_rows, grid.ext_rows
     lower, diag, upper = grid.exterior_bands()
     # one load per interface node of a block: its row of T^T G^{1/2}
     p = len(layers)
@@ -112,7 +101,7 @@ def trace_map_norm(grid, tol=1e-10):
     loads[np.arange(p)[:, None], 0, np.searchsorted(ext, layers[:, 1:])] = (
         np.sqrt(grid.gamma_weights[:p, None]) * coeffs[1:])
     z = solve_tridiagonal(lower, diag, upper, loads, tol=tol)
-    gram = np.einsum("ibn,jbn,n->bij", z, z, measure[ext])
+    gram = np.einsum("ibn,jbn,n->bij", z, z, grid.row_measure[ext])
     return math.sqrt(float(np.linalg.eigvalsh(gram).max()))
 
 

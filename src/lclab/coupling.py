@@ -15,11 +15,14 @@ positive definite, and (E f, f) >= 0.  Every grid closes the exterior
 with a Neumann outer boundary; in 1D that makes the transmission factor
 D the identity, so W = -N there.
 
-The interface identities (``green_identity_check``) solve and apply on
-the grid's tridiagonal blocks (``solve_coupled``, ``solve_exterior``,
-``apply_coupled``), on the interval and the disk alike, and the 1D
-nonlocal solve is one bordered tridiagonal chain.  ``DifferencePipeline``
-keeps the sparse assemblies as the tests' oracle.
+The interface identities (``green_identity_check``) and the nonlocal
+solve (``nonlocal_bc_solve``) work on the grid's tridiagonal blocks
+(``mode_bands``) through the grid's interface layout (``gamma_rows``,
+``row_measure``), on the interval and the disk alike.  The interface
+operators come from one source, ``_interface_blocks``: one matrix per
+block, the exact 2x2 matrices on the interval and the flat circle
+multipliers per angular mode on the disk.  ``DifferencePipeline`` keeps
+the sparse assemblies as the tests' oracle.
 """
 
 import math
@@ -30,7 +33,7 @@ import numpy as np
 from .counting import eigen_spectrum
 from .errors import DomainError, InconclusiveError
 from .kernels import (loglog_fit, power_iteration_sym,
-                      solve_bordered_tridiagonal, solve_tridiagonal)
+                      solve_bordered_tridiagonal)
 
 MIN_RATE_R_SQUARED = 0.95
 DEFAULT_LAMBDA_SWEEP = (1e2, 1e3, 1e4, 1e5, 1e6)
@@ -135,12 +138,13 @@ def _rate_fit(lambdas, values):
     return loglog_fit(lambdas, values, MIN_RATE_R_SQUARED)
 
 
-def convergence_rate_fit(grid, lambdas=DEFAULT_LAMBDA_SWEEP):
+def convergence_rate_fit(grid, lambdas=DEFAULT_LAMBDA_SWEEP, tol=1e-10):
     """Fitted decay rate of ||E_lam|| over a coupling sweep (discrete).
 
-    Each norm is the top of ``eigen_spectrum``: exact, with no seed.
+    Each norm is the top of ``eigen_spectrum`` at solve tolerance
+    ``tol``: exact, with no seed.
     """
-    return _rate_fit(lambdas, [eigen_spectrum(grid, lam).max()
+    return _rate_fit(lambdas, [eigen_spectrum(grid, lam, tol=tol).max()
                                for lam in lambdas])
 
 
@@ -172,33 +176,19 @@ class GreenReport:
                 self.residual_iii, self.residual_iv)
 
 
-def _interface_ntd_apply(grid, lam, phi):
-    """Apply the exact interface NtD: 2x2 matrix in 1D, Fourier multiplier
-    in the angular mode on the polar circle."""
-    phi = np.asarray(phi, dtype=float)
+def _interface_blocks(grid, lam):
+    """The interface NtD N and difference operator W = -N D^{-1} as one
+    matrix per block of ``grid.mode_bands``, each of shape (blocks, p, p)
+    with p the interface rows of a block: the exact 2x2 matrices on the
+    interval, the flat symbols of angular mode k (frequency xi = k / R)
+    on the circle, with D = 1 - tau / eta, tau = |xi| and eta =
+    -sqrt(xi^2 + lam), so that W = 1 / (tau - eta)."""
     if grid.dim == 1:
-        n = ntd_matrix_1d(lam, grid.domain.a2 - grid.domain.a1)
-        return n @ phi
-    radius = grid.r_inc
-    coeffs = np.fft.fft(phi)
-    k = np.fft.fftfreq(phi.size, d=1.0 / phi.size)
-    mult = -1.0 / np.sqrt((k / radius) ** 2 + lam)
-    return np.real(np.fft.ifft(mult * coeffs))
-
-
-def _interface_difference_apply(grid, lam, phi):
-    """Apply the exact interface difference operator W = -N D^{-1}."""
-    phi = np.asarray(phi, dtype=float)
-    if grid.dim == 1:
-        w = difference_matrix_1d(grid.domain, lam)
-        return w @ phi
-    radius = grid.r_inc
-    coeffs = np.fft.fft(phi)
-    k = np.fft.fftfreq(phi.size, d=1.0 / phi.size)
-    xi = np.abs(k) / radius
+        return (ntd_matrix_1d(lam, grid.domain.inclusion_length)[None],
+                difference_matrix_1d(grid.domain, lam)[None])
+    xi = grid.modes / grid.r_inc
     eta = -np.sqrt(xi ** 2 + lam)
-    mult = 1.0 / (xi - eta)  # 1/(tau - eta): -N D^{-1} with D = 1 - tau/eta
-    return np.real(np.fft.ifft(mult * coeffs))
+    return (1.0 / eta)[:, None, None], (1.0 / (xi - eta))[:, None, None]
 
 
 def green_identity_check(grid, lam, f_ext, g_ext, tol=1e-10):
@@ -206,9 +196,9 @@ def green_identity_check(grid, lam, f_ext, g_ext, tol=1e-10):
 
     f and g are exterior fields; u is the coupled solve of (extend f),
     v the exterior solve of g.  Items (iii) and (iv) use the exact
-    interface operators (2x2 matrices in 1D, circle multipliers on the
-    polar grid).  Residuals are |lhs - rhs| / (||f|| ||g||).  Every
-    solve and operator product runs on the blocks of ``grid.mode_bands``.
+    interface operators of ``_interface_blocks``.  Residuals are
+    |lhs - rhs| / (||f|| ||g||).  Every solve and operator product runs
+    on the blocks of ``grid.mode_bands``.
     """
     f_ext = np.asarray(f_ext, dtype=float)
     g_ext = np.asarray(g_ext, dtype=float)
@@ -237,16 +227,20 @@ def green_identity_check(grid, lam, f_ext, g_ext, tol=1e-10):
     lhs_ii = grid.inner_ext(f_ext, v_ext) - grid.inner_ext(u_ext, g_ext)
     res_ii = abs(lhs_ii - rhs_boundary) / scale
 
-    # (iii) resolvent difference against the NtD pairing
+    # (iii) resolvent difference against the NtD pairing, and (iv)
+    # against the positive interface operator, each applied per block
+    gamma = grid.gamma_rows[:, 0]
+    traces = np.zeros((2, grid.n_nodes))
+    traces[:, grid.interface_idx] = g1_u, g1_vf
+    coeffs = grid.to_modes(traces)
+    coeffs[..., gamma] = (np.stack(_interface_blocks(grid, lam))
+                          @ coeffs[..., gamma, None])[..., 0]
+    ntd_g1_u, diff_g1_vf = grid.from_modes(coeffs)[:, grid.interface_idx]
     e_f = u_ext - vf_ext
     lhs_iii = grid.inner_ext(e_f, g_ext)
-    rhs_iii = -grid.interface_pairing(_interface_ntd_apply(grid, lam, g1_u),
-                                      g1_v)
+    rhs_iii = -grid.interface_pairing(ntd_g1_u, g1_v)
     res_iii = abs(lhs_iii - rhs_iii) / scale
-
-    # (iv) resolvent difference against the positive interface operator
-    rhs_iv = grid.interface_pairing(
-        _interface_difference_apply(grid, lam, g1_vf), g1_v)
+    rhs_iv = grid.interface_pairing(diff_g1_vf, g1_v)
     res_iv = abs(lhs_iii - rhs_iv) / scale
 
     return GreenReport(res_i, res_ii, res_iii, res_iv, scale)
@@ -280,75 +274,38 @@ def green_test_fields(grid):
 # exterior solve under the nonlocal interface condition
 
 
-def nonlocal_bc_solve_1d(grid, lam, f_ext, tol=1e-10):
-    """Exterior solve closed by u = N (gamma1 u) on the interface (1D).
-
-    Unknowns are the closed-exterior nodes, ordered as one chain
-    0 .. a1, a2 .. L whose Laplacian is cut between a1 and a2.  The other
-    rows are the grid's stiffness over the cell measures; the two
-    interface rows are I - N gamma1, with N the exact 2x2 NtD matrix and
-    gamma1 the grid's exterior one-sided stencil, so they couple both
-    interface points.  ``kernels.solve_bordered_tridiagonal`` solves the
-    chain with these two dense rows; the normwise backward error of the
-    whole matrix must not exceed ``tol``.
-    """
-    if grid.dim != 1:
-        raise DomainError("use nonlocal_bc_solve_polar for the disk")
-    nodes = np.union1d(grid.ext_idx, grid.interface_idx)
-    gamma = np.searchsorted(nodes, grid.interface_idx)
-    # row by row K / w: the -Laplacian acting on nodal values
-    lower, diag, upper = (band[0, nodes] / grid.w_full[nodes]
-                          for band in grid.mode_bands())
-    coeffs, stencil = grid.gamma1_stencil("exterior")
-    n_mat = ntd_matrix_1d(lam, grid.domain.inclusion_length)
-    rows = np.zeros((2, nodes.size))
-    rows[:, np.searchsorted(nodes, stencil)] = -n_mat[:, :, None] * coeffs
-    rows[[0, 1], gamma] += 1.0
-    sol = solve_bordered_tridiagonal(lower, diag, upper, rows, gamma,
-                                     grid.extend(f_ext)[nodes], tol=tol)
-    out = np.zeros(grid.n_nodes)
-    out[nodes] = sol
-    return grid.restrict(out)
-
-
-def nonlocal_bc_solve_polar(grid, lam, f_ext, tol=1e-10):
-    """Exterior solve with the circle-multiplier interface condition.
-
-    The disk's rotational symmetry splits the discrete exterior operator
-    into the radial blocks of ``PolarGrid.mode_bands``, rows divided by
-    the ring measures.  Each mode's interface row enforces
-    u = n_k * gamma1 u, with n_k the flat Neumann-to-Dirichlet symbol at
-    frequency k / R and gamma1 the grid's exterior stencil; the first
-    exterior row eliminates the stencil's third entry, so every mode is
-    one tridiagonal system.  Their normwise backward errors must not
-    exceed ``tol``.
-    """
-    if grid.dim != 2:
-        raise DomainError("polar solve needs a polar grid")
-    g, nth = grid.nr_int, grid.ntheta
-    # rows: the interface ring, then the exterior rings
-    lower, diag, upper = (band[:, g:] / grid.ring_measure[g:]
-                          for band in grid.mode_bands())
-    rhs = np.zeros(diag.shape, dtype=complex)
-    rhs[:, 1:] = np.fft.rfft(np.asarray(f_ext, dtype=float).reshape(
-        grid.nr_ext, nth), axis=1).T
-    # the grid's exterior gamma1 stencil along one ray, the same in every mode
-    stencil = grid.gamma1_stencil("exterior")[0]
-    n_k = -1.0 / np.sqrt((grid.modes / grid.r_inc) ** 2 + lam)
-    row = -n_k[:, None] * stencil
-    row[:, 0] += 1.0
-    factor = row[:, 2] / upper[:, 1]
-    diag[:, 0] = row[:, 0] - factor * lower[:, 1]
-    upper[:, 0] = row[:, 1] - factor * diag[:, 1]
-    rhs[:, 0] = -factor * rhs[:, 1]
-    out = solve_tridiagonal(lower, diag, upper, rhs, tol=tol)
-    return np.fft.irfft(out[:, 1:].T, n=nth, axis=1).ravel()
-
-
 def nonlocal_bc_solve(grid, lam, f_ext, tol=1e-10):
-    if grid.dim == 1:
-        return nonlocal_bc_solve_1d(grid, lam, f_ext, tol=tol)
-    return nonlocal_bc_solve_polar(grid, lam, f_ext, tol=tol)
+    """Exterior solve closed by u = N (gamma1 u) on the interface.
+
+    Per block of ``grid.mode_bands``, the unknowns are the exterior and
+    interface rows (on the interval one chain 0 .. a1, a2 .. L whose
+    Laplacian is cut between a1 and a2; on the disk the rings R .. R_out
+    of one angular mode).  The exterior rows are the block's over the
+    row measure; the interface rows are I - N gamma1, with N the block
+    NtD of ``_interface_blocks`` and gamma1 the grid's exterior stencil on
+    ``gamma_rows``, so on the interval they couple both interface points.
+    ``kernels.solve_bordered_tridiagonal`` solves every block with these
+    dense rows; the normwise backward error of every whole matrix must
+    not exceed ``tol``.
+    """
+    # first, so a side without two layers raises before any indexing
+    stencil = grid.gamma1_stencil("exterior")[0]
+    keep = np.zeros(grid.row_measure.size, dtype=bool)
+    keep[grid.ext_rows] = keep[grid.gamma_rows[:, 0]] = True
+    rows = np.flatnonzero(keep)
+    # the stencil rows of each interface row, as positions among ``rows``
+    at = (np.cumsum(keep) - 1)[grid.gamma_rows]
+    lower, diag, upper = (band[:, rows] / grid.row_measure[rows]
+                          for band in grid.mode_bands())
+    ntd = _interface_blocks(grid, lam)[0]
+    border = np.zeros(ntd.shape[:2] + (rows.size,))
+    border[:, :, at] = -ntd[..., None] * stencil
+    border[:, np.arange(len(at)), at[:, 0]] += 1.0
+    # the rows left out keep their zero data
+    coeffs = grid.to_modes(grid.extend(f_ext))
+    coeffs[..., rows] = solve_bordered_tridiagonal(
+        lower, diag, upper, border, at[:, 0], coeffs[..., rows], tol=tol)
+    return grid.restrict(grid.from_modes(coeffs))
 
 
 def counting_zero_threshold(norm_fn, mus, lam_lo=1.0, lam_hi=1e12):

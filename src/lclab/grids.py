@@ -36,10 +36,16 @@ and the interior Neumann assembly.  A geometry (``Grid1D``,
   * ``_band_parts()``, the lam-free parts of the coupled form matrix as
     a batch of tridiagonal blocks for ``kernels.solve_tridiagonal`` (one
     block over all nodes on a ``Grid1D``, one radial block per angular
-    mode on a ``PolarGrid``), ``ext_rows``, the exterior rows of every
-    block, and ``to_modes`` / ``from_modes``, which carry full fields to
-    the blocks and back (the identity on a ``Grid1D``, a unitary rfft
-    per ring on a ``PolarGrid``).
+    mode on a ``PolarGrid``), and ``to_modes`` / ``from_modes``, which
+    carry full fields to the blocks and back (the identity on a
+    ``Grid1D``, a unitary rfft per ring on a ``PolarGrid``);
+  * the interface layout in block coordinates, the same in every block:
+    ``ext_rows``, the exterior rows; ``gamma_rows``, one row of three
+    per interface row of a block (two on a ``Grid1D``, one on a
+    ``PolarGrid``): the interface row and the two exterior layers behind
+    it, the rows that the exterior gamma1 stencil weighs; ``row_measure``,
+    the cell measure of every row; and ``mode_multiplicity``, how many
+    angular modes share each block (``[1]`` on a ``Grid1D``).
 
 The band contract.  lam touches only the potential, so the lam-free
 parts (the links, the disk's angular term, the lower and upper bands)
@@ -50,11 +56,12 @@ potential`` per call, a new array.
 The band solves are built on these: ``solve_coupled`` and
 ``apply_coupled`` on ``mode_bands``, ``solve_exterior`` on
 ``exterior_bands``, the same blocks with Dirichlet rows on Gamma.  Every
-experiment solves on the blocks.  The sparse assemblies
+experiment solves on the blocks, and every consumer finds Gamma in them
+through the layout fields alone.  The sparse assemblies
 (``SparseOperator`` from ``assemble_*``, the stiffness ``_stiffness``
 assembled from ``_links`` on first use) serve the tests as oracles, the
 demos and ``--dump-matrices``.  ``PolarGrid`` keeps its coefficients per ring,
-ring 0 being the origin: ``ring_measure``, ``ring_potential`` (the
+ring 0 being the origin: ``row_measure``, ``ring_potential`` (the
 potential measure), ``radial_conductance`` (ring m to m + 1) and
 ``angular_conductance``.  Its nodal measures, its links and the
 per-angular-mode radial blocks of ``mode_bands`` are all built from
@@ -313,10 +320,14 @@ class Grid1D(_Grid):
                                        np.arange(self.i2 + 1, self.n_nodes)])
         self.int_idx = np.arange(self.i1, self.i2 + 1)  # closed inclusion
         self.ext_rows = self.ext_idx
+        # the endpoints, each with the two nodes behind it, left and right
+        self.gamma_rows = (self.interface_idx[:, None]
+                           + np.outer([-1, 1], np.arange(3)))
+        self.mode_multiplicity = np.ones(1, dtype=int)
 
         w = np.full(self.n_nodes, self.h)
         w[0] = w[-1] = self.h / 2
-        self.w_full = w
+        self.w_full = self.row_measure = w
         # dual-cell measure inside the open inclusion (exact, grid-aligned)
         pot = np.zeros(self.n_nodes)
         pot[self.i1 + 1:self.i2] = self.h
@@ -416,6 +427,7 @@ class PolarGrid(_Grid):
         self.ext_idx = np.arange(first + self.ntheta, self.n_nodes)
         self.int_idx = np.arange(first + self.ntheta)
         self.ext_rows = np.arange(self.nr_int + 1, self.ntot + 1)
+        self.gamma_rows = self.nr_int + np.arange(3)[None, :]
         self.modes = np.arange(self.ntheta // 2 + 1)
         self.mode_multiplicity = np.where(
             (self.modes == 0) | (2 * self.modes == self.ntheta), 1, 2)
@@ -436,7 +448,7 @@ class PolarGrid(_Grid):
         measure[0] = np.pi * hr ** 2 / 4.0
         measure[1:] = self.radii * hr * htheta
         measure[-1] = half_cell(self.ntot * hr)
-        self.ring_measure = measure
+        self.row_measure = measure
         potential = np.zeros(self.ntot + 1)
         potential[:self.nr_int] = measure[:self.nr_int]
         potential[self.nr_int] = half_cell(self.r_inc)

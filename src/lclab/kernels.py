@@ -7,9 +7,10 @@ Sparse and dense work is delegated to LAPACK via numpy/scipy, and the
 tridiagonal batches are reduced level by level in numpy; every kernel
 checks its own contract (residual, symmetry, spectral identities) after
 the fact so downstream experiments never consume a silently bad solve.
-The experiments run on the tridiagonal kernels alone; ``green``'s 1D
-nonlocal solve is a tridiagonal chain with two dense rows, closed by a
-rank-2 Woodbury correction.  The sparse SPD path serves the tests as an
+The experiments run on the tridiagonal kernels alone; the nonlocal
+solve is a batch of tridiagonal blocks, each with dense interface rows,
+closed by a Woodbury correction of the rank of its border.  The sparse
+SPD path, one sparse LU for every matrix, serves the tests as an
 oracle.  scipy is reached only as ``scipy.<sub>`` attributes, so each
 submodule loads on first use; no experiment uses one.
 """
@@ -43,29 +44,16 @@ def require_symmetric(mat, tol=1e-14):
 
 
 class _Factorization:
-    """Cached direct factorization of a symmetric positive definite matrix.
-
-    Tridiagonal systems go through banded Cholesky (the 1D grids are
-    tridiagonal after assembly); everything else through sparse LU.
-    ``norm_inf`` caches ||mat||_inf for the backward-error check.
+    """Cached sparse LU factorization of a symmetric positive definite
+    matrix.  ``norm_inf`` caches ||mat||_inf for the backward-error check.
     """
 
     def __init__(self, mat):
         mat = scipy.sparse.csr_matrix(mat)
         self.mat = mat
         self.norm_inf = scipy.sparse.linalg.norm(mat, np.inf)
-        coo = mat.tocoo()
-        bandwidth = int(np.max(np.abs(coo.row - coo.col))) if coo.nnz else 0
-        if bandwidth <= 1:
-            ab = np.zeros((2, mat.shape[0]))
-            ab[1] = mat.diagonal()
-            ab[0, 1:] = mat.diagonal(1)
-            self._banded = scipy.linalg.cholesky_banded(ab, lower=False)
-            self._solve = lambda b: scipy.linalg.cho_solve_banded(
-                (self._banded, False), b)
-        else:
-            self._solve = scipy.sparse.linalg.splu(
-                mat.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+        self._solve = scipy.sparse.linalg.splu(
+            mat.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
 
     def solve(self, rhs):
         return self._solve(np.asarray(rhs, dtype=float))
@@ -182,56 +170,61 @@ def solve_tridiagonal(lower, diag, upper, rhs, tol=DEFAULT_SOLVE_TOL):
 
 
 def bordered_backward_error(lower, diag, upper, rows, at, x, rhs):
-    """Normwise backward error of one solve with the tridiagonal matrix
-    whose rows ``at`` are the dense ``rows`` (see
-    ``solve_bordered_tridiagonal``): the whole matrix, borders included."""
+    """Normwise backward error of every system of a bordered batch (see
+    ``solve_bordered_tridiagonal``), one per system: the tridiagonal
+    matrix whose rows ``at`` are the dense ``rows``, borders included."""
     ax = tridiagonal_apply(lower, diag, upper, x)
-    ax[at] = rows @ x
+    ax[:, at] = (rows @ x[..., None])[..., 0]
     row_sums = _row_sums(lower, diag, upper)
-    row_sums[at] = np.abs(rows).sum(axis=1)
-    return float(_normwise_error(ax, row_sums, x, rhs))
+    row_sums[:, at] = np.abs(rows).sum(axis=-1)
+    return _normwise_error(ax, row_sums, x, rhs)
 
 
 def solve_bordered_tridiagonal(lower, diag, upper, rows, at, rhs,
                                tol=DEFAULT_SOLVE_TOL):
-    """Solve one tridiagonal system whose rows ``at`` are replaced by the
-    dense ``rows``, of shape (len(at), n).
+    """Solve a batch of tridiagonal systems whose rows ``at`` are replaced
+    by dense rows: the bands have the shape (systems, n), ``rows`` the
+    shape (systems, len(at), n) and ``rhs``, which may be complex, the
+    shape (systems, n).
 
-    T is the tridiagonal matrix with unit rows at ``at`` and V the dense
-    rows less those units, so the matrix is T + U V with U the unit
-    columns at ``at``, and the Woodbury identity closes it:
+    In each system T is the tridiagonal matrix with unit rows at ``at``
+    and V the dense rows less those units, so the matrix is T + U V with
+    U the unit columns at ``at``, and the Woodbury identity closes it:
 
         x = y - Z (I + V Z)^-1 V y,   with T [y, Z] = [rhs, U].
 
-    The data and the unit loads are one batched cyclic reduction.  Unit
-    rows, rather than the band entries of ``rows``, keep T the matrix
-    with Dirichlet rows at ``at``, so an ill-conditioned border stays in
-    the small dense system.  The normwise backward error of the whole
-    matrix (``bordered_backward_error``) must not exceed ``tol``;
-    ConvergenceError carries it.
+    The data and the unit loads of every system are one batched cyclic
+    reduction.  Unit rows, rather than the band entries of ``rows``, keep
+    T the matrix with Dirichlet rows at ``at``, so an ill-conditioned
+    border stays in the small dense system.  The normwise backward error
+    of every whole matrix (``bordered_backward_error``) must not exceed
+    ``tol``; ConvergenceError carries the worst.
     """
     if not 0.0 < tol <= 1e-6:
         raise ContractError(f"solve tolerance {tol} outside (0, 1e-6]")
     bands = tuple(np.array(band, dtype=float)
                   for band in (lower, diag, upper))
     rows, at = np.asarray(rows, dtype=float), np.asarray(at)
-    rhs = np.asarray(rhs, dtype=float)
-    k, n = rows.shape
+    rhs = np.asarray(rhs)
+    systems, k, n = rows.shape
     units = np.zeros((k, n))
     units[np.arange(k), at] = 1.0
     for band, unit in zip(bands, (0.0, 1.0, 0.0)):
-        band[at] = unit
-    loads = np.concatenate([rhs[None], units])
+        band[:, at] = unit
+    loads = np.concatenate(
+        [rhs[None], np.broadcast_to(units[:, None], (k, systems, n))])
     with np.errstate(divide="ignore", invalid="ignore"):
         y = _cyclic_reduction(-bands[0], bands[1], -bands[2], loads)
+        z = np.moveaxis(y[1:], 0, -1)
         border = rows - units
-        x = y[0] - y[1:].T @ np.linalg.solve(np.eye(k) + border @ y[1:].T,
-                                             border @ y[0])
+        x = y[0] - (z @ np.linalg.solve(np.eye(k) + border @ z,
+                                        border @ y[0][..., None]))[..., 0]
         residual = bordered_backward_error(*bands, rows, at, x, rhs)
-    if not residual <= tol:
+    worst = float(residual.max())
+    if not worst <= tol:
         raise ConvergenceError(
-            f"bordered tridiagonal solve backward error {residual:.3e} "
-            f"exceeds tol {tol:.1e}", residual=residual)
+            f"bordered tridiagonal solve backward error {worst:.3e} "
+            f"exceeds tol {tol:.1e}", residual=worst)
     return x
 
 

@@ -332,7 +332,8 @@ def _run_rate1d(config, art, dump=False):
     grid = Grid1D(domain, config["grid.cells_1d"] * 2)
     lambdas = config["sweep.lambdas"]
     exact = cp.convergence_rate_fit_exact_1d(domain, lambdas)
-    fit = cp.convergence_rate_fit(grid, lambdas)
+    fit = cp.convergence_rate_fit(grid, lambdas,
+                                  tol=config["tolerances.solve_tol"])
     if dump:
         grid.assemble_coupled(lambdas[0]).export_matrix_market(
             art.out / "coupled_matrix.mtx")
@@ -355,7 +356,8 @@ def _run_rate2d(config, art, dump=False):
     grid = PolarGrid(_domain2d(config), config["grid.radial_ext"] * 2,
                      config["grid.angular"] * 2)
     lambdas = config["sweep.lambdas_2d"]
-    fit = cp.convergence_rate_fit(grid, lambdas)
+    fit = cp.convergence_rate_fit(grid, lambdas,
+                                  tol=config["tolerances.solve_tol"])
     if dump:
         grid.assemble_exterior().export_matrix_market(
             art.out / "exterior_matrix_2d.mtx")
@@ -368,14 +370,13 @@ def _run_rate2d(config, art, dump=False):
 
 def _run_green(config, art, dump=False):
     domain = _domain1d(config)
-    lam = config["sweep.lam"]
+    lam, tol = config["sweep.lam"], config["tolerances.solve_tol"]
     n = config["grid.cells_1d"]
     reports = {}
     for cells in (n // 2, n):
         grid = Grid1D(domain, cells)
         f, g = cp.green_test_fields(grid)
-        reports[cells] = cp.green_identity_check(
-            grid, lam, f, g, tol=config["tolerances.solve_tol"])
+        reports[cells] = cp.green_identity_check(grid, lam, f, g, tol=tol)
     coarse, fine = reports[n // 2], reports[n]
     rows = [(cells, *rep.as_tuple()) for cells, rep in sorted(reports.items())]
     art.write_csv("green", ["cells", "res_i", "res_ii", "res_iii", "res_iv"],
@@ -390,15 +391,14 @@ def _run_green(config, art, dump=False):
                         TOLERANCES["green_ratio_window"])
 
     # interface condition against the exact operator, on the fine grid
-    u = grid.solve_coupled(lam, grid.extend(f),
-                           tol=config["tolerances.solve_tol"])
+    u = grid.solve_coupled(lam, grid.extend(f), tol=tol)
     g0 = grid.trace_gamma0(u)
     g1 = grid.trace_gamma1(u, "exterior")
     n_mat = cp.ntd_matrix_1d(lam, domain.inclusion_length)
     rel = float(np.abs(g0 - n_mat @ g1).max() / np.abs(g0).max())
     ok &= art.check("green.ntd_consistency", rel,
                     TOLERANCES["ntd_consistency_rel"])
-    u_nl = cp.nonlocal_bc_solve(grid, lam, f)
+    u_nl = cp.nonlocal_bc_solve(grid, lam, f, tol=tol)
     u_tr = grid.restrict(u)
     disc = float(np.linalg.norm(u_nl - u_tr) / np.linalg.norm(u_tr))
     ok &= art.check("green.nonlocal_discrepancy", disc,

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse.linalg
 
 from lclab import (ContractError, ConvergenceError, DifferencePipeline,
-                   DomainError, Fit, Grid1D, InconclusiveError,
+                   Domain1D, DomainError, Fit, Grid1D, InconclusiveError,
                    convergence_rate_fit, convergence_rate_fit_exact_1d,
                    counting_zero_threshold, difference_matrix_1d,
                    difference_norm_exact_1d, exterior_gram_1d,
@@ -18,8 +18,9 @@ from conftest import gamma1_matrix
 
 LAMBDAS = (1e2, 1e3, 1e4, 1e5, 1e6)
 # the sparse oracle refines its solves to this backward error: at the
-# default 1e-10 banded Cholesky stops 1.3e-12 from the solution on
-# 2,048 cells, where the band route sits within 1.2e-14
+# default 1e-10 its sparse LU stops 7.6e-14 from the refined solution on
+# 2,048 cells (the exterior solve; 1.6e-14 for the coupled one at
+# lam = 1e3), where the band route sits within 1.2e-14
 ORACLE_TOL = 1e-16
 
 
@@ -267,6 +268,13 @@ def test_nonlocal_solve_zero_source(grid1d):
     assert np.abs(out).max() < 1e-14
 
 
+def test_nonlocal_solve_needs_two_exterior_layers():
+    # one exterior cell on each side: the stencil has no second layer
+    grid = Grid1D(Domain1D(length=1.0, a1=1 / 16, a2=15 / 16), 16)
+    with pytest.raises(DomainError, match="two layers"):
+        nonlocal_bc_solve(grid, 1e3, np.ones(grid.ext_idx.size))
+
+
 def test_nonlocal_solve_rejects_tolerance_outside_contract(grid1d,
                                                            polar_grid):
     for grid in (grid1d, polar_grid):
@@ -276,9 +284,14 @@ def test_nonlocal_solve_rejects_tolerance_outside_contract(grid1d,
                 nonlocal_bc_solve(grid, 1e3, f, tol=tol)
 
 
-def test_nonlocal_solve_checks_its_backward_error(grid1d, monkeypatch):
-    # the check covers the whole bordered matrix, interface rows included
-    f, _ = green_test_fields(grid1d)
+@pytest.mark.parametrize("grid_name", ["grid1d", "polar_grid"])
+def test_nonlocal_solve_checks_its_backward_error(grid_name, request,
+                                                  monkeypatch):
+    # the check covers every whole bordered block, interface rows
+    # included; on the disk the interface rows are not symmetric and the
+    # solve does not pivot, at every coupling
+    grid = request.getfixturevalue(grid_name)
+    f, _ = green_test_fields(grid)
     original, seen = kernels.bordered_backward_error, []
 
     def spy(*args, **kwargs):
@@ -286,36 +299,45 @@ def test_nonlocal_solve_checks_its_backward_error(grid1d, monkeypatch):
         return seen[-1]
 
     monkeypatch.setattr(kernels, "bordered_backward_error", spy)
-    nonlocal_bc_solve(grid1d, 1e3, f)
-    assert len(seen) == 1 and 0.0 < seen[0] <= 1e-10
-    with pytest.raises(ConvergenceError) as info:
-        nonlocal_bc_solve(grid1d, 1e3, f, tol=1e-30)
-    assert info.value.residual == seen[-1] > 1e-30
-
-
-def test_nonlocal_polar_checks_its_backward_error(polar_grid, monkeypatch):
-    f, _ = green_test_fields(polar_grid)
-    original, seen = kernels.tridiagonal_backward_error, []
-
-    def spy(*args):
-        seen.append(original(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(kernels, "tridiagonal_backward_error", spy)
-    # the interface rows are not symmetric; cyclic reduction eliminates
-    # them first, without pivoting, at every coupling
     lambdas = (1.0, 1e3, 1e6)
     for lam in lambdas:
-        nonlocal_bc_solve(polar_grid, lam, f)
+        nonlocal_bc_solve(grid, lam, f)
     assert len(seen) == len(lambdas)
     for residual in seen:
-        assert residual.shape == polar_grid.modes.shape
-        assert residual.max() <= 1e-10
-    monkeypatch.setattr(kernels, "tridiagonal_backward_error",
-                        lambda *args: np.full(polar_grid.modes.size, 1e-6))
+        assert residual.shape == grid.mode_multiplicity.shape
+        assert 0.0 < residual.max() <= 1e-10
     with pytest.raises(ConvergenceError) as info:
-        nonlocal_bc_solve(polar_grid, 1e3, f)
-    assert info.value.residual == 1e-6
+        nonlocal_bc_solve(grid, 1e3, f, tol=1e-30)
+    assert info.value.residual == seen[-1].max() > 1e-30
+
+
+def _eliminated_nonlocal_polar(grid, lam, f_ext):
+    """Oracle: the disk's nonlocal solve per angular mode, the interface
+    row u = n_k gamma1 u rid of the stencil's third entry by the first
+    exterior row, so that every mode is one tridiagonal system."""
+    g, nth = grid.nr_int, grid.ntheta
+    lower, diag, upper = (band[:, g:] / grid.row_measure[g:]
+                          for band in grid.mode_bands())
+    rhs = np.zeros(diag.shape, dtype=complex)
+    rhs[:, 1:] = np.fft.rfft(np.asarray(f_ext, dtype=float).reshape(
+        grid.nr_ext, nth), axis=1).T
+    stencil = grid.gamma1_stencil("exterior")[0]
+    n_k = -1.0 / np.sqrt((grid.modes / grid.r_inc) ** 2 + lam)
+    row = -n_k[:, None] * stencil
+    row[:, 0] += 1.0
+    factor = row[:, 2] / upper[:, 1]
+    diag[:, 0] = row[:, 0] - factor * lower[:, 1]
+    upper[:, 0] = row[:, 1] - factor * diag[:, 1]
+    rhs[:, 0] = -factor * rhs[:, 1]
+    out = kernels.solve_tridiagonal(lower, diag, upper, rhs)
+    return np.fft.irfft(out[:, 1:].T, n=nth, axis=1).ravel()
+
+
+def test_nonlocal_polar_matches_per_mode_elimination(polar_grid):
+    f, _ = green_test_fields(polar_grid)
+    for lam in (1.0, 1e3, 1e6):
+        assert _rel(nonlocal_bc_solve(polar_grid, lam, f),
+                    _eliminated_nonlocal_polar(polar_grid, lam, f)) <= 1e-12
 
 
 def _spsolve_nonlocal(grid, lam, f_ext):

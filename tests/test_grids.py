@@ -210,6 +210,32 @@ def test_cached_bands_are_read_only_and_match_a_fresh_build(
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
+@BAND_GRIDS
+def test_interface_layout_locates_gamma_in_the_blocks(make_grid, domain1d,
+                                                      disk_domain, rng):
+    grid = make_grid(domain1d, disk_domain)
+    assert grid.mode_multiplicity.sum() == (
+        1 if isinstance(grid, Grid1D) else grid.ntheta)
+    u, v = rng.standard_normal((2, grid.n_nodes))
+    cu, cv = grid.to_modes(u), grid.to_modes(v)
+    # row_measure and mode_multiplicity give the weighted inner product
+    per_block = np.sum(grid.row_measure * cu * np.conj(cv), axis=-1).real
+    assert per_block @ grid.mode_multiplicity == pytest.approx(
+        grid.inner_full(u, v), rel=1e-12)
+    # exterior fields live on ext_rows
+    rows = np.flatnonzero(np.abs(grid.to_modes(grid.extend(
+        grid.restrict(u)))).max(axis=0) > 0.0)
+    assert np.array_equal(rows, grid.ext_rows)
+    # gamma_rows names the nodes of the exterior gamma1 stencil: the
+    # stencil applied to the block rows is the trace in the blocks
+    coeffs = grid.gamma1_stencil("exterior")[0]
+    trace = np.zeros(grid.n_nodes)
+    trace[grid.interface_idx] = grid.trace_gamma1(u, "exterior")
+    want = grid.to_modes(trace)[..., grid.gamma_rows[:, 0]]
+    got = cu[..., grid.gamma_rows] @ coeffs
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+
 def test_gamma1_needs_two_layers_per_side(disk_domain):
     coarse = PolarGrid(disk_domain, nr_ext=1, ntheta=8)  # one ring per side
     for side in ("exterior", "interior"):

@@ -180,22 +180,26 @@ def test_tridiagonal_apply_matches_dense_product(rng):
 
 @pytest.mark.parametrize("at", [[0, 1], [3, 4], [5, 11], [0, 11]])
 def test_bordered_solve_matches_dense_solve(rng, at):
-    # dense rows anywhere, the chain's ends included
-    lower, diag, upper = (band[0] for band in _random_bands(rng, 1, 12))
+    # a batch of three systems, complex data, dense rows anywhere, the
+    # chain's ends included
+    systems, n = 3, 12
+    lower, diag, upper = _random_bands(rng, systems, n)
     at = np.array(at)
-    rows = rng.standard_normal((2, 12))
-    rows[[0, 1], at] += 12.0
-    dense = _dense(lower, diag, upper)
-    dense[at] = rows
-    rhs = rng.standard_normal(12)
+    rows = rng.standard_normal((systems, 2, n))
+    rows[:, [0, 1], at] += 12.0
+    dense = np.stack([_dense(*bands) for bands in zip(lower, diag, upper)])
+    dense[:, at] = rows
+    rhs = rng.standard_normal((systems, n)) \
+        + 1j * rng.standard_normal((systems, n))
     x = solve_bordered_tridiagonal(lower, diag, upper, rows, at, rhs)
-    assert np.allclose(x, np.linalg.solve(dense, rhs), rtol=1e-13,
-                       atol=1e-13)
-    # the check measures the whole matrix: its norm includes the rows
-    off = x + 1e-3 * rng.standard_normal(12)
-    expected = np.linalg.norm(dense @ off - rhs) / (
-        np.abs(dense).sum(axis=1).max() * np.linalg.norm(off)
-        + np.linalg.norm(rhs))
+    assert x.shape == rhs.shape and x.dtype == complex
+    want = np.linalg.solve(dense, rhs[..., None])[..., 0]
+    assert np.allclose(x, want, rtol=1e-13, atol=1e-13)
+    # the check measures every whole matrix: its norm includes the rows
+    off = x + 1e-3 * rng.standard_normal((systems, n))
+    expected = [np.linalg.norm(a @ o - b) / (
+        np.abs(a).sum(axis=1).max() * np.linalg.norm(o) + np.linalg.norm(b))
+        for a, o, b in zip(dense, off, rhs)]
     assert kernels.bordered_backward_error(
         lower, diag, upper, rows, at, off, rhs) == pytest.approx(expected,
                                                                  rel=1e-12)

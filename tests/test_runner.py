@@ -83,7 +83,7 @@ def test_flat_rate_sweep_fails_rather_than_inconclusive(monkeypatch,
                                                         tmp_path):
     # norms that do not decay: r^2 is low, but the fit is flat, so it is
     # conclusive and its slope ~0 lies outside the rate window
-    def flat(grid, lambdas):
+    def flat(grid, lambdas, tol):
         return runner.cp._rate_fit(lambdas, [1.0, 1.05, 1.0, 1.05, 1.0])
 
     monkeypatch.setattr(runner.cp, "convergence_rate_fit", flat)
@@ -183,6 +183,23 @@ def test_power_tol_is_no_longer_a_config_key(tmp_path, capsys):
     cfg.write_text("[tolerances]\npower_tol = 1e-8\n")
     assert runner.main(["rate1d", "--config", str(cfg)]) == 3
     assert "unknown key tolerances.power_tol" in capsys.readouterr().err
+
+
+def test_solve_tol_reaches_every_solve(tmp_path):
+    # no solve meets a backward error of 1e-30, so every experiment that
+    # solves must report the error; the rest never read the setting
+    cfg = tmp_path / "strict.ini"
+    cfg.write_text("[tolerances]\nsolve_tol = 1e-30\n")
+    assert runner.main(["report-all", "--config", str(cfg),
+                        "--out", str(tmp_path / "out")]) == 1
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    verdicts = summary["experiments"]
+    solving = ("rate1d", "rate2d", "green", "weyl", "birman")
+    solve_free = ("symbols", "bounds", "nbound", "compose", "threshold")
+    assert sorted(verdicts) == sorted(solving + solve_free)
+    assert [exp for exp in solving
+            if not verdicts[exp].startswith("error:")] == []
+    assert [verdicts[exp] for exp in solve_free] == ["pass"] * 5
 
 
 # Run in a fresh interpreter, since this one loaded scipy long ago.  The
