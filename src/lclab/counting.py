@@ -17,8 +17,10 @@ one per angular mode on a ``PolarGrid``, one over the nodes on a
 ``Grid1D``) and the place of the interface in them (``gamma_rows``,
 ``ext_rows``, ``row_measure``, ``mode_multiplicity``), and the spectrum
 of E_lam and the norm of S each come from one batched tridiagonal solve
-over the blocks, with no branch on the geometry.  No sparse matrix is
-formed; the tests keep the sparse interface Schur complement as the
+over the blocks, with no branch on the geometry.  lam enters only the
+diagonal, so ``eigen_spectra`` takes a whole coupling sweep in that one
+solve, and ``eigen_spectrum`` is its single-lam row.  No sparse matrix
+is formed; the tests keep the sparse interface Schur complement as the
 oracle.
 
 The two counting-law fits return a ``kernels.Fit`` of N(mu) against mu
@@ -49,7 +51,16 @@ def counting_function(eigenvalues, mu):
 
 
 def eigen_spectrum(grid, lam, tol=1e-10):
-    """Nonzero spectrum of the resolvent difference E_lam, ascending.
+    """Nonzero spectrum of the resolvent difference E_lam, ascending: the
+    one row of ``eigen_spectra`` at the scalar ``lam``.  It takes one lam
+    only: the benchmark's tracer wraps it and reads its result as one
+    spectrum.  A sweep goes to ``eigen_spectra``."""
+    return eigen_spectra(grid, [lam], tol=tol)[0]
+
+
+def eigen_spectra(grid, lambdas, tol=1e-10):
+    """Nonzero spectra of E_lam over a coupling sweep, one ascending row
+    per lam of the sequence ``lambdas``: an array (len(lambdas), rank).
 
     Let Z be the coupled matrix A of a block of ``grid.mode_bands``
     applied, inversely, to a unit load on each interface node.  The
@@ -60,26 +71,30 @@ def eigen_spectrum(grid, lam, tol=1e-10):
 
     with W the exterior measures.  E_lam has rank |Gamma|, and its
     nonzero eigenvalues, the only ones returned, are those of the pencil
-    (G, Z_GammaGamma) with G = Z_ext^T W Z_ext.  One batched tridiagonal
-    solve serves every block: the interval is one block with two
-    interface nodes, and on the disk each angular mode k is a block with
-    one, whose eigenvalue G / Z_GammaGamma modes k and -k share.
+    (G, Z_GammaGamma) with G = Z_ext^T W Z_ext.  lam enters only the
+    diagonal of the blocks, so one batched tridiagonal solve serves every
+    lam and every block: the interval is one block with two interface
+    nodes, and on the disk each angular mode k is a block with one, whose
+    eigenvalue G / Z_GammaGamma modes k and -k share.  Each row is, to
+    the bit, what a sweep of one lam gives.
     """
+    lams = np.asarray(lambdas, dtype=float)
     gamma, ext = grid.gamma_rows[:, 0], grid.ext_rows
     measure = grid.row_measure
-    loads = np.zeros((gamma.size, 1, measure.size))
-    loads[np.arange(gamma.size), 0, gamma] = 1.0
-    z = solve_tridiagonal(*grid.mode_bands(lam), loads, tol=tol)
+    loads = np.zeros((gamma.size, 1, 1, measure.size))
+    loads[np.arange(gamma.size), 0, 0, gamma] = 1.0
+    z = solve_tridiagonal(*grid.mode_bands(lams[:, None, None]), loads,
+                          tol=tol)
     z_ext = z[..., ext]
-    gram = np.einsum("ijbn,n->bij", z_ext[:, None] * z_ext, measure[ext])
+    gram = np.einsum("ijlbn,n->lbij", z_ext[:, None] * z_ext, measure[ext])
     try:
-        chol = np.linalg.cholesky(np.moveaxis(z[..., gamma], 0, 1))
+        chol = np.linalg.cholesky(np.moveaxis(z[..., gamma], 0, -2))
     except np.linalg.LinAlgError as err:
         raise ContractError(f"interface block of A^-1 not SPD: {err}")
     half = np.linalg.inv(chol)
-    values = np.linalg.eigvalsh(half @ gram @ np.swapaxes(half, 1, 2))
-    return np.sort(np.repeat(values, grid.mode_multiplicity, axis=0),
-                   axis=None)
+    values = np.linalg.eigvalsh(half @ gram @ np.swapaxes(half, -1, -2))
+    values = np.repeat(values, grid.mode_multiplicity, axis=1)
+    return np.sort(values.reshape(len(values), -1), axis=1)
 
 
 def trace_map_norm(grid, tol=1e-10):

@@ -26,11 +26,11 @@ the sparse assemblies as the tests' oracle.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import eigen_spectrum
+from .counting import eigen_spectra
 from .errors import DomainError, InconclusiveError
 from .kernels import (loglog_fit, power_iteration_sym,
                       solve_bordered_tridiagonal)
@@ -141,11 +141,11 @@ def _rate_fit(lambdas, values):
 def convergence_rate_fit(grid, lambdas=DEFAULT_LAMBDA_SWEEP, tol=1e-10):
     """Fitted decay rate of ||E_lam|| over a coupling sweep (discrete).
 
-    Each norm is the top of ``eigen_spectrum`` at solve tolerance
-    ``tol``: exact, with no seed.
+    Each norm is the top of its row of ``eigen_spectra``, one batched
+    solve for the whole sweep at solve tolerance ``tol``: exact, with no
+    seed.
     """
-    return _rate_fit(lambdas, [eigen_spectrum(grid, lam, tol=tol).max()
-                               for lam in lambdas])
+    return _rate_fit(lambdas, eigen_spectra(grid, lambdas, tol=tol)[:, -1])
 
 
 def convergence_rate_fit_exact_1d(domain, lambdas=DEFAULT_LAMBDA_SWEEP):
@@ -163,6 +163,8 @@ class GreenReport:
 
     Residuals are normalized by ||f|| ||g|| (the natural scale of the
     bilinear forms being compared); ``scale`` records that normalizer.
+    ``coupled`` is the coupled solve u of (extend f) they were measured
+    on, for checks of u beyond the identities.
     """
 
     residual_i: float
@@ -170,6 +172,7 @@ class GreenReport:
     residual_iii: float
     residual_iv: float
     scale: float
+    coupled: np.ndarray = field(repr=False, compare=False)
 
     def as_tuple(self):
         return (self.residual_i, self.residual_ii,
@@ -243,7 +246,7 @@ def green_identity_check(grid, lam, f_ext, g_ext, tol=1e-10):
     rhs_iv = grid.interface_pairing(diff_g1_vf, g1_v)
     res_iv = abs(lhs_iii - rhs_iv) / scale
 
-    return GreenReport(res_i, res_ii, res_iii, res_iv, scale)
+    return GreenReport(res_i, res_ii, res_iii, res_iv, scale, u_full)
 
 
 def green_test_fields(grid):

@@ -390,8 +390,9 @@ def _run_green(config, art, dump=False):
         ok &= art.check(f"green.refinement_ratio_{label}", ratio,
                         TOLERANCES["green_ratio_window"])
 
-    # interface condition against the exact operator, on the fine grid
-    u = grid.solve_coupled(lam, grid.extend(f), tol=tol)
+    # interface condition against the exact operator, on the fine grid's
+    # coupled solve, the one its identities were measured on
+    u = fine.coupled
     g0 = grid.trace_gamma0(u)
     g1 = grid.trace_gamma1(u, "exterior")
     n_mat = cp.ntd_matrix_1d(lam, domain.inclusion_length)

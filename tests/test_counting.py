@@ -4,20 +4,27 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from lclab import (ContractError, DifferencePipeline, DomainError, Fit, Grid1D,
-                   PolarGrid, ResourceLimitError, birman_disk_check,
-                   birman_synthetic_check, circle_difference_eigenvalue,
-                   convergence_rate_fit, counting_circle, counting_function,
+from lclab import (ContractError, ConvergenceError, DifferencePipeline,
+                   DomainError, Fit, Grid1D, PolarGrid, ResourceLimitError,
+                   birman_disk_check, birman_synthetic_check,
+                   circle_difference_eigenvalue, convergence_rate_fit,
+                   counting, counting_circle, counting_function,
                    circle_model_exponent_fit, dense_eigen, eigen_spectrum,
                    power_iteration_sym, solve_spd, trace_map_norm,
                    weyl_exponent_fit)
-from lclab.counting import CIRCLE_MODE_CAP, _comparison_violations
-from lclab.kernels import _Factorization
+from lclab.counting import (CIRCLE_MODE_CAP, _comparison_violations,
+                            eigen_spectra)
+from lclab.kernels import _Factorization, solve_tridiagonal
 from lclab.runner import TOLERANCES, default_config, run_experiment
 
 from conftest import gamma1_matrix
 
 LAM = 1e3
+SWEEP = (1e2, 1e3, 1e4, 1e5, 1e6)
+SMALL_GRIDS = pytest.mark.parametrize("make_grid", [
+    lambda d1, d2: PolarGrid(d2, nr_ext=8, ntheta=16),
+    lambda d1, d2: Grid1D(d1, 64),
+], ids=["polar-8x16", "grid1d-64"])
 
 
 def densified_spectrum(grid, lam):
@@ -34,10 +41,7 @@ def densified_spectrum(grid, lam):
     return dense_eigen(0.5 * (cols + cols.T))
 
 
-@pytest.mark.parametrize("make_grid", [
-    lambda d1, d2: PolarGrid(d2, nr_ext=8, ntheta=16),
-    lambda d1, d2: Grid1D(d1, 64),
-], ids=["polar-8x16", "grid1d-64"])
+@SMALL_GRIDS
 def test_eigen_spectrum_matches_densified_oracle(make_grid, domain1d,
                                                  disk_domain):
     grid = make_grid(domain1d, disk_domain)
@@ -149,10 +153,7 @@ def test_trace_map_norm_on_grid1d(grid1d):
                - power_trace_map_norm(grid1d, 1e-12)) <= 1e-8
 
 
-@pytest.mark.parametrize("make_grid", [
-    lambda d1, d2: PolarGrid(d2, nr_ext=8, ntheta=16),
-    lambda d1, d2: Grid1D(d1, 64),
-], ids=["polar-8x16", "grid1d-64"])
+@SMALL_GRIDS
 def test_rate_fit_norms_are_spectral_tops(make_grid, domain1d, disk_domain):
     grid = make_grid(domain1d, disk_domain)
     lambdas = (1e2, 1e3, 1e4, 1e5)
@@ -162,6 +163,37 @@ def test_rate_fit_norms_are_spectral_tops(make_grid, domain1d, disk_domain):
     for lam, value in zip(lambdas[:3], values):
         top = densified_spectrum(grid, lam)[-1]
         assert abs(value - top) <= 1e-12 * top
+
+
+@SMALL_GRIDS
+def test_eigen_spectra_rows_are_the_single_lam_spectra(make_grid, domain1d,
+                                                       disk_domain):
+    grid = make_grid(domain1d, disk_domain)
+    spectra = eigen_spectra(grid, SWEEP)
+    assert spectra.shape == (len(SWEEP), grid.interface_idx.size)
+    for lam, row in zip(SWEEP, spectra):
+        assert np.array_equal(row, eigen_spectrum(grid, lam))
+
+
+@SMALL_GRIDS
+def test_rate_fit_makes_one_band_solve_per_sweep(make_grid, domain1d,
+                                                  disk_domain, monkeypatch):
+    grid = make_grid(domain1d, disk_domain)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape)
+        return solve_tridiagonal(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "solve_tridiagonal", counted)
+    fit = convergence_rate_fit(grid, SWEEP)
+    assert len(calls) == 1
+    # lam rides on the diagonal only: one row of bands per lam and block
+    assert calls[0][0] == len(SWEEP)
+    assert fit.y.shape == (len(SWEEP),)
+    with pytest.raises(ConvergenceError):
+        convergence_rate_fit(grid, SWEEP, tol=1e-30)
+    assert len(calls) == 2
 
 
 def test_disk_spectrum_positive_and_bounded_by_norm(disk_spectrum,

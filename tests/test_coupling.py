@@ -222,9 +222,11 @@ def test_green_band_route_matches_sparse_oracle(make_grid, domain1d,
     assert _rel(u, oracle.solve_coupled(lam, grid.extend(f), None)) <= 1e-12
     for got, want in zip(fields, oracle.solve_exterior([g, f], None)):
         assert _rel(got, want) <= 1e-12
-    report = green_identity_check(grid, lam, f, g).as_tuple()
+    report = green_identity_check(grid, lam, f, g)
+    # the report carries the very coupled solve it measured
+    assert np.array_equal(report.coupled, u)
     expected = green_identity_check(oracle, lam, f, g).as_tuple()
-    assert np.allclose(report, expected, rtol=1e-6, atol=0.0)
+    assert np.allclose(report.as_tuple(), expected, rtol=1e-6, atol=0.0)
 
 
 @pytest.mark.parametrize("make_grid", [

@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 import scipy.io
 
-from lclab import ConvergenceError, InconclusiveError, runner
+from lclab import ConvergenceError, InconclusiveError, grids, runner
+from lclab.kernels import solve_tridiagonal
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -235,3 +236,44 @@ def test_experiments_load_no_scipy_submodule():
     assert report["unloaded"] == []
     assert report["codes"] == dict.fromkeys(experiments, 0)
     assert report["scipy"] == []
+
+
+def test_green_solves_its_fine_grid_once(tmp_path, monkeypatch):
+    # two band solves (coupled and exterior) per grid of the refinement
+    # pair; the interface checks reuse the fine grid's coupled solve
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve_tridiagonal(*args, **kwargs)
+
+    monkeypatch.setattr(grids, "solve_tridiagonal", counted)
+    code, _ = runner.run_experiment(runner.default_config("green", seed=1),
+                                    out_dir=tmp_path)
+    assert code == 0
+    assert len(calls) == 4
+
+
+def test_traced_experiments_leave_no_binding_and_count_rank(tmp_path,
+                                                            monkeypatch):
+    # the benchmark's tracer wraps the traced functions at every binding
+    # site; a traced site fed the wrong shape fails here, not only in a
+    # traced benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for exp in ("rate1d", "rate2d", "weyl"):
+            tracer.reset()
+            code, _ = tracer.call(
+                f"runner.{exp}", runner.run_experiment,
+                runner.default_config(exp, seed=1), out_dir=tmp_path / exp)
+            assert code == 0
+            assert tracer.unwrapped_bindings() == []
+        metrics = tracer.layer_metrics(wall=1.0)
+    finally:
+        tracer.uninstall()
+    assert metrics["counting.eigen_spectrum.s"] > 0.0
+    assert metrics["counting.rank_ratio"] == 1.0
