@@ -22,9 +22,9 @@ from lclab import (DifferencePipeline, Domain2D, PolarGrid,
                    circle_model_exponent_fit)
 
 lam = 1e3
-disk = Domain2D(lx=4.0, ly=4.0, center=(2.0, 2.0), radius=1.0)
+disk = Domain2D(radius=1.0, outer_radius=2.0)
 grid = PolarGrid(disk, nr_ext=32, ntheta=64)
-print(f"disk of radius 1 in a 4 x 4 box; exterior unknowns: "
+print(f"disk of radius 1 in the circle of radius 2; exterior unknowns: "
       f"{grid.ext_idx.size}; interface nodes (the rank of the difference): "
       f"{grid.interface_idx.size}; coupling lam = {lam:g}")
 

@@ -36,7 +36,7 @@ for lam, val, ex in zip(lambdas, fit.y, exact.y):
 print(f"  fitted slope {fit.slope:+.4f}")
 
 print("\ndisk inclusion (polar grid, 64 x 128):")
-disk = Domain2D(lx=4.0, ly=4.0, center=(2.0, 2.0), radius=1.0)
+disk = Domain2D(radius=1.0, outer_radius=2.0)
 polar = PolarGrid(disk, nr_ext=64, ntheta=128)
 sweep2d = tuple(10.0 ** e for e in (1.0, 1.75, 2.5, 3.25, 4.0))
 fit2d = convergence_rate_fit(polar, sweep2d)

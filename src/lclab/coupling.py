@@ -127,24 +127,30 @@ class DifferencePipeline:
                                    weights=self.grid.w_ext, seed=seed)[0]
 
 
-def _rate_fit(lambdas, values):
-    """Log-log fit of a coupling sweep of norms; the sweep must increase,
-    with at least three points over at least three decades."""
+def _check_sweep(lambdas):
+    """A coupling sweep as an array: positive and increasing, with at
+    least three points over at least three decades."""
     lambdas = np.asarray(lambdas, dtype=float)
-    if len(lambdas) < 3 or np.any(np.diff(lambdas) <= 0):
-        raise DomainError("sweep must be increasing with >= 3 points")
+    if len(lambdas) < 3 or lambdas[0] <= 0 or np.any(np.diff(lambdas) <= 0):
+        raise DomainError("sweep must be >= 3 positive increasing points")
     if lambdas[-1] / lambdas[0] < 10.0 ** 3:
         raise DomainError("sweep must span at least three decades")
-    return loglog_fit(lambdas, values, MIN_RATE_R_SQUARED)
+    return lambdas
+
+
+def _rate_fit(lambdas, values):
+    """Log-log fit of a coupling sweep of norms (see ``_check_sweep``)."""
+    return loglog_fit(_check_sweep(lambdas), values, MIN_RATE_R_SQUARED)
 
 
 def convergence_rate_fit(grid, lambdas=DEFAULT_LAMBDA_SWEEP, tol=1e-10):
     """Fitted decay rate of ||E_lam|| over a coupling sweep (discrete).
 
-    Each norm is the top of its row of ``eigen_spectra``, one batched
-    solve for the whole sweep at solve tolerance ``tol``: exact, with no
-    seed.
+    The sweep is checked before any solve.  Each norm is the top of its
+    row of ``eigen_spectra``, one batched solve for the whole sweep at
+    solve tolerance ``tol``: exact, with no seed.
     """
+    lambdas = _check_sweep(lambdas)
     return _rate_fit(lambdas, eigen_spectra(grid, lambdas, tol=tol)[:, -1])
 
 
@@ -291,7 +297,6 @@ def nonlocal_bc_solve(grid, lam, f_ext, tol=1e-10):
     dense rows; the normwise backward error of every whole matrix must
     not exceed ``tol``.
     """
-    # first, so a side without two layers raises before any indexing
     stencil = grid.gamma1_stencil("exterior")[0]
     keep = np.zeros(grid.row_measure.size, dtype=bool)
     keep[grid.ext_rows] = keep[grid.gamma_rows[:, 0]] = True

@@ -1,12 +1,13 @@
 """Domains, interface charts and the metric data they induce.
 
 A bounded domain contains a compact inclusion: an interval inside an
-interval, or a disk inside a rectangle.  The symbol calculus describes
-the interface locally by a graph chart: in chart coordinates it is the
-curve ``x_2 = chi(x_1)`` and the inclusion sits on the ``x_2 > chi``
-side.  Every chart exposes the height function and its gradient
-analytically; construction cross-validates the gradient against finite
-differences so inconsistent inputs fail fast.
+interval, or a disk inside a concentric disk, whose exterior is the
+annulus between them.  The symbol calculus describes the interface
+locally by a graph chart: in chart coordinates it is the curve ``x_2 =
+chi(x_1)`` and the inclusion sits on the ``x_2 > chi`` side.  Every
+chart exposes the height function and its gradient analytically;
+construction cross-validates the gradient against finite differences so
+inconsistent inputs fail fast.
 
 All objects here are immutable after construction and safe to share
 across threads.
@@ -42,26 +43,16 @@ class Domain1D:
 
 @dataclass(frozen=True)
 class Domain2D:
-    """Rectangle [0,Lx]x[0,Ly] with a disk inclusion strictly inside."""
+    """Disk inclusion of radius ``radius`` and the annulus around it, out
+    to the concentric circle of radius ``outer_radius`` (Neumann there)."""
 
-    lx: float
-    ly: float
-    center: tuple
     radius: float
+    outer_radius: float
 
     def __post_init__(self):
-        if self.lx <= 0 or self.ly <= 0:
-            raise DomainError("rectangle sides must be positive")
-        if self.radius <= 0:
-            raise DomainError("inclusion radius must be positive")
-        if self.inscribed_outer_radius <= self.radius:
-            raise DomainError("inclusion must be strictly inside the rectangle")
-
-    @property
-    def inscribed_outer_radius(self):
-        """Largest circle around ``center`` inside the rectangle."""
-        cx, cy = self.center
-        return min(cx, self.lx - cx, cy, self.ly - cy)
+        if not (0.0 < self.radius < self.outer_radius):
+            raise DomainError(f"need 0 < radius < outer_radius, got "
+                              f"{self.radius}, {self.outer_radius}")
 
 
 class BoundaryChart:

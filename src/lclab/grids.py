@@ -16,7 +16,8 @@ Interface conventions, fixed here and used by every consumer:
     the inclusion): full cells inside, half cells on the interface.
 
 The (closed) exterior solves use homogeneous Dirichlet data on the
-interface and the mirror-Neumann closure on the outer boundary.
+interface and the mirror-Neumann closure on the outer boundary: the
+interval's ends, or the outer circle r = R_out of the disk's annulus.
 
 The grid contract.  ``_Grid`` owns everything that does not depend on
 the geometry: restriction and extension, the weighted inner products,
@@ -148,7 +149,10 @@ class _Grid:
     """The operations shared by every geometry (see the module docstring)."""
 
     def _build_operators(self):
-        """Data derived from the geometry alone; ends every ``__init__``."""
+        """Data derived from the geometry alone; ends every ``__init__``.
+        Raises unless both sides have the gamma1 stencil's two layers."""
+        for side in ("exterior", "interior"):
+            self.gamma1_stencil(side)
         self.w_ext = self.w_full[self.ext_idx]
         self._stiffness_matrix = None
         *self._bands, self._band_potential = self._band_parts()
@@ -386,15 +390,15 @@ class Grid1D(_Grid):
 
 
 class PolarGrid(_Grid):
-    """Polar grid for a disk inclusion: the interface is the ring r = R.
+    """Polar grid on the disk r < R_out of a ``Domain2D``: the interface
+    is the ring r = R and the outer boundary the ring r = R_out.
 
-    The exterior is the annulus R < r < R_out with R_out the inscribed
-    outer radius of the rectangle (mirror-Neumann there), so the
-    quantitative 2D experiments see an interface-exact, second-order
-    discretization.  ``Domain2D`` is always a disk.  Node 0 is
-    the origin; ring k = 1 .. ntot holds nodes 1 + (k - 1) ntheta + j.
-    The grid is rotation invariant, so its operators split over the
-    angular modes ``modes`` = 0 .. ntheta // 2 (see ``mode_bands``).
+    The exterior is the annulus R < r < R_out (mirror-Neumann at R_out),
+    so the quantitative 2D experiments see an interface-exact,
+    second-order discretization.  Node 0 is the origin; ring k = 1 ..
+    ntot holds nodes 1 + (k - 1) ntheta + j.  The grid is rotation
+    invariant, so its operators split over the angular modes ``modes`` =
+    0 .. ntheta // 2 (see ``mode_bands``).
     """
 
     # __init__ and assemble_* stay here: bench/tracing.py wraps them from vars()
@@ -402,7 +406,7 @@ class PolarGrid(_Grid):
 
     def __init__(self, domain: Domain2D, nr_ext: int, ntheta: int):
         self.domain = domain
-        self.r_out = domain.inscribed_outer_radius
+        self.r_out = float(domain.outer_radius)
         self.r_inc = float(domain.radius)
         self.hr = (self.r_out - self.r_inc) / nr_ext
         ratio = self.r_inc / self.hr

@@ -68,11 +68,8 @@ _SCHEMA = {
         "a2": ("float", 0.6875),
     },
     "domain2d": {
-        "lx": ("float", 4.0),
-        "ly": ("float", 4.0),
-        "center_x": ("float", 2.0),
-        "center_y": ("float", 2.0),
         "radius": ("float", 1.0),
+        "outer_radius": ("float", 2.0),
     },
     "grid": {
         "cells_1d": ("int", 2048),
@@ -204,8 +201,8 @@ def _validate(values, violations):
     if not (0 < d1["a1"] < d1["a2"] < d1["length"]):
         violations.append("domain1d: need 0 < a1 < a2 < length")
     d2 = values["domain2d"]
-    if d2["radius"] <= 0:
-        violations.append("domain2d.radius: must be positive")
+    if not 0 < d2["radius"] < d2["outer_radius"]:
+        violations.append("domain2d: need 0 < radius < outer_radius")
     for key in ("lambdas", "lambdas_2d", "lambdas_torus"):
         lams = values["sweep"][key]
         if any(l <= 0 for l in lams):
@@ -241,10 +238,11 @@ def default_config(experiment="rate1d", seed=None):
 
 
 class _Artifacts:
-    def __init__(self, out_dir, config):
+    def __init__(self, out_dir, config, dump=False):
         self.out = Path(out_dir)
         self.out.mkdir(parents=True, exist_ok=True)
         self.config = config
+        self.dump = dump   # export the assembled matrices beside the data
         self.criteria = []
         self.data = {}
         self.shared = {}   # results that experiments of this run share
@@ -318,23 +316,21 @@ def _domain1d(config):
 
 
 def _domain2d(config):
-    return Domain2D(config["domain2d.lx"], config["domain2d.ly"],
-                    (config["domain2d.center_x"], config["domain2d.center_y"]),
-                    config["domain2d.radius"])
+    return Domain2D(config["domain2d.radius"], config["domain2d.outer_radius"])
 
 
 # ---------------------------------------------------------------------------
 # experiments
 
 
-def _run_rate1d(config, art, dump=False):
+def _run_rate1d(config, art):
     domain = _domain1d(config)
     grid = Grid1D(domain, config["grid.cells_1d"] * 2)
     lambdas = config["sweep.lambdas"]
     exact = cp.convergence_rate_fit_exact_1d(domain, lambdas)
     fit = cp.convergence_rate_fit(grid, lambdas,
                                   tol=config["tolerances.solve_tol"])
-    if dump:
+    if art.dump:
         grid.assemble_coupled(lambdas[0]).export_matrix_market(
             art.out / "coupled_matrix.mtx")
         grid.assemble_exterior().export_matrix_market(
@@ -352,13 +348,13 @@ def _run_rate1d(config, art, dump=False):
     return ok
 
 
-def _run_rate2d(config, art, dump=False):
+def _run_rate2d(config, art):
     grid = PolarGrid(_domain2d(config), config["grid.radial_ext"] * 2,
                      config["grid.angular"] * 2)
     lambdas = config["sweep.lambdas_2d"]
     fit = cp.convergence_rate_fit(grid, lambdas,
                                   tol=config["tolerances.solve_tol"])
-    if dump:
+    if art.dump:
         grid.assemble_exterior().export_matrix_market(
             art.out / "exterior_matrix_2d.mtx")
     art.write_csv("rate2d", ["lambda", "norm_discrete"],
@@ -368,7 +364,7 @@ def _run_rate2d(config, art, dump=False):
     return art.check("rate2d.slope", fit.slope, TOLERANCES["rate2d_slope"])
 
 
-def _run_green(config, art, dump=False):
+def _run_green(config, art):
     domain = _domain1d(config)
     lam, tol = config["sweep.lam"], config["tolerances.solve_tol"]
     n = config["grid.cells_1d"]
@@ -407,7 +403,7 @@ def _run_green(config, art, dump=False):
     return ok
 
 
-def _run_symbols(config, art, dump=False):
+def _run_symbols(config, art):
     flat = flat_chart()
     eta = make_symbol(lambda xp, xip, lam: eta_symbol(flat, xp, xip, lam),
                       1.0, kind="P", x_support_radius=0.0)
@@ -429,7 +425,7 @@ def _run_symbols(config, art, dump=False):
     return ok
 
 
-def _run_bounds(config, art, dump=False):
+def _run_bounds(config, art):
     grid = tr.TorusGrid(config["grid.torus_points"])
     lambdas = config["sweep.lambdas_torus"]
     cases = [
@@ -451,7 +447,7 @@ def _run_bounds(config, art, dump=False):
     return ok
 
 
-def _run_nbound(config, art, dump=False):
+def _run_nbound(config, art):
     grid = tr.TorusGrid(config["grid.torus_points"])
     lambdas = config["sweep.lambdas_torus"]
     fits = tr.ntd_bound_experiment(grid, (0.0, 0.5, 1.0, 1.5), lambdas)
@@ -467,7 +463,7 @@ def _run_nbound(config, art, dump=False):
     return ok
 
 
-def _run_compose(config, art, dump=False):
+def _run_compose(config, art):
     grid = tr.TorusGrid(config["grid.compose_points"])
     lambdas = tuple(list(config["sweep.lambdas_torus"]) + [1e5])
     a, b, da, dxb = tr.default_composition_symbols()
@@ -496,7 +492,7 @@ def _disk_spectrum(config, art):
     return art.shared["disk"]
 
 
-def _run_weyl(config, art, dump=False):
+def _run_weyl(config, art):
     lam = config["sweep.lam"]
     radius = config["domain2d.radius"]
     model = ct.circle_model_exponent_fit(radius, lam)
@@ -517,7 +513,7 @@ def _run_weyl(config, art, dump=False):
     return ok
 
 
-def _run_birman(config, art, dump=False):
+def _run_birman(config, art):
     violations = ct.birman_synthetic_check(100, seed=config.seed())
     ok = art.check("birman.synthetic_violations", violations,
                    TOLERANCES["birman_violations"])
@@ -537,7 +533,7 @@ def _run_birman(config, art, dump=False):
     return ok
 
 
-def _run_threshold(config, art, dump=False):
+def _run_threshold(config, art):
     domain = _domain1d(config)
     norm_fn = lambda lams: cp.difference_norm_exact_1d(domain, lams)
     base = norm_fn(1.0)
@@ -579,11 +575,11 @@ def run_experiment(config, out_dir=None, dump_matrices=False):
     """
     name = config["experiment.name"]
     out = Path(out_dir if out_dir is not None else config["output.dir"])
-    art = _Artifacts(out, config)
+    art = _Artifacts(out, config, dump=dump_matrices)
     verdicts = {}
     for exp in (list(_RUNNERS) if name == "report-all" else [name]):
         try:
-            passed = _RUNNERS[exp](config, art, dump=dump_matrices)
+            passed = _RUNNERS[exp](config, art)
             verdicts[exp] = "pass" if passed else "fail"
         except InconclusiveError as err:
             print(f"[INCONCLUSIVE] {exp}: {err}")

@@ -31,7 +31,7 @@ def grid1d(domain1d):
 
 @pytest.fixture(scope="session")
 def disk_domain():
-    return Domain2D(lx=4.0, ly=4.0, center=(2.0, 2.0), radius=1.0)
+    return Domain2D(radius=1.0, outer_radius=2.0)
 
 
 @pytest.fixture(scope="session")

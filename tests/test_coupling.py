@@ -8,7 +8,7 @@ import scipy.sparse.linalg
 from lclab import (ContractError, ConvergenceError, DifferencePipeline,
                    Domain1D, DomainError, Fit, Grid1D, InconclusiveError,
                    convergence_rate_fit, convergence_rate_fit_exact_1d,
-                   counting_zero_threshold, difference_matrix_1d,
+                   counting_zero_threshold, coupling, difference_matrix_1d,
                    difference_norm_exact_1d, exterior_gram_1d,
                    green_identity_check, green_test_fields, kernels,
                    nonlocal_bc_solve, ntd_matrix_1d)
@@ -145,6 +145,25 @@ def test_rate_fit_validates_sweep(domain1d):
         convergence_rate_fit_exact_1d(domain1d, (1e2, 1e3, 1e4))  # 2 decades
 
 
+def test_rate_fit_checks_its_sweep_before_solving(domain1d, monkeypatch):
+    # a zero, a negative and a decreasing sweep are rejected before the
+    # batched solve; a valid sweep then makes the one solve
+    original, calls = coupling.eigen_spectra, []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(coupling, "eigen_spectra", spy)
+    grid = Grid1D(domain1d, 64)
+    for sweep in ((0.0, 1e3, 1e5), (-1e2, 1e3, 1e5), (1e5, 1e3, 1e2)):
+        with pytest.raises(DomainError, match="positive increasing"):
+            convergence_rate_fit(grid, sweep)
+    assert calls == []
+    convergence_rate_fit(grid, LAMBDAS)
+    assert len(calls) == 1
+
+
 def test_rate_fits_are_fits(domain1d):
     exact = convergence_rate_fit_exact_1d(domain1d, LAMBDAS)
     fit = convergence_rate_fit(Grid1D(domain1d, 64), LAMBDAS)
@@ -271,10 +290,10 @@ def test_nonlocal_solve_zero_source(grid1d):
 
 
 def test_nonlocal_solve_needs_two_exterior_layers():
-    # one exterior cell on each side: the stencil has no second layer
-    grid = Grid1D(Domain1D(length=1.0, a1=1 / 16, a2=15 / 16), 16)
+    # one exterior cell on each side: the stencil has no second layer, so
+    # the grid is rejected when built and no solve can index past it
     with pytest.raises(DomainError, match="two layers"):
-        nonlocal_bc_solve(grid, 1e3, np.ones(grid.ext_idx.size))
+        Grid1D(Domain1D(length=1.0, a1=1 / 16, a2=15 / 16), 16)
 
 
 def test_nonlocal_solve_rejects_tolerance_outside_contract(grid1d,

@@ -16,12 +16,11 @@ def test_domain1d_ordering_enforced():
 
 
 def test_domain2d_inclusion_inside():
-    for radius in (1.5, 1.0):  # the disk leaves or touches the box
-        with pytest.raises(DomainError, match="strictly inside"):
-            Domain2D(lx=2.0, ly=2.0, center=(1.0, 1.0), radius=radius)
-    for radius in (0.0, -1.0):
-        with pytest.raises(DomainError, match="radius must be positive"):
-            Domain2D(lx=4.0, ly=4.0, center=(2.0, 2.0), radius=radius)
+    # the disk leaves or touches the outer circle, or has no positive radius
+    for radius in (2.5, 2.0, 0.0, -1.0):
+        with pytest.raises(DomainError, match="0 < radius < outer_radius"):
+            Domain2D(radius=radius, outer_radius=2.0)
+    assert Domain2D(radius=1.0, outer_radius=2.0).outer_radius == 2.0
 
 
 def test_metric_flat_chart_is_identity():

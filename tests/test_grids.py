@@ -97,19 +97,24 @@ def test_interface_must_sit_on_nodes(domain1d):
 
 
 def test_coupled_operator_matches_hand_assembly():
-    # L = 1, h = 1/4, inclusion (1/4, 3/4), lam = 1: the single interior
-    # node gains +1, the two interface nodes gain their half-cell +1/2,
-    # and the outer nodes carry the mirror closure.
-    grid = Grid1D(Domain1D(1.0, 0.25, 0.75), 4)
+    # L = 1, h = 1/8, inclusion (1/4, 3/4), lam = 1: the three interior
+    # nodes gain +1, the two interface nodes gain their half-cell +1/2,
+    # and the outer nodes carry the mirror closure.  Two exterior cells
+    # per side, as the gamma1 stencils need.
+    grid = Grid1D(Domain1D(1.0, 0.25, 0.75), 8)
     op = grid.assemble_coupled(1.0)
     dense = np.diag(1.0 / op.mass) @ op.matrix.toarray()
-    h2 = 16.0
+    h2 = 64.0
     expected = np.array([
-        [2 * h2, -2 * h2, 0, 0, 0],
-        [-h2, 2 * h2 + 0.5, -h2, 0, 0],
-        [0, -h2, 2 * h2 + 1.0, -h2, 0],
-        [0, 0, -h2, 2 * h2 + 0.5, -h2],
-        [0, 0, 0, -2 * h2, 2 * h2],
+        [2 * h2, -2 * h2, 0, 0, 0, 0, 0, 0, 0],
+        [-h2, 2 * h2, -h2, 0, 0, 0, 0, 0, 0],
+        [0, -h2, 2 * h2 + 0.5, -h2, 0, 0, 0, 0, 0],
+        [0, 0, -h2, 2 * h2 + 1.0, -h2, 0, 0, 0, 0],
+        [0, 0, 0, -h2, 2 * h2 + 1.0, -h2, 0, 0, 0],
+        [0, 0, 0, 0, -h2, 2 * h2 + 1.0, -h2, 0, 0],
+        [0, 0, 0, 0, 0, -h2, 2 * h2 + 0.5, -h2, 0],
+        [0, 0, 0, 0, 0, 0, -h2, 2 * h2, -h2],
+        [0, 0, 0, 0, 0, 0, 0, -2 * h2, 2 * h2],
     ])
     assert np.allclose(dense, expected)
 
@@ -237,18 +242,22 @@ def test_interface_layout_locates_gamma_in_the_blocks(make_grid, domain1d,
 
 
 def test_gamma1_needs_two_layers_per_side(disk_domain):
-    coarse = PolarGrid(disk_domain, nr_ext=1, ntheta=8)  # one ring per side
-    for side in ("exterior", "interior"):
+    # a grid without two node layers behind Gamma on some side is
+    # rejected when it is built, before any consumer indexes a layer
+    for build in (
+            # one ring a side
+            lambda: PolarGrid(disk_domain, nr_ext=1, ntheta=8),
+            # R / hr = 2: the second interior layer would be the origin
+            lambda: PolarGrid(disk_domain, nr_ext=2, ntheta=8),
+            # one exterior cell a side
+            lambda: Grid1D(Domain1D(1.0, 0.25, 0.75), 4)):
         with pytest.raises(DomainError, match="two layers"):
-            coarse.trace_gamma1(np.zeros(coarse.n_nodes), side)
-    # R / hr = 2: the second interior layer would be the origin
-    grid = PolarGrid(disk_domain, nr_ext=2, ntheta=8)
-    with pytest.raises(DomainError, match="two layers"):
-        grid.trace_gamma1(np.zeros(grid.n_nodes), "interior")
-    assert np.all(grid.trace_gamma1(np.zeros(grid.n_nodes), "exterior") == 0)
-    grid = Grid1D(Domain1D(1.0, 0.25, 0.75), 4)  # one exterior cell per side
-    with pytest.raises(DomainError, match="two layers"):
-        grid.trace_gamma1(np.zeros(grid.n_nodes), "exterior")
+            build()
+    # the coarsest grids that fit: three rings, two exterior cells a side
+    for grid in (PolarGrid(disk_domain, nr_ext=3, ntheta=8),
+                 Grid1D(Domain1D(1.0, 0.25, 0.75), 8)):
+        for side in ("exterior", "interior"):
+            assert np.all(grid.trace_gamma1(np.zeros(grid.n_nodes), side) == 0)
 
 
 def test_assemblies_are_symmetric(grid1d, polar_grid):
@@ -362,7 +371,7 @@ def test_polar_interface_is_grid_ring(disk_domain):
     assert grid.nr_int * grid.hr == pytest.approx(grid.r_inc)
     with pytest.raises(DomainError):
         # R = 0.7, hr = (2 - 0.7) / 8: R / hr = 4.3 is not an integer
-        PolarGrid(Domain2D(4.0, 4.0, (2.0, 2.0), 0.7), nr_ext=8, ntheta=16)
+        PolarGrid(Domain2D(0.7, 2.0), nr_ext=8, ntheta=16)
 
 
 def test_screened_extension_matches_closed_form(domain1d, disk_domain):

@@ -12,19 +12,19 @@ from lclab.kernels import solve_tridiagonal
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _passes(config, art, dump=False):
+def _passes(config, art):
     return art.criterion("fake.pass", 1.0, True)
 
 
-def _fails(config, art, dump=False):
+def _fails(config, art):
     return art.criterion("fake.fail", 0.0, False)
 
 
-def _inconclusive(config, art, dump=False):
+def _inconclusive(config, art):
     raise InconclusiveError("fit too noisy")
 
 
-def _raises(config, art, dump=False):
+def _raises(config, art):
     raise ConvergenceError("solve diverged")
 
 
@@ -184,6 +184,27 @@ def test_power_tol_is_no_longer_a_config_key(tmp_path, capsys):
     cfg.write_text("[tolerances]\npower_tol = 1e-8\n")
     assert runner.main(["rate1d", "--config", str(cfg)]) == 3
     assert "unknown key tolerances.power_tol" in capsys.readouterr().err
+
+
+def test_domain2d_that_does_not_fit_is_a_config_error(tmp_path, capsys):
+    # the inclusion must lie inside the outer circle: one collected
+    # violation before any experiment runs, and no artifacts
+    cfg = tmp_path / "wide.ini"
+    cfg.write_text("[domain2d]\nradius = 2.5\n")
+    out = tmp_path / "out"
+    assert runner.main(["weyl", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "config error: domain2d: need 0 < radius < outer_radius" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_domain2d_rectangle_keys_are_gone(tmp_path, capsys):
+    cfg = tmp_path / "old.ini"
+    cfg.write_text("[domain2d]\nlx = 4.0\n")
+    out = tmp_path / "out"
+    assert runner.main(["weyl", "--config", str(cfg), "--out", str(out)]) == 3
+    assert "unknown key domain2d.lx" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_tol_reaches_every_solve(tmp_path):
