@@ -197,12 +197,15 @@ def _validate(values, violations):
                           f"{exp['name']!r}{extra}")
     if not 0 <= exp["seed"] < 2 ** 64:
         violations.append("experiment.seed: must fit in a u64")
-    d1 = values["domain1d"]
+    d1, d2, grid = values["domain1d"], values["domain2d"], values["grid"]
     if not (0 < d1["a1"] < d1["a2"] < d1["length"]):
         violations.append("domain1d: need 0 < a1 < a2 < length")
-    d2 = values["domain2d"]
+    else:
+        _check_interval_grids(d1, grid["cells_1d"], violations)
     if not 0 < d2["radius"] < d2["outer_radius"]:
         violations.append("domain2d: need 0 < radius < outer_radius")
+    else:
+        _check_disk_grids(d2, grid["radial_ext"], grid["angular"], violations)
     for key in ("lambdas", "lambdas_2d", "lambdas_torus"):
         lams = values["sweep"][key]
         if any(l <= 0 for l in lams):
@@ -213,17 +216,51 @@ def _validate(values, violations):
         violations.append("sweep.lam: single-coupling experiments need lam >= 1")
     if not 0 < values["tolerances"]["solve_tol"] <= 1e-6:
         violations.append("tolerances.solve_tol: must lie in (0, 1e-6]")
-    n = values["grid"]["cells_1d"]
-    h_ratio1 = d1["a1"] / d1["length"] * n
-    h_ratio2 = d1["a2"] / d1["length"] * n
-    if abs(h_ratio1 - round(h_ratio1)) > 1e-9 or \
-            abs(h_ratio2 - round(h_ratio2)) > 1e-9:
-        violations.append("grid.cells_1d: inclusion endpoints must land on "
-                          "grid nodes")
     for key in ("torus_points", "compose_points"):
         m = values["grid"][key]
         if m < 8 or m & (m - 1):
             violations.append(f"grid.{key}: must be a power of two >= 8")
+
+
+def _is_whole(value):
+    return abs(value - round(value)) <= 1e-9
+
+
+def _check_interval_grids(d1, n, violations):
+    """Collect the first reason that a grid the experiments build from
+    ``cells_1d = n`` (green's n // 2 and n cells, rate1d's 2 n) would
+    refuse the domain, by the arithmetic of ``Grid1D``."""
+    for cells in (n // 2, n, 2 * n):
+        i1, i2 = (d1[key] / d1["length"] * cells for key in ("a1", "a2"))
+        if not (_is_whole(i1) and _is_whole(i2)):
+            problem = "inclusion endpoints must land on grid nodes"
+        elif min(i1, i2 - i1, cells - i2) < 2 - 1e-9:
+            problem = "need two node layers on each side of each endpoint"
+        else:
+            continue
+        violations.append(f"grid.cells_1d: {problem} ({cells} cells)")
+        return
+
+
+def _check_disk_grids(d2, nr, nth, violations):
+    """Collect the first reason that a disk grid the experiments build
+    (weyl's and birman's nr x nth, rate2d's 2 nr x 2 nth) would refuse
+    the domain, by the arithmetic of ``PolarGrid``."""
+    for rings_ext, nodes in ((nr, nth), (2 * nr, 2 * nth)):
+        h_ratio = d2["radius"] / (d2["outer_radius"] - d2["radius"])
+        rings_int = h_ratio * rings_ext  # R / h_r
+        if not _is_whole(rings_int):
+            problem = ("interface must be a grid ring: R / h_r must be an "
+                       "integer")
+        elif min(rings_ext, rings_int - 1) < 2 - 1e-9:
+            problem = "need two ring layers on each side of the interface"
+        elif nodes < 8:
+            problem = "need at least 8 angular nodes"
+        else:
+            continue
+        violations.append(f"grid.radial_ext, grid.angular: {problem} "
+                          f"({rings_ext} x {nodes} disk grid)")
+        return
 
 
 def default_config(experiment="rate1d", seed=None):

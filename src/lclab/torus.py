@@ -11,7 +11,8 @@ set {-M/2+1, ..., M/2}.  Conventions, fixed once:
 so the s = 0 Sobolev norm coincides with the L^2 norm (Parseval).
 Multiplier operators act diagonally on coefficients; x-dependent symbols
 act through the dense quadrature sum_k a(x_j, k, lam) c_k exp(i k x_j).
-Symbols are called once per sample grid, on arrays (see ``symbols``).
+Each sweep calls a symbol once per lambda on the columns it measures,
+and tables a parameter-free factor once (see ``symbols``).
 
 Operator norms H^r -> H^t are exact, with no sampling and no seed.  A
 multiplier's norm is the mode-wise maximum of <k>^t |b(k)| <k>^(-r).
@@ -119,13 +120,17 @@ def apply_psdo(grid, symbol, lam, values, matrix=None):
 # measured operator bounds
 
 
-def _multiplier_norm_ratio(grid, symbol, lam, r, s_target):
-    """Exact H^r -> H^{s_target} operator norm of a multiplier by mode-wise
-    maximization over the frequency set."""
+def _multiplier_norms(grid, symbol, lambdas, r, targets):
+    """Exact H^r -> H^t norms of a multiplier, a row per t in ``targets``
+    and a column per lambda, by mode-wise maximization over one symbol
+    call on the (lambda, k) grid."""
     k = grid.freqs.astype(float)
-    mods = np.abs(symbol(0.0, k, lam))
+    lam = np.asarray(lambdas, dtype=float)[:, None]
+    # a constant symbol returns a scalar
+    mods = np.abs(np.broadcast_to(symbol(0.0, k, lam), (len(lam), grid.m)))
     bracket = (1.0 + k * k) ** 0.5
-    return float(np.max(bracket ** s_target * mods * bracket ** (-r)))
+    return np.array([np.max(bracket ** t * mods * bracket ** (-r), axis=1)
+                     for t in targets])
 
 
 def _top_singular_value(mat):
@@ -149,11 +154,12 @@ def _map_norm(grid, values, r, t, cols=slice(None)):
 def operator_bound_experiment(grid, symbol, m, r, s, lambdas):
     """Exact H^r -> H^{s-m} norm decay of op(b) for b in P^m, m <= 0.
 
-    The norm sup ||op(b) u||_{s-m} / ||u||_r is computed per lambda,
-    by mode-wise maximization for an x-independent symbol and otherwise
-    as the largest singular value of the weighted coefficient matrix
-    <k>^(s-m) F W <k>^(-r) (W the ``psdo_matrix``), then fitted against
-    tau = sqrt(lambda); the mapping property predicts a slope of -(r - s).
+    The norm sup ||op(b) u||_{s-m} / ||u||_r is computed per lambda: for
+    an x-independent symbol by mode-wise maximization over one symbol
+    table of the whole sweep, otherwise as the largest singular value of
+    <k>^(s-m) F W <k>^(-r) with W the ``psdo_matrix``, one symbol call
+    per lambda.  It is fitted against tau = sqrt(lambda); the mapping
+    property predicts a slope of -(r - s).
     """
     if m > 0:
         raise ConfigError("operator_bound_experiment needs order m <= 0")
@@ -163,8 +169,7 @@ def operator_bound_experiment(grid, symbol, m, r, s, lambdas):
     if len(lambdas) < 3 or np.any(np.diff(lambdas) <= 0):
         raise ConfigError("lambda sweep must be increasing with >= 3 points")
     if symbol.x_support_radius == 0.0:
-        ratios = [_multiplier_norm_ratio(grid, symbol, lam, r, s - m)
-                  for lam in lambdas]
+        ratios = _multiplier_norms(grid, symbol, lambdas, r, (s - m,))[0]
     else:
         ratios = [_map_norm(grid, psdo_matrix(grid, symbol, lam), r, s - m)
                   for lam in lambdas]
@@ -176,39 +181,18 @@ def ntd_bound_experiment(grid, s_values, lambdas):
     """Two-regime decay of the flat Neumann-to-Dirichlet multiplier.
 
     Computes the exact norm sup ||op(1/eta) u||_{H^s} / ||u||_{H^{1/2}}
-    per lambda by mode-wise maximization and fits it against lambda.  The
-    expected exponent is -1/2 for s <= 1/2 and -(3/4 - s/2) for
-    1/2 <= s <= 3/2.
+    per lambda and s by mode-wise maximization over one symbol table of
+    the sweep, and fits it against lambda.  The expected exponent is -1/2
+    for s <= 1/2 and -(3/4 - s/2) for 1/2 <= s <= 3/2.
     """
     from .symbols import flat_ntd_symbol
-    symbol = flat_ntd_symbol()
+    norms = _multiplier_norms(grid, flat_ntd_symbol(), lambdas, 0.5, s_values)
     fits = {}
-    for s in s_values:
-        ratios = [_multiplier_norm_ratio(grid, symbol, lam, 0.5, s)
-                  for lam in lambdas]
+    for s, ratios in zip(s_values, norms):
         expected = -0.5 if s <= 0.5 else -(0.75 - s / 2.0)
         fits[s] = loglog_fit(lambdas, ratios, MIN_R_SQUARED,
                              expected=expected)
     return fits
-
-
-def taylor_composition_symbol(a, b, da_dxi, dxb, terms):
-    """Symbol of the truncated composition expansion
-    sum_{alpha <= terms} (1/alpha!) d^alpha_xi a * D^alpha_x b
-    for scalar frequency; analytic derivative callables keep the
-    remainder measurement free of finite-difference noise."""
-    from .symbols import make_symbol
-
-    def fn(xp, xip, lam):
-        out = a(xp, xip, lam) * b(xp, xip, lam)
-        if terms >= 1:
-            out = out + da_dxi(xp, xip, lam) * dxb(xp, xip, lam)
-        if terms >= 2:
-            raise ConfigError("expansion wired up to first order only")
-        return out
-
-    return make_symbol(fn, a.order + b.order, kind="P",
-                       k=int(math.floor(a.order)) if a.order >= 0 else None)
 
 
 def default_composition_symbols():
@@ -243,7 +227,7 @@ def default_composition_symbols():
 def composition_error_experiment(grid, a, b, da_dxi, dxb, m1, m2, r, lambdas):
     """Remainder decay of the crude composition calculus.
 
-    For a in S^{m1} (m1 > 0) and b in P^{m2} with m1 + m2 <= 0, computes
+    For a in S^{m1} (0 < m1 < 2) and b in P^{m2} with m1 + m2 <= 0, computes
     the exact norm
 
         sup ||(op(a) op(b) - op(sum_{|alpha|<=[m1]} ...)) u||_t / ||u||_r
@@ -254,25 +238,41 @@ def composition_error_experiment(grid, a, b, da_dxi, dxb, m1, m2, r, lambdas):
     remainder bound predicts a slope of about -|m2|.  The H^{r-m1} norm of
     the plain composition F W_a F W_b is computed on the same band
     (expected slope -|m2| too).
+
+    W_c is the Taylor symbol c = a b + d_xi a D_x b (analytic derivatives,
+    free of finite-difference noise).  W_a and the band tables of the
+    parameter-free a and d_xi a are built once per sweep; b and D_x b are
+    called once per lambda, on the band's columns only.
     """
     if grid.m > COMPOSE_MAX_POINTS:
         raise ResourceLimitError(
             f"composition experiment limited to {COMPOSE_MAX_POINTS} points")
-    if not (m1 > 0 and m1 + m2 <= 0):
-        raise ConfigError("need m1 > 0 and m1 + m2 <= 0")
+    if not (0 < m1 < 2 and m1 + m2 <= 0):
+        raise ConfigError("need 0 < m1 < 2 and m1 + m2 <= 0 (the expansion "
+                          "stops at first order)")
+    if a.class_tag.kind != "S" or da_dxi.class_tag.kind != "S":
+        raise ConfigError("a and d_xi a must be parameter-free (class S)")
+    terms = math.floor(m1)
     lambdas = np.asarray(lambdas, dtype=float)
-    t_norm = r + 1 - m1 + math.floor(m1)
-    c2 = taylor_composition_symbol(a, b, da_dxi, dxb, terms=int(math.floor(m1)))
+    t_norm = r + 1 - m1 + terms
     # keep the dense quadrature clear of edge wrap-around
     band = np.abs(grid.freqs) <= grid.m // 4
+    x = grid.x[:, None]
+    k = grid.freqs.astype(float)[None, band]
+    phase = grid.phase[:, band]
+    wa = psdo_matrix(grid, a, lambdas[0])
+    a_band, da_band = a(x, k, lambdas[0]), da_dxi(x, k, lambdas[0])
     rem_ratios, comp_ratios = [], []
     for lam in lambdas:
-        wa = psdo_matrix(grid, a, lam)
-        # column j: grid values from the band's j-th unit coefficient vector
-        bu = psdo_matrix(grid, b, lam)[:, band]
-        cu = psdo_matrix(grid, c2, lam)[:, band]
-        abu = wa @ (np.fft.fft(bu, axis=0) / grid.m)
-        rem_ratios.append(_map_norm(grid, abu - cu, r, t_norm, band))
+        b_band = b(x, k, lam)
+        c_band = a_band * b_band
+        if terms == 1:
+            c_band = c_band + da_band * dxb(x, k, lam)
+        # column j: grid values from the band's j-th unit coefficient
+        # vector, symbol values on the left as in ``psdo_matrix``
+        abu = wa @ (np.fft.fft(b_band * phase, axis=0) / grid.m)
+        rem_ratios.append(_map_norm(grid, abu - c_band * phase, r, t_norm,
+                                    band))
         comp_ratios.append(_map_norm(grid, abu, r, r - m1, band))
     tau = np.sqrt(lambdas)
     return (loglog_fit(tau, rem_ratios, MIN_R_SQUARED, expected=-abs(m2)),

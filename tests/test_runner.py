@@ -198,6 +198,28 @@ def test_domain2d_that_does_not_fit_is_a_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("exp, text, message", [
+    ("rate2d", "[domain2d]\nradius = 0.7\n",
+     "grid.radial_ext, grid.angular: interface must be a grid ring"),
+    ("weyl", "[grid]\nradial_ext = 1\n",
+     "grid.radial_ext, grid.angular: need two ring layers on each side"),
+    ("green", "[grid]\ncells_1d = 16\n",
+     "grid.cells_1d: inclusion endpoints must land on grid nodes (8 cells)"),
+    ("green", "[domain1d]\nlength = 0\n",
+     "domain1d: need 0 < a1 < a2 < length"),
+], ids=["disk-ring", "disk-layers", "green-coarse", "interval-length"])
+def test_grid_that_does_not_fit_is_a_config_error(tmp_path, capsys, exp,
+                                                  text, message):
+    # every grid an experiment builds, the doubled and halved ones too, is
+    # checked before any experiment runs
+    cfg = tmp_path / "grid.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert runner.main([exp, "--config", str(cfg), "--out", str(out)]) == 3
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_domain2d_rectangle_keys_are_gone(tmp_path, capsys):
     cfg = tmp_path / "old.ini"
     cfg.write_text("[domain2d]\nlx = 4.0\n")

@@ -7,12 +7,33 @@ from lclab import (ConfigError, Fit, TorusGrid, apply_multiplier, apply_psdo,
                    default_composition_symbols, dft, flat_ntd_symbol, idft,
                    make_symbol, ntd_bound_experiment, operator_bound_experiment,
                    sobolev_norm, composition_error_experiment, IDENTITY_SYMBOL)
+from lclab import torus
 from lclab.errors import ResourceLimitError
-from lclab.torus import (_map_norm, _top_singular_value, psdo_matrix,
-                         taylor_composition_symbol)
+from lclab.symbols import ParamSymbol
+from lclab.torus import (_map_norm, _multiplier_norms, _top_singular_value,
+                         psdo_matrix)
 
 GRID = TorusGrid(64)
 SWEEP = tuple(10.0 ** e for e in (2.0, 2.5, 3.0, 3.5, 4.0, 4.5))
+COMPOSE_SWEEP = SWEEP + (1e5,)  # the runner's compose sweep
+
+
+def taylor_composition_symbol(a, b, da_dxi, dxb, terms):
+    """Oracle: symbol of the truncated composition expansion
+    sum_{alpha <= terms} (1/alpha!) d^alpha_xi a * D^alpha_x b
+    for scalar frequency; analytic derivative callables keep the
+    remainder measurement free of finite-difference noise."""
+
+    def fn(xp, xip, lam):
+        out = a(xp, xip, lam) * b(xp, xip, lam)
+        if terms >= 1:
+            out = out + da_dxi(xp, xip, lam) * dxb(xp, xip, lam)
+        if terms >= 2:
+            raise ConfigError("expansion wired up to first order only")
+        return out
+
+    return make_symbol(fn, a.order + b.order, kind="P",
+                       k=int(math.floor(a.order)) if a.order >= 0 else None)
 
 
 def mode(grid, k):
@@ -244,7 +265,6 @@ def test_psdo_matrix_matches_column_loop():
 
 
 def test_multiplier_matches_frequency_loop(rng):
-    from lclab.torus import _multiplier_norm_ratio
     u = rng.standard_normal(GRID.m) + 1j * rng.standard_normal(GRID.m)
     deriv = make_symbol(lambda xp, xip, lam: 1j * xip, 1.0, "S",
                         x_support_radius=0.0)
@@ -257,8 +277,8 @@ def test_multiplier_matches_frequency_loop(rng):
                                    rtol=ULPS, atol=0)
         oracle = np.max(np.sqrt(1 + ks * ks) ** 0.5 * np.abs(mult)
                         * np.sqrt(1 + ks * ks) ** -1.0)
-        assert _multiplier_norm_ratio(GRID, symbol, 30.0, 1.0, 0.5) == \
-            pytest.approx(oracle, rel=1e-14)
+        assert _multiplier_norms(GRID, symbol, (30.0,), 1.0, (0.5,))[0, 0] \
+            == pytest.approx(oracle, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +317,9 @@ def top_right_coefficients(grid, values, r, t, cols):
 
 
 def test_multiplier_norm_bounds_every_trial_and_is_attained(rng):
-    from lclab.torus import _multiplier_norm_ratio
     symbol, r, t = flat_ntd_symbol(), 0.5, 1.0
     for lam in (1e2, 1e4):
-        exact = _multiplier_norm_ratio(GRID, symbol, lam, r, t)
+        exact = _multiplier_norms(GRID, symbol, (lam,), r, (t,))[0, 0]
         for _ in range(32):
             u = idft(GRID, trial_coefficients(GRID, r, rng))
             out = apply_multiplier(GRID, symbol, lam, u)
@@ -403,3 +422,102 @@ def test_psdo_matrix_is_bit_identical_to_uncached_build():
     first[:] = 0.0  # a caller's copy: the cached phase is not touched
     assert np.array_equal(psdo_matrix(grid, IDENTITY_SYMBOL, 1.0),
                           grid.phase)
+
+
+# ---------------------------------------------------------------------------
+# one symbol table per sweep against the per-lambda full tables
+
+
+def full_table_composition_ratios(grid, a, b, da, dxb, lambdas):
+    """Oracle: the remainder and composition norms from full quadrature
+    matrices of a, b and the Taylor symbol, rebuilt per lambda and then
+    cut to the band."""
+    taylor = taylor_composition_symbol(a, b, da, dxb, terms=1)
+    band = np.abs(grid.freqs) <= grid.m // 4
+    rem, comp = [], []
+    for lam in lambdas:
+        wa = psdo_matrix(grid, a, lam)
+        bu = psdo_matrix(grid, b, lam)[:, band]
+        cu = psdo_matrix(grid, taylor, lam)[:, band]
+        abu = wa @ (np.fft.fft(bu, axis=0) / grid.m)
+        rem.append(_map_norm(grid, abu - cu, 0.5, 1.5, band))
+        comp.append(_map_norm(grid, abu, 0.5, -0.5, band))
+    return np.array(rem), np.array(comp)
+
+
+@pytest.mark.parametrize("points", [64, 128])
+def test_composition_is_bit_identical_to_full_tables(points):
+    grid = TorusGrid(points)
+    a, b, da, dxb = default_composition_symbols()
+    rem, comp = composition_error_experiment(grid, a, b, da, dxb, 1.0, -1.0,
+                                             0.5, COMPOSE_SWEEP)
+    rem_full, comp_full = full_table_composition_ratios(grid, a, b, da, dxb,
+                                                        COMPOSE_SWEEP)
+    assert np.array_equal(rem.y, rem_full)
+    assert np.array_equal(comp.y, comp_full)
+
+
+def test_multiplier_norms_are_the_per_lambda_formula():
+    deriv = make_symbol(lambda xp, xip, lam: 1j * xip, 1.0, "S",
+                        x_support_radius=0.0)
+    ks = GRID.freqs.astype(float)
+    bracket = (1.0 + ks * ks) ** 0.5
+    r, targets = 0.5, (-0.5, 0.0, 1.0, 1.5)
+    for symbol in (flat_ntd_symbol(), IDENTITY_SYMBOL, deriv):
+        norms = _multiplier_norms(GRID, symbol, SWEEP, r, targets)
+        assert norms.shape == (len(targets), len(SWEEP))
+        for row, t in zip(norms, targets):
+            scalar = [float(np.max(bracket ** t * np.abs(symbol(0.0, ks, lam))
+                                   * bracket ** (-r))) for lam in SWEEP]
+            assert np.array_equal(row, scalar)
+
+
+@pytest.fixture
+def symbol_calls(monkeypatch):
+    """Count every ``ParamSymbol`` call."""
+    calls = []
+    original = ParamSymbol.__call__
+
+    def spy(self, xp, xip, lam):
+        calls.append(self)
+        return original(self, xp, xip, lam)
+
+    monkeypatch.setattr(ParamSymbol, "__call__", spy)
+    return calls
+
+
+def test_composition_needs_parameter_free_a(symbol_calls):
+    a, b, da, dxb = default_composition_symbols()
+    a_p = make_symbol(a.eval, 1.0, "P")
+    da_p = make_symbol(da.eval, 0.0, "P")
+    for outer, inner in ((a_p, da), (a, da_p)):
+        with pytest.raises(ConfigError, match="parameter-free"):
+            composition_error_experiment(GRID, outer, b, inner, dxb, 1.0,
+                                         -1.0, 0.5, COMPOSE_SWEEP)
+    assert symbol_calls == []
+
+
+def test_torus_sweeps_call_each_symbol_once_per_lambda(symbol_calls,
+                                                       monkeypatch):
+    matrices = []
+    original = torus.psdo_matrix
+
+    def spy(grid, symbol, lam):
+        matrices.append(symbol)
+        return original(grid, symbol, lam)
+
+    monkeypatch.setattr(torus, "psdo_matrix", spy)
+    a, b, da, dxb = default_composition_symbols()
+    composition_error_experiment(TorusGrid(128), a, b, da, dxb, 1.0, -1.0,
+                                 0.5, COMPOSE_SWEEP)
+    assert len(symbol_calls) == 3 + 2 * len(COMPOSE_SWEEP) == 17
+    assert matrices == [a]
+    del symbol_calls[:]
+    ntd_bound_experiment(GRID, (0.0, 0.5, 1.0, 1.5), SWEEP)
+    assert len(symbol_calls) == 1
+    for symbol, m, r, s in ((flat_ntd_symbol(), -1.0, 0.5, -0.5),
+                            (IDENTITY_SYMBOL, 0.0, 0.5, 0.5),
+                            (flat_ntd_symbol(), -1.0, 1.0, 0.0)):
+        del symbol_calls[:]
+        operator_bound_experiment(GRID, symbol, m, r, s, SWEEP)
+        assert len(symbol_calls) == 1
