@@ -1,7 +1,7 @@
 """Desk-scale laboratory for the large-coupling limit of Schrodinger
 operators with a piecewise-constant potential jump across an interface.
-scipy is reached only as ``scipy.<sub>`` attributes, so each submodule
-loads on first use; no experiment uses one.
+Importing it loads no scipy: the sparse oracles import ``scipy.sparse``
+and ``scipy.io`` where they use them, and no experiment does.
 
 Subpackages:
 

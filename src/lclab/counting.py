@@ -86,7 +86,7 @@ def eigen_spectra(grid, lambdas, tol=1e-10):
     z = solve_tridiagonal(*grid.mode_bands(lams[:, None, None]), loads,
                           tol=tol)
     z_ext = z[..., ext]
-    gram = np.einsum("ijlbn,n->lbij", z_ext[:, None] * z_ext, measure[ext])
+    gram = np.einsum("ilbn,jlbn,n->lbij", z_ext, z_ext, measure[ext])
     try:
         chol = np.linalg.cholesky(np.moveaxis(z[..., gamma], 0, -2))
     except np.linalg.LinAlgError as err:

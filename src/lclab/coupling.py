@@ -51,19 +51,29 @@ def ntd_matrix_1d(lam, inclusion_length):
     at a2) for solutions of (-u'' + lam u) = 0 on the inclusion, traces
     oriented into the inclusion.  Overflow-safe in sqrt(lam)*length:
     the diagonal tends to -1/sqrt(lam) and the off-diagonal entries die
-    like exp(-sqrt(lam)*length).
+    like exp(-sqrt(lam)*length).  A sequence ``lam`` gives one matrix
+    per entry, an array (len(lam), 2, 2), each the scalar call's to the
+    bit.
     """
-    if lam <= 0 or inclusion_length <= 0:
+    lams = np.ravel(lam).tolist()
+    if any(value <= 0 for value in lams) or inclusion_length <= 0:
         raise DomainError("need lam > 0 and a positive inclusion length")
-    s = math.sqrt(lam) * inclusion_length
-    em = math.exp(-s)
-    coth = (1.0 + em * em) / (1.0 - em * em)
-    csch = 2.0 * em / (1.0 - em * em)
-    return -(1.0 / math.sqrt(lam)) * np.array([[coth, csch], [csch, coth]])
+    mats = []
+    for value in lams:
+        s = math.sqrt(value) * inclusion_length
+        em = math.exp(-s)
+        coth = (1.0 + em * em) / (1.0 - em * em)
+        csch = 2.0 * em / (1.0 - em * em)
+        scale = -(1.0 / math.sqrt(value))
+        mats.append([[scale * coth, scale * csch],
+                     [scale * csch, scale * coth]])
+    mats = np.array(mats)
+    return mats[0] if np.ndim(lam) == 0 else mats
 
 
 def difference_matrix_1d(domain, lam):
-    """Exact 2x2 interface difference operator W = -N D^{-1} (positive).
+    """Exact 2x2 interface difference operator W = -N D^{-1} (positive),
+    one per entry of a sequence ``lam`` as in ``ntd_matrix_1d``.
 
     Under the Neumann outer boundary the exterior harmonic extension is
     constant on each component, so its gamma1 vanishes, the transmission
@@ -89,7 +99,7 @@ def difference_norm_exact_1d(domain, lam):
     sequence ``lam`` gives one norm per entry, the scalar calls' to the
     bit, from one stacked ``cholesky`` and ``eigvalsh``.
     """
-    w = np.stack([difference_matrix_1d(domain, l) for l in np.ravel(lam)])
+    w = difference_matrix_1d(domain, np.ravel(lam))
     gram = exterior_gram_1d(domain)
     half = np.linalg.cholesky(w)
     norms = np.linalg.eigvalsh(np.swapaxes(half, 1, 2) @ gram @ half).max(1)

@@ -72,7 +72,6 @@ these four arrays.
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy
 
 from .errors import ContractError, DomainError
 from .geometry import Domain1D, Domain2D
@@ -117,11 +116,13 @@ class SparseOperator:
 
     def export_matrix_market(self, path):
         """Write the form matrix K as a Matrix Market file (debugging aid)."""
+        import scipy.io
         scipy.io.mmwrite(path, self.matrix)
 
 
 def _assemble_from_links(n_nodes, i, j, c):
     """Stiffness from arrays of (i, j, coefficient) conductances."""
+    import scipy.sparse
     rows = np.stack([i, j, i, j], axis=1).ravel()
     cols = np.stack([i, j, j, i], axis=1).ravel()
     vals = np.stack([c, c, -c, -c], axis=1).ravel()
@@ -136,6 +137,7 @@ def _dirichlet_restrict(matrix, keep):
     The form-based diagonal already counts every incident link, so the
     plain submatrix is the eliminated system.
     """
+    import scipy.sparse
     return scipy.sparse.csr_matrix(matrix[np.ix_(keep, keep)])
 
 
@@ -201,6 +203,7 @@ class _Grid:
         """Interior -Laplacian + lam on the inclusion, free interface."""
         if lam < 1:
             raise DomainError("interior screened operator expects lam >= 1")
+        import scipy.sparse
         mat = _assemble_from_links(self.int_idx.size,
                                    *self._links(interior=True))
         w = self.pot_measure[self.int_idx]
@@ -380,6 +383,7 @@ class Grid1D(_Grid):
     def assemble_coupled(self, lam):
         """-Laplacian + lam * indicator(inclusion), Neumann outer boundary."""
         _require_coupling(lam)
+        import scipy.sparse
         mat = self._stiffness + scipy.sparse.diags(lam * self.pot_measure)
         return SparseOperator(mat.tocsr(), self.w_full)
 
@@ -557,6 +561,7 @@ class PolarGrid(_Grid):
     def assemble_coupled(self, lam):
         """-Laplacian + lam * indicator(inclusion), Neumann outer boundary."""
         _require_coupling(lam)
+        import scipy.sparse
         mat = self._stiffness + scipy.sparse.diags(lam * self.pot_measure)
         return SparseOperator(mat.tocsr(), self.w_full)
 

@@ -11,14 +11,13 @@ The experiments run on the tridiagonal kernels alone; the nonlocal
 solve is a batch of tridiagonal blocks, each with dense interface rows,
 closed by a Woodbury correction of the rank of its border.  The sparse
 SPD path, one sparse LU for every matrix, serves the tests as an
-oracle.  scipy is reached only as ``scipy.<sub>`` attributes, so each
-submodule loads on first use; no experiment uses one.
+oracle.  It imports ``scipy.sparse`` inside the functions that use it,
+so importing the lab loads no scipy; no experiment uses it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import ContractError, ConvergenceError, ResourceLimitError
 
@@ -32,13 +31,13 @@ FLAT_SPREAD_DECADES = 0.1   # y spreading less than this gives slope ~ 0
 
 def require_symmetric(mat, tol=1e-14):
     """Raise unless the sparse/dense matrix is symmetric to relative ``tol``."""
-    if not isinstance(mat, np.ndarray) and scipy.sparse.issparse(mat):
+    if isinstance(mat, np.ndarray):
+        worst = np.abs(mat - mat.T).max()
+        scale = np.abs(mat).max()
+    else:  # a scipy.sparse matrix
         gap = abs(mat - mat.T)
         worst = gap.max() if gap.nnz else 0.0
         scale = abs(mat).max()
-    else:
-        worst = np.abs(mat - mat.T).max()
-        scale = np.abs(mat).max()
     if worst > tol * max(scale, 1.0):
         raise ContractError(f"matrix not symmetric: |A-A^T| = {worst:.3e}")
 
@@ -49,6 +48,7 @@ class _Factorization:
     """
 
     def __init__(self, mat):
+        import scipy.sparse.linalg
         mat = scipy.sparse.csr_matrix(mat)
         self.mat = mat
         self.norm_inf = scipy.sparse.linalg.norm(mat, np.inf)
@@ -63,6 +63,7 @@ def backward_error(mat, x, rhs, mat_scale=None):
     """Normwise backward error ||mat x - rhs|| / (||mat|| ||x|| + ||rhs||)
     of a solve with sparse ``mat``; ``mat_scale`` caches ||mat||_inf."""
     if mat_scale is None:
+        import scipy.sparse.linalg
         mat_scale = scipy.sparse.linalg.norm(mat, np.inf)
     scale = mat_scale * np.linalg.norm(x) + np.linalg.norm(rhs)
     gap = np.linalg.norm(mat @ x - rhs)
@@ -113,17 +114,28 @@ def _row_sums(lower, diag, upper):
     """Absolute row sums of a tridiagonal batch; their maximum is its
     inf-norm."""
     row_sums = np.abs(diag)
-    row_sums[..., 1:] += np.abs(lower[..., 1:])
-    row_sums[..., :-1] += np.abs(upper[..., :-1])
+    part = np.abs(lower[..., 1:])
+    row_sums[..., 1:] += part
+    row_sums[..., :-1] += np.abs(upper[..., :-1], out=part)
     return row_sums
+
+
+def _norms(v):
+    """2-norms along the last axis, as dot products.  einsum does not
+    conjugate, so a complex ``v`` sums its real and imaginary parts."""
+    squares = np.einsum("...i,...i->...", v.real, v.real)
+    if np.iscomplexobj(v):
+        squares += np.einsum("...i,...i->...", v.imag, v.imag)
+    return np.sqrt(squares)
 
 
 def _normwise_error(ax, row_sums, x, rhs):
     """||A x - rhs|| / (||A||_inf ||x|| + ||rhs||) along the last axis,
-    from A x and the absolute row sums of A."""
-    scale = (row_sums.max(axis=-1) * np.linalg.norm(x, axis=-1)
-             + np.linalg.norm(rhs, axis=-1))
-    gap = np.linalg.norm(ax - rhs, axis=-1)
+    from A x, which it overwrites with A x - rhs, and the absolute row
+    sums of A."""
+    ax -= rhs
+    scale = row_sums.max(axis=-1) * _norms(x) + _norms(rhs)
+    gap = _norms(ax)
     # NaN scales (a zero pivot) must stay NaN, so mask only exact zeros
     return np.divide(gap, scale, out=np.zeros_like(gap), where=scale != 0.0)
 
@@ -232,7 +244,9 @@ def _cyclic_reduction(neg_lower, diag, neg_upper, rhs):
     """One level of odd-even reduction along the last axis, recursing on
     the odd rows; its callers check the result.  It takes the negated
     off-diagonals, -lower and -upper: negation is exact, so every step
-    rounds as it would on the bands themselves."""
+    rounds as it would on the bands themselves.  Its products go to
+    arrays the level owns (``out=``) wherever one is free, never to its
+    arguments, and each rounds as the plain expression would."""
     n = diag.shape[-1]
     if n == 1:
         return rhs / diag
@@ -240,24 +254,32 @@ def _cyclic_reduction(neg_lower, diag, neg_upper, rhs):
     m_right = (n - 1) // 2
     left = neg_lower[..., 1::2] / diag[..., :-1:2]
     right = neg_upper[..., 1:-1:2] / diag[..., 2::2]
-    diag_odd = diag[..., 1::2] - left * neg_upper[..., :-1:2]
-    diag_odd[..., :m_right] -= right * neg_lower[..., 2::2]
-    rhs_odd = rhs[..., 1::2] + left * rhs[..., :-1:2]
+    diag_odd = np.multiply(left, neg_upper[..., :-1:2])
+    np.subtract(diag[..., 1::2], diag_odd, out=diag_odd)
+    # the last odd row's upper entry is ignored, like every last one; the
+    # others hold right * neg_lower until they are set
+    neg_upper_odd = np.zeros(diag_odd.shape)
+    head = neg_upper_odd[..., :m_right]
+    diag_odd[..., :m_right] -= np.multiply(right, neg_lower[..., 2::2],
+                                           out=head)
+    np.multiply(right, neg_upper[..., 2::2], out=head)
+    rhs_odd = np.multiply(left, rhs[..., :-1:2])
+    np.add(rhs[..., 1::2], rhs_odd, out=rhs_odd)
     rhs_odd[..., :m_right] += right * rhs[..., 2::2]
-    # the last odd row's upper entry is ignored, like every last one
-    neg_upper_odd = np.zeros_like(diag_odd)
-    neg_upper_odd[..., :m_right] = right * neg_upper[..., 2::2]
     neg_lower_odd = left * neg_lower[..., :-1:2]
     del left, right   # free what the back-substitution does not read
     x_odd = _cyclic_reduction(neg_lower_odd, diag_odd, neg_upper_odd,
                               rhs_odd)
-    del neg_lower_odd, diag_odd, neg_upper_odd, rhs_odd
+    del neg_lower_odd, diag_odd, neg_upper_odd
     x = np.empty(x_odd.shape[:-1] + (n,), dtype=x_odd.dtype)
     x[..., 1::2] = x_odd
     x_even = x[..., ::2]
     x_even[...] = rhs[..., ::2]
-    x_even[..., :x_odd.shape[-1]] += neg_upper[..., :-1:2] * x_odd
-    x_even[..., 1:] += neg_lower[..., 2::2] * x_odd[..., :m_right]
+    # rhs_odd, which nothing reads now, takes the products
+    x_even[..., :x_odd.shape[-1]] += np.multiply(
+        neg_upper[..., :-1:2], x_odd, out=rhs_odd)
+    x_even[..., 1:] += np.multiply(
+        neg_lower[..., 2::2], x_odd[..., :m_right], out=rhs_odd[..., :m_right])
     x_even /= diag[..., ::2]
     return x
 

@@ -175,6 +175,37 @@ def test_eigen_spectra_rows_are_the_single_lam_spectra(make_grid, domain1d,
         assert np.array_equal(row, eigen_spectrum(grid, lam))
 
 
+def materialized_gram_spectra(grid, lambdas):
+    """Oracle: ``eigen_spectra`` with the Gram matrix summed from the
+    materialized product of the exterior rows, of shape (p, p, L, B, n)."""
+    lams = np.asarray(lambdas, dtype=float)
+    gamma, ext = grid.gamma_rows[:, 0], grid.ext_rows
+    loads = np.zeros((gamma.size, 1, 1, grid.row_measure.size))
+    loads[np.arange(gamma.size), 0, 0, gamma] = 1.0
+    z = solve_tridiagonal(*grid.mode_bands(lams[:, None, None]), loads)
+    z_ext = z[..., ext]
+    gram = np.einsum("ijlbn,n->lbij", z_ext[:, None] * z_ext,
+                     grid.row_measure[ext])
+    half = np.linalg.inv(np.linalg.cholesky(np.moveaxis(z[..., gamma], 0, -2)))
+    values = np.linalg.eigvalsh(half @ gram @ np.swapaxes(half, -1, -2))
+    values = np.repeat(values, grid.mode_multiplicity, axis=1)
+    return np.sort(values.reshape(len(values), -1), axis=1)
+
+
+@pytest.mark.parametrize("make_grid", [
+    lambda d1, d2: Grid1D(d1, 4096),
+    lambda d1, d2: PolarGrid(d2, nr_ext=64, ntheta=128),
+], ids=["grid1d-4096", "polar-64x128"])
+def test_gram_is_the_materialized_product(make_grid, domain1d, disk_domain):
+    # the runner's rate1d and rate2d grids: two interface nodes per block
+    # on the interval, one per angular mode on the disk
+    grid = make_grid(domain1d, disk_domain)
+    spectra = eigen_spectra(grid, SWEEP)
+    want = materialized_gram_spectra(grid, SWEEP)
+    assert spectra.shape == want.shape
+    assert spectra.tobytes() == want.tobytes()
+
+
 @SMALL_GRIDS
 def test_rate_fit_makes_one_band_solve_per_sweep(make_grid, domain1d,
                                                   disk_domain, monkeypatch):

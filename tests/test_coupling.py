@@ -64,6 +64,17 @@ def test_ntd_matrix_validates_inputs():
         ntd_matrix_1d(1.0, -1.0)
 
 
+def test_ntd_matrix_takes_a_sequence():
+    lams = np.geomspace(1.0, 1e12, 13)
+    mats = ntd_matrix_1d(lams, 0.375)
+    scalar = np.stack([ntd_matrix_1d(lam, 0.375) for lam in lams])
+    assert mats.shape == (13, 2, 2) and mats.tobytes() == scalar.tobytes()
+    assert ntd_matrix_1d(1e3, 0.375).shape == (2, 2)
+    for bad in ([1.0, 0.0, 1e3], [-1.0], (1e2, 1e3, -1e4)):
+        with pytest.raises(DomainError):
+            ntd_matrix_1d(bad, 0.375)
+
+
 def test_ntd_matrix_against_interior_solver(domain1d):
     # independent rederivation: feed unit flux data to the discrete
     # screened solve on a fine grid and read the interface values

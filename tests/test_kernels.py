@@ -211,6 +211,95 @@ def test_bordered_solve_matches_dense_solve(rng, at):
     assert info.value.residual > 1e-30
 
 
+def _normwise_error_oracle(ax, row_sums, x, rhs):
+    """Oracle: the backward error from ``np.linalg.norm``, one per system."""
+    scale = (row_sums.max(axis=-1) * np.linalg.norm(x, axis=-1)
+             + np.linalg.norm(rhs, axis=-1))
+    gap = np.linalg.norm(ax - rhs, axis=-1)
+    return np.divide(gap, scale, out=np.zeros_like(gap), where=scale != 0.0)
+
+
+def _sweep_bands(rng, lams=(1.0, 1e3, 1e6), systems=4, n=17):
+    """Bands shaped like ``mode_bands`` over a sweep: lower and upper
+    (systems, n), diag (len(lams), systems, n)."""
+    lower, diag, upper = _random_bands(rng, systems, n)
+    return lower, diag + np.reshape(lams, (-1, 1, 1)), upper
+
+
+def _random_like(rng, shape, dtype):
+    values = rng.standard_normal(shape).astype(dtype)
+    if dtype is complex:
+        values += 1j * rng.standard_normal(shape)
+    return values
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_backward_errors_match_the_norm_formula(rng, dtype):
+    lower, diag, upper = _sweep_bands(rng)
+    n = diag.shape[-1]
+    dense = np.stack([[_dense(*bands) for bands in zip(lower, d, upper)]
+                      for d in diag])
+    # several right sides per system, and one broadcast to all of them
+    for x_shape, rhs_shape in (((2,) + diag.shape, (2,) + diag.shape),
+                               ((1,) + diag.shape, (1, 1, 1, n))):
+        x = _random_like(rng, x_shape, dtype)
+        rhs = _random_like(rng, rhs_shape, dtype)
+        want = _normwise_error_oracle((dense @ x[..., None])[..., 0],
+                                      np.abs(dense).sum(axis=-1), x, rhs)
+        got = kernels.tridiagonal_backward_error(lower, diag, upper, x, rhs)
+        assert got.shape == want.shape == x_shape[:-1]
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+    # the bordered check on one lam's systems, its rows in the norm
+    at = np.array([2, 9])
+    rows = rng.standard_normal((lower.shape[0], at.size, n))
+    bordered = dense[0].copy()
+    bordered[:, at] = rows
+    x = _random_like(rng, diag.shape[1:], dtype)
+    rhs = _random_like(rng, diag.shape[1:], dtype)
+    want = _normwise_error_oracle((bordered @ x[..., None])[..., 0],
+                                  np.abs(bordered).sum(axis=-1), x, rhs)
+    got = kernels.bordered_backward_error(lower, diag[0], upper, rows, at,
+                                          x, rhs)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_backward_errors_stay_nan_at_a_zero_pivot(rng, dtype):
+    lower, diag, upper = _random_bands(rng, 3, 9)
+    diag[1, 0] = 0.0
+    rhs = _random_like(rng, diag.shape, dtype)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = kernels._cyclic_reduction(-lower, diag, -upper, rhs)
+        got = kernels.tridiagonal_backward_error(lower, diag, upper, x, rhs)
+        at = np.array([4])
+        rows = rng.standard_normal((3, 1, 9))
+        bordered = kernels.bordered_backward_error(lower, diag, upper, rows,
+                                                   at, x, rhs)
+    assert np.isnan(x[1]).all() and np.isfinite(x[[0, 2]]).all()
+    for residual in (got, bordered):
+        assert np.isnan(residual[1])
+        assert np.isfinite(residual[[0, 2]]).all()
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_solves_leave_their_inputs_unchanged(rng, dtype):
+    lower, diag, upper = _sweep_bands(rng)
+    rhs = _random_like(rng, (2, 1, 1, diag.shape[-1]), dtype)
+    inputs = (lower, diag, upper, rhs)
+    before = [a.tobytes() for a in inputs]
+    solve_tridiagonal(lower, diag, upper, rhs)
+    assert [a.tobytes() for a in inputs] == before
+    lower, diag, upper = _random_bands(rng, 3, 12)
+    at = np.array([0, 5])
+    rows = rng.standard_normal((3, 2, 12))
+    rows[:, [0, 1], at] += 12.0
+    rhs = _random_like(rng, diag.shape, dtype)
+    inputs = (lower, diag, upper, rows, at, rhs)
+    before = [a.tobytes() for a in inputs]
+    solve_bordered_tridiagonal(lower, diag, upper, rows, at, rhs)
+    assert [a.tobytes() for a in inputs] == before
+
+
 def test_power_iteration_simple_spectra():
     val, _ = power_iteration_sym(lambda x: np.diag([3.0, 1.0, 0.5]) @ x, 3)
     assert val == pytest.approx(3.0, rel=1e-7)

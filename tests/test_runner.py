@@ -261,7 +261,7 @@ for exp in sys.argv[3:]:
     with tempfile.TemporaryDirectory() as out:
         codes[exp], _ = runner.run_experiment(
             runner.default_config(exp, seed=1), out_dir=out)
-subs = ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg",
+subs = ("scipy", "scipy.sparse", "scipy.sparse.linalg", "scipy.linalg",
         "scipy.integrate", "scipy.io")
 print(json.dumps({"unloaded": unloaded, "codes": codes,
                   "scipy": [name for name in subs if name in sys.modules]}))
