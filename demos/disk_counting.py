@@ -41,9 +41,9 @@ s_norm = trace_map_norm(grid)
 print(f"\ntrace-map norm ||S|| = {s_norm:.4f}")
 
 print("\ncounting comparison N(mu; difference) <= N(mu/||S||^2; circle):")
-for mu in np.geomspace(norm * 0.9, norm / 50, 6):
-    lhs = counting_function(moduli, mu)
-    rhs = counting_circle(1.0, lam, mu / s_norm ** 2)
+mus = np.geomspace(norm * 0.9, norm / 50, 6)
+for mu, lhs, rhs in zip(mus, counting_function(moduli, mus),
+                        counting_circle(1.0, lam, mus / s_norm ** 2)):
     print(f"  mu = {mu:.3e}:  {lhs:4d} <= {rhs:5d}")
 rows = birman_disk_check(eigs, s_norm, 1.0, lam,
                          np.geomspace(norm, norm / 100, 20))

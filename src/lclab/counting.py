@@ -1,7 +1,8 @@
 """Spectral counting: eigenvalues of the resolvent difference, the
 interface-model counting laws, and the comparison inequalities.
 
-The counting function N(mu; T) counts eigenvalues exceeding mu (strict).
+The counting function N(mu; T) counts eigenvalues exceeding mu (strict);
+it and the circle count take one mu or an array of them.
 For the symmetric resolvent difference the moduli of the eigenvalues are
 the singular values, and the chain of comparisons runs
 
@@ -36,18 +37,24 @@ from .errors import (ContractError, DomainError, InconclusiveError,
 # solve_spd stays bound here: bench/tracing.py wraps every binding site
 from .kernels import loglog_fit, solve_spd, solve_tridiagonal  # noqa: F401
 
-CIRCLE_MODE_CAP = 10 ** 7  # most angular modes counting_circle enumerates
+CIRCLE_MODE_CAP = 10 ** 7  # widest mode band 1..top counting_circle takes
 FIT_POINTS = 11            # geometric mu per counting-law decade
 MIN_DECADE_COUNT = 5       # fewest eigenvalues a counting-law decade needs
 MIN_COUNT_R_SQUARED = 0.95
 
 
 def counting_function(eigenvalues, mu):
-    """N(mu; T): number of eigenvalues strictly greater than mu > 0."""
-    if mu <= 0:
+    """N(mu; T): number of eigenvalues strictly greater than mu > 0, at one
+    mu (an ``int``) or an array (an integer array), by bisection in the
+    sorted eigenvalues.  A NaN eigenvalue never counts and a NaN mu counts
+    nothing; any mu <= 0 raises DomainError."""
+    mus = np.asarray(mu, dtype=float)
+    if np.any(mus <= 0):
         raise DomainError("counting function needs mu > 0")
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
-    return int(np.count_nonzero(eigenvalues > mu))
+    values = np.asarray(eigenvalues, dtype=float).ravel()
+    values = np.sort(values[~np.isnan(values)])
+    counts = values.size - np.searchsorted(values, mus, side="right")
+    return int(counts) if counts.ndim == 0 else counts
 
 
 def eigen_spectrum(grid, lam, tol=1e-10):
@@ -134,30 +141,60 @@ def circle_difference_eigenvalue(radius, lam, k):
 
 
 def counting_circle(radius, lam, mu):
-    """Exact count of circle modes with w_k > mu, by enumeration.
+    """Exact count of circle modes with w_k > mu, at one mu (an ``int``) or
+    an array (an integer array): what enumerating w_k over |k| <= top,
+    top = floor(bound) + 2 with bound = R (1/mu - lam mu) / 2, would give.
 
-    Raises ResourceLimitError when the band to enumerate holds more than
-    CIRCLE_MODE_CAP modes, rather than returning a truncated count.
+    w_k > mu exactly when |k| < bound, and in floating point w_k is
+    nonincreasing in |k| (each IEEE operation in it is monotone), so the
+    counted modes 1 <= k <= top are a prefix.  At k <= top - 4 <= bound - 2
+    the gap w_k / mu - 1 is about 2 mu / R or more, and the rounding error
+    of bound about 1e-16 R / mu: both harmless while R / mu << 1e16, which
+    under the cap fails only at the crossover mu ~ 1/sqrt(lam) with
+    R sqrt(lam) near 1e17.  So only k = top - 4, which confirms the
+    prefix, and the last four k are evaluated, with the enumeration's own
+    expression; a mu whose confirmation fails is enumerated.
+
+    Raises ResourceLimitError if the band of any mu holds more than
+    CIRCLE_MODE_CAP modes: past it neither the margin nor the fallback
+    enumeration is bounded.
     """
-    if mu <= 0:
+    mus = np.asarray(mu, dtype=float)
+    if not np.all(mus > 0):
         raise DomainError("needs mu > 0")
-    # w_k > mu requires |k| < R (1/mu - lam mu) / 2; enumerate a safe band
-    bound = radius * (1.0 / mu - lam * mu) / 2.0
-    if bound < 0:
-        return 0
-    top = int(bound) + 2
-    if top > CIRCLE_MODE_CAP:
-        raise ResourceLimitError(
-            f"circle count needs {top} modes, more than {CIRCLE_MODE_CAP}")
-    count = 1 if circle_difference_eigenvalue(radius, lam, 0) > mu else 0
+    flat = mus.ravel()
+    bound = radius * (1.0 / flat - lam * flat) / 2.0
+    inside = bound >= 0
+    top = np.where(inside, np.floor(bound) + 2, 0.0)
+    if np.any(top > CIRCLE_MODE_CAP):
+        raise ResourceLimitError(f"circle count needs {top.max():.0f} modes,"
+                                 f" more than {CIRCLE_MODE_CAP}")
+    counts = np.zeros(flat.shape, dtype=np.int64)
+    if np.any(inside):
+        zero = circle_difference_eigenvalue(radius, lam, 0) > flat
+        top = top.astype(np.int64)
+        k = top[:, None] + np.arange(-4, 1)
+        xi = k / radius
+        above = 1.0 / (xi + np.sqrt(xi * xi + lam)) > flat[:, None]
+        modes = np.maximum(top - 4, 0) + np.count_nonzero(
+            above[:, 1:] & (k[:, 1:] >= 1), axis=1)
+        for i in np.flatnonzero(inside & (top > 4) & ~above[:, 0]):
+            modes[i] = _enumerated_modes(radius, lam, flat[i], top[i])
+        counts = np.where(inside, zero + 2 * modes, 0)
+    counts = counts.reshape(mus.shape)
+    return int(counts) if counts.ndim == 0 else counts
+
+
+def _enumerated_modes(radius, lam, mu, top):
+    """Number of modes 1 <= k <= top with w_k > mu, by enumeration."""
     xi = np.arange(1, top + 1) / radius
-    w = 1.0 / (xi + np.sqrt(xi * xi + lam))
-    return count + 2 * int(np.count_nonzero(w > mu))
+    return int(np.count_nonzero(1.0 / (xi + np.sqrt(xi * xi + lam)) > mu))
 
 
 def circle_count_prediction(radius, lam, mu):
-    """Phase-space prediction for the circle count: R (1/mu - lam mu)_+ ."""
-    return radius * max(0.0, 1.0 / mu - lam * mu)
+    """Phase-space prediction for the circle count: R (1/mu - lam mu)_+ ,
+    at one mu or elementwise over an array."""
+    return radius * np.maximum(0.0, 1.0 / mu - lam * mu)
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +203,23 @@ def circle_count_prediction(radius, lam, mu):
 
 def birman_synthetic_check(n_instances=100, dim_domain=8, dim_range=3,
                            seed=0):
-    """Brute-force the abstract counting comparison on random low-rank
+    """Check the abstract counting comparison on random low-rank
     sandwiches T1 = S* T2 S with ||S|| = 1: N(mu; T1) <= N(mu; T2) must
     hold at every mu.  Returns the number of violations (0 expected).
-    All instances are drawn, and their spectra taken, as one batch.
+
+    All instances are drawn as one batch.  T1 is never formed: its nonzero
+    eigenvalues are those of T2^1/2 G T2^1/2 with G = S S* (sigma(AB) and
+    sigma(BA) agree off 0), a dim_range-square matrix, and ||S||^2 is the
+    top eigenvalue of G.  The comparison discards the zeros this leaves
+    out.
     """
     rng = np.random.default_rng(seed)
     t2_diag = 1.0 / np.arange(1, dim_range + 1)
     s = rng.standard_normal((n_instances, dim_range, dim_domain))
-    s /= np.linalg.norm(s, 2, axis=(1, 2))[:, None, None]
-    t1 = np.swapaxes(s, 1, 2) @ np.diag(t2_diag) @ s
-    eig1 = np.linalg.eigvalsh(0.5 * (t1 + np.swapaxes(t1, 1, 2)))
+    gram = s @ np.swapaxes(s, 1, 2)
+    gram /= np.linalg.eigvalsh(gram)[:, -1, None, None]
+    half = np.sqrt(t2_diag)
+    eig1 = np.linalg.eigvalsh(half[:, None] * gram * half)
     return _comparison_violations(eig1, t2_diag)
 
 
@@ -207,14 +250,12 @@ def birman_disk_check(eigenvalues, s_norm, radius, lam, mu_grid, slack=2):
     ``slack`` absorbs the curvature corrections the flat-symbol circle
     model omits; violations are reported, not raised.
     """
-    moduli = np.abs(np.asarray(eigenvalues, dtype=float))
-    rows = []
-    for mu in mu_grid:
-        lhs = counting_function(moduli, mu)
-        rhs = counting_circle(radius, lam, mu / s_norm ** 2)
-        rows.append({"mu": float(mu), "count_difference": lhs,
-                     "count_circle": rhs, "holds": lhs <= rhs + slack})
-    return rows
+    mus = np.asarray(mu_grid, dtype=float)
+    lhs = counting_function(np.abs(np.asarray(eigenvalues, dtype=float)), mus)
+    rhs = counting_circle(radius, lam, mus / s_norm ** 2)
+    return [{"mu": float(mu), "count_difference": int(left),
+             "count_circle": int(right), "holds": bool(left <= right + slack)}
+            for mu, left, right in zip(mus, lhs, rhs)]
 
 
 def weyl_exponent_fit(eigenvalues):
@@ -225,7 +266,7 @@ def weyl_exponent_fit(eigenvalues):
     moduli = np.abs(np.asarray(eigenvalues, dtype=float))
     mu_hi = 0.95 * float(moduli.max())
     mu_grid = np.geomspace(mu_hi, mu_hi / 10.0, FIT_POINTS)
-    counts = np.array([counting_function(moduli, mu) for mu in mu_grid])
+    counts = counting_function(moduli, mu_grid)
     if counts[-1] < MIN_DECADE_COUNT:
         raise InconclusiveError(
             f"only {counts[-1]} eigenvalues above the smallest mu")
@@ -234,13 +275,13 @@ def weyl_exponent_fit(eigenvalues):
 
 def circle_model_exponent_fit(radius, lam):
     """Count slope of the pure circle model over the mu-decade below
-    1 / (25 sqrt(lam)), well inside the 1/mu regime: the enumeration of
+    1 / (25 sqrt(lam)), well inside the 1/mu regime: the exact count of
     the angular-mode eigenvalues is the ground truth, and the counts
     follow R/mu there, so the slope sits at -1 with no discretization
     noise."""
     mu_hi = 1.0 / (25.0 * math.sqrt(lam))
     mu_grid = np.geomspace(mu_hi, mu_hi / 10.0, FIT_POINTS)
-    counts = np.array([counting_circle(radius, lam, mu) for mu in mu_grid])
+    counts = counting_circle(radius, lam, mu_grid)
     if counts[0] < MIN_DECADE_COUNT:
         raise InconclusiveError(
             f"mu decade starts with fewer than {MIN_DECADE_COUNT} modes")

@@ -56,6 +56,12 @@ TOLERANCES = {
     "birman_disk_slack": 2,
     "threshold_decade_factor": 1.5,
 }
+# the windows as summary.json lists them, and the hash each CSV header
+# carries: taken once, since the windows never change
+_TOLERANCES_JSON = {k: list(v) if isinstance(v, tuple) else v
+                    for k, v in TOLERANCES.items()}
+_TOLERANCES_TAG = hashlib.sha256(json.dumps(_TOLERANCES_JSON, sort_keys=True)
+                                 .encode()).hexdigest()[:8]
 
 _SCHEMA = {
     "experiment": {
@@ -283,14 +289,10 @@ class _Artifacts:
         self.criteria = []
         self.data = {}
         self.shared = {}   # results that experiments of this run share
-        # one hash of the config and of the windows serves every file
+        # one hash of the config serves every file
         self.config_hash = config.config_hash()
-        self.tolerances = {k: list(v) if isinstance(v, tuple) else v
-                           for k, v in TOLERANCES.items()}
-        tag = hashlib.sha256(json.dumps(self.tolerances, sort_keys=True)
-                             .encode()).hexdigest()[:8]
-        self.csv_header = (f"# schema={SCHEMA_VERSION}"
-                           f" config={self.config_hash} tolerances={tag}\n")
+        self.csv_header = (f"# schema={SCHEMA_VERSION} config="
+                           f"{self.config_hash} tolerances={_TOLERANCES_TAG}\n")
 
     def criterion(self, name, value, ok, window=None):
         self.criteria.append({"name": name, "value": value,
@@ -321,7 +323,7 @@ class _Artifacts:
             "experiments": verdicts,
             "config_hash": self.config_hash,
             "seed": self.config.seed(),
-            "tolerances": self.tolerances,
+            "tolerances": _TOLERANCES_JSON,
             "criteria": self.criteria,
             "data": self.data,
             "status": status,
@@ -541,10 +543,9 @@ def _run_weyl(config, art):
     fit = ct.weyl_exponent_fit(eigs)
     ok &= art.check("weyl.disk_slope", fit.slope,
                     TOLERANCES["weyl_disk_slope"])
-    rows = [(mu, count, ct.circle_count_prediction(radius, lam,
-                                                   mu / s_norm ** 2))
-            for mu, count in zip(fit.x, fit.y)]
-    art.write_csv("weyl", ["mu", "count_empirical", "weyl_rhs"], rows)
+    rhs = ct.circle_count_prediction(radius, lam, fit.x / s_norm ** 2)
+    art.write_csv("weyl", ["mu", "count_empirical", "weyl_rhs"],
+                  zip(fit.x, fit.y, rhs))
     art.data["weyl"] = {"circle_slope": model.slope,
                         "disk_slope": fit.slope, "s_norm": s_norm}
     return ok

@@ -7,7 +7,7 @@ import scipy.linalg
 from lclab import (ContractError, ConvergenceError, DifferencePipeline,
                    DomainError, Fit, Grid1D, PolarGrid, ResourceLimitError,
                    birman_disk_check, birman_synthetic_check,
-                   circle_difference_eigenvalue, convergence_rate_fit,
+                   circle_count_prediction, circle_difference_eigenvalue, convergence_rate_fit,
                    counting, counting_circle, counting_function,
                    circle_model_exponent_fit, dense_eigen, eigen_spectrum,
                    power_iteration_sym, solve_spd, trace_map_norm,
@@ -261,14 +261,127 @@ def test_counting_circle_matches_enumeration(radius, lam, mu):
 def test_counting_circle_refuses_to_truncate():
     # R (1/mu - lam mu) / 2 = 5e7 modes to enumerate, above the cap
     assert CIRCLE_MODE_CAP < 5 * 10 ** 7
-    with pytest.raises(ResourceLimitError):
+    with pytest.raises(ResourceLimitError,
+                       match=f"circle count needs 50000001 modes, more than "
+                             f"{CIRCLE_MODE_CAP}"):
         counting_circle(1.0, 1e3, 1e-8)
+    # one mu over the cap refuses the whole array
+    with pytest.raises(ResourceLimitError):
+        counting_circle(1.0, 1e3, np.array([1e-2, 1e-8, 1e-3]))
+
+
+def enumerated_circle_count(radius, lam, mu):
+    """Oracle: the circle count by enumerating every mode of the band."""
+    bound = radius * (1.0 / mu - lam * mu) / 2.0
+    if bound < 0:
+        return 0
+    top = int(bound) + 2
+    count = 1 if circle_difference_eigenvalue(radius, lam, 0) > mu else 0
+    xi = np.arange(1, top + 1) / radius
+    w = 1.0 / (xi + np.sqrt(xi * xi + lam))
+    return count + 2 * int(np.count_nonzero(w > mu))
+
+
+def looped_counting_function(eigenvalues, mu):
+    """Oracle: N(mu; T) by comparing every eigenvalue with one mu."""
+    if mu <= 0:
+        raise DomainError("counting function needs mu > 0")
+    return int(np.count_nonzero(np.asarray(eigenvalues, dtype=float) > mu))
+
+
+def crossing_mus(radius, lam, bound):
+    """The mu at which R (1/mu - lam mu) / 2 equals ``bound``, and the
+    floats on either side of it."""
+    c = 2.0 * bound / radius
+    mu = 2.0 / (c + math.sqrt(c * c + 4.0 * lam))
+    return [mu, np.nextafter(mu, 0.0), np.nextafter(mu, 1.0)]
+
+
+def test_counting_circle_matches_enumeration_on_seeded_draws():
+    rng = np.random.default_rng(20150928)
+    checked = 0
+    for _ in range(150):
+        radius = 10.0 ** rng.uniform(-2.0, 2.0)
+        lam = 10.0 ** rng.uniform(0.0, 8.0)
+        top = 10.0 ** rng.uniform(-1.0, 5.0)  # the band, up to 1e5 modes
+        mus = crossing_mus(radius, lam, top)
+        mus += [mu for k in (math.floor(top), math.floor(top) + 1)
+                for mu in crossing_mus(radius, lam, k)]
+        mus.append(2.0 / math.sqrt(lam))  # past the crossover: no band
+        want = [enumerated_circle_count(radius, lam, mu) for mu in mus]
+        assert [counting_circle(radius, lam, mu) for mu in mus] == want
+        assert counting_circle(radius, lam, np.array(mus)).tolist() == want
+        checked += len(mus)
+    assert checked == 150 * 10
+
+
+def test_counting_circle_enumerates_where_rounding_hides_the_prefix(
+        monkeypatch):
+    # R sqrt(lam) = 1e17: at mu just below the crossover 1/sqrt(lam) the
+    # rounding error of the band's bound is several modes, so the last
+    # four modes need not hold the end of the counted prefix
+    lam, radius = 1e34, 1.0
+    rng = np.random.default_rng(5)
+    mus = 1e-17 * (1.0 - 10.0 ** rng.uniform(-17.0, -15.0, 12))
+    enumerate_modes = counting._enumerated_modes
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return enumerate_modes(*args)
+
+    monkeypatch.setattr(counting, "_enumerated_modes", spy)
+    want = [enumerated_circle_count(radius, lam, mu) for mu in mus]
+    assert counting_circle(radius, lam, mus).tolist() == want
+    assert calls
+    assert max(want) > 0
+
+
+def test_counts_take_arrays_of_mu(rng):
+    values = np.concatenate([rng.uniform(0.0, 1.0, 40), [0.5, 0.5, -0.5]])
+    mus = np.concatenate([rng.uniform(0.01, 1.2, 25), [0.5, np.nextafter(
+        0.5, 0.0), np.nextafter(0.5, 1.0)]]).reshape(4, 7)
+    counts = counting_function(values, mus)
+    assert counts.shape == mus.shape and counts.dtype.kind == "i"
+    assert counts.tolist() == [[looped_counting_function(values, mu)
+                                for mu in row] for row in mus]
+    for mu, count in zip(mus.ravel(), counts.ravel()):
+        scalar = counting_function(values, mu)
+        assert type(scalar) is int and scalar == count
+    circle_mus = np.geomspace(1.0, 1e-4, 30)
+    circle = counting_circle(2.5, 1e2, circle_mus)
+    assert circle.shape == (30,) and circle.dtype.kind == "i"
+    for mu, count in zip(circle_mus, circle):
+        scalar = counting_circle(2.5, 1e2, mu)
+        assert type(scalar) is int and scalar == count
+        assert scalar == enumerated_circle_count(2.5, 1e2, mu)
+    predictions = circle_count_prediction(2.5, 1e2, circle_mus)
+    assert predictions.tolist() == [circle_count_prediction(2.5, 1e2, mu)
+                                    for mu in circle_mus]
 
 
 def test_counting_function_is_strict_and_needs_positive_mu():
+    # strict: an eigenvalue equal to mu does not count, at one mu or many
     assert counting_function([0.5, 1.0, 2.0], 1.0) == 1
+    assert counting_function([1.0, 1.0, 2.0], [1.0, 2.0]).tolist() == [1, 0]
+    # a NaN eigenvalue never counts; a NaN mu counts nothing, and is no error
+    values = [np.nan, 0.5, 3.0, np.nan]
+    assert counting_function(values, 0.1) == 2 \
+        == looped_counting_function(values, 0.1)
+    assert counting_function(values, np.nan) == 0
+    assert counting_function(values, [np.nan, 1.0]).tolist() == [0, 1]
+    # any mu <= 0 raises, alone or in an array
+    for bad in (0.0, -1.0, [1.0, 0.0], np.array([[0.5], [-2.0]])):
+        with pytest.raises(DomainError):
+            counting_function(values, bad)
+        with pytest.raises(DomainError):
+            counting_circle(1.0, 1e3, bad)
     with pytest.raises(DomainError):
-        counting_function([1.0], 0.0)
+        counting_circle(1.0, 1e3, [1e-2, np.nan])
+    # the circle model needs lam >= 1 once some mu has a band to count
+    assert counting_circle(1.0, 0.5, 5.0) == 0
+    with pytest.raises(DomainError):
+        counting_circle(1.0, 0.5, [5.0, 0.1])
 
 
 def looped_violations(eig1, t2_diag):
@@ -284,8 +397,9 @@ def looped_violations(eig1, t2_diag):
     return violations
 
 
-def looped_birman_check(n_instances, dim_domain, dim_range, seed):
-    """Oracle: one instance drawn, and one eigvalsh, at a time."""
+def looped_birman_spectra(n_instances, dim_domain, dim_range, seed):
+    """Oracle: the spectra of T1 = S* T2 S, of size dim_domain, with one
+    instance drawn, normalized by its SVD, and solved at a time."""
     rng = np.random.default_rng(seed)
     t2_diag = 1.0 / np.arange(1, dim_range + 1)
     eig1 = []
@@ -294,7 +408,13 @@ def looped_birman_check(n_instances, dim_domain, dim_range, seed):
         s /= np.linalg.norm(s, 2)
         t1 = s.T @ np.diag(t2_diag) @ s
         eig1.append(np.linalg.eigvalsh(0.5 * (t1 + t1.T)))
-    return looped_violations(np.array(eig1), t2_diag)
+    return np.array(eig1), t2_diag
+
+
+def looped_birman_check(n_instances, dim_domain, dim_range, seed):
+    """Oracle: the synthetic check one instance and one probe at a time."""
+    return looped_violations(*looped_birman_spectra(
+        n_instances, dim_domain, dim_range, seed))
 
 
 def test_birman_synthetic_check_finds_no_violation():
@@ -304,6 +424,36 @@ def test_birman_synthetic_check_finds_no_violation():
             == looped_birman_check(100, 8, 3, seed)
     assert birman_synthetic_check(40, 2, 5, seed=3) == 0 \
         == looped_birman_check(40, 2, 5, 3)
+
+
+@pytest.mark.parametrize("n_instances, dim_domain, dim_range, seed", [
+    (100, 8, 3, 1), (100, 8, 3, 2), (100, 8, 3, 57), (40, 2, 5, 3),
+])
+def test_rank_route_spectra_are_the_nonzero_brute_force_spectra(
+        monkeypatch, n_instances, dim_domain, dim_range, seed):
+    seen = []
+
+    def capture(eig1, t2_diag):
+        seen.append((eig1, t2_diag))
+        return _comparison_violations(eig1, t2_diag)
+
+    monkeypatch.setattr(counting, "_comparison_violations", capture)
+    birman_synthetic_check(n_instances, dim_domain, dim_range, seed=seed)
+    (eig1, t2_diag), = seen
+    brute, brute_t2 = looped_birman_spectra(n_instances, dim_domain,
+                                            dim_range, seed)
+    assert np.array_equal(t2_diag, brute_t2)
+    # the rank route solves a dim_range-square matrix, whose spectrum is
+    # brute force's with dim_domain - dim_range zeros left out (or, for
+    # dim_domain < dim_range, dim_range - dim_domain zeros put in)
+    rank = min(dim_domain, dim_range)
+    assert eig1.shape == (n_instances, dim_range)
+    for row, want in zip(eig1, brute):
+        top = want.max()
+        assert np.all(np.abs(row[:-rank]) <= 1e-12 * top)
+        assert np.all(np.abs(want[:-rank]) <= 1e-12 * top)
+        assert np.all(np.abs(row[-rank:] - want[-rank:]) <= 1e-12 * top)
+        assert np.all(want[-rank:] > 1e-6 * top)
 
 
 def test_batched_comparison_counts_like_the_probe_loop(rng):
@@ -351,13 +501,26 @@ def test_weyl_fits_are_fits(disk_spectrum):
     assert list(disk.y) == [counting_function(moduli, mu) for mu in disk.x]
 
 
-def test_weyl_artifacts_are_byte_identical(tmp_path):
+def repeated_run_artifacts(tmp_path, experiment, seed=None):
+    """The artifact bytes of two runs of one config, by file name."""
     digests = []
     for run in ("a", "b"):
         out = tmp_path / run
-        status, _ = run_experiment(default_config("weyl"), out_dir=out)
+        status, _ = run_experiment(default_config(experiment, seed=seed),
+                                   out_dir=out)
         assert status == 0
-        names = sorted(p.name for p in out.iterdir())
-        assert names == ["summary.json", "weyl.csv"]
-        digests.append({name: (out / name).read_bytes() for name in names})
-    assert digests[0] == digests[1]
+        digests.append({p.name: p.read_bytes() for p in out.iterdir()})
+    return digests
+
+
+def test_weyl_artifacts_are_byte_identical(tmp_path):
+    first, second = repeated_run_artifacts(tmp_path, "weyl")
+    assert sorted(first) == ["summary.json", "weyl.csv"]
+    assert first == second
+
+
+def test_birman_artifacts_are_byte_identical(tmp_path):
+    # birman is the one experiment that reads the seed
+    first, second = repeated_run_artifacts(tmp_path, "birman", seed=57)
+    assert sorted(first) == ["birman.csv", "summary.json"]
+    assert first == second
