@@ -50,8 +50,8 @@ class Domain2D:
     outer_radius: float
 
     def __post_init__(self):
-        if not (0.0 < self.radius < self.outer_radius):
-            raise DomainError(f"need 0 < radius < outer_radius, got "
+        if not (0.0 < self.radius < self.outer_radius < np.inf):
+            raise DomainError(f"need 0 < radius < outer_radius < inf, got "
                               f"{self.radius}, {self.outer_radius}")
 
 

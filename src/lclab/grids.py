@@ -309,15 +309,15 @@ class Grid1D(_Grid):
     def __init__(self, domain: Domain1D, n_cells: int):
         self.domain = domain
         self.n = int(n_cells)
-        self.h = domain.length / self.n
-        i1 = domain.a1 / self.h
-        i2 = domain.a2 / self.h
+        i1, i2 = (a * self.n / domain.length for a in (domain.a1, domain.a2))
         if abs(i1 - round(i1)) > 1e-9 or abs(i2 - round(i2)) > 1e-9:
             raise DomainError(
-                f"inclusion endpoints must be grid nodes: a1/h={i1}, a2/h={i2}")
+                f"inclusion endpoints must land on grid nodes ({self.n} "
+                f"cells): a1/h={i1}, a2/h={i2}")
         self.i1, self.i2 = int(round(i1)), int(round(i2))
         if not (1 <= self.i1 < self.i2 <= self.n - 1):
             raise DomainError("each subregion needs at least one cell")
+        self.h = domain.length / self.n
         self.n_nodes = self.n + 1
         self.x = np.linspace(0.0, domain.length, self.n_nodes)
         self.normal_step = self.h
@@ -412,17 +412,17 @@ class PolarGrid(_Grid):
         self.domain = domain
         self.r_out = float(domain.outer_radius)
         self.r_inc = float(domain.radius)
-        self.hr = (self.r_out - self.r_inc) / nr_ext
-        ratio = self.r_inc / self.hr
+        self.nr_ext, self.ntheta = int(nr_ext), int(ntheta)
+        size = f"({self.nr_ext} x {self.ntheta} disk grid)"
+        ratio = self.r_inc * self.nr_ext / (self.r_out - self.r_inc)  # R / hr
         if abs(ratio - round(ratio)) > 1e-9:
-            raise DomainError(
-                "interface must be a grid ring: R / hr must be an integer "
-                f"(got {ratio})")
+            raise DomainError(f"interface must be a grid ring {size}: "
+                              f"R / hr must be an integer (got {ratio})")
         self.nr_int = int(round(ratio))
-        self.nr_ext = int(nr_ext)
-        self.ntheta = int(ntheta)
-        if self.ntheta < 8:
-            raise DomainError("need at least 8 angular nodes")
+        if self.nr_ext < 1 or self.ntheta < 8:
+            raise DomainError("need at least one exterior ring and 8 angular "
+                              f"nodes {size}")
+        self.hr = (self.r_out - self.r_inc) / self.nr_ext
         self.ntot = self.nr_int + self.nr_ext
         self.htheta = 2 * np.pi / self.ntheta
         self.theta = np.arange(self.ntheta) * self.htheta

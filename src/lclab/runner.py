@@ -10,6 +10,10 @@ identical config + seed reproduce the artifacts byte for byte.  Only
 its random instances from it); every other experiment computes its
 numbers exactly and gives the same CSV data at any seed.
 
+A config error covers every object the run builds, checked by building
+it: each experiment is one row of ``_TABLE``, a build (config -> domain
+and grids) and a run that takes what the build returns.
+
 Exit codes: 0 pass, 1 fail or error, 2 inconclusive, 3 config error;
 ``report-all`` runs every experiment and exits with the worst verdict.
 """
@@ -20,6 +24,7 @@ import hashlib
 import json
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +39,6 @@ from .symbols import (IDENTITY_SYMBOL, class_membership_estimate, eta_symbol,
                       flat_ntd_symbol, flat_transmission_symbol, make_symbol)
 
 SCHEMA_VERSION = 1
-
-EXPERIMENTS = ("rate1d", "rate2d", "green", "symbols", "bounds", "nbound",
-               "compose", "weyl", "birman", "threshold", "report-all")
 
 # acceptance windows, pinned once and embedded in every artifact
 TOLERANCES = {
@@ -102,7 +104,7 @@ _SCHEMA = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     values: dict
     text: str
@@ -128,6 +130,7 @@ class ExperimentConfig:
             lines.append("")
         return "\n".join(lines)
 
+    @cached_property
     def config_hash(self):
         return hashlib.sha256(self.serialize().encode()).hexdigest()[:16]
 
@@ -148,7 +151,8 @@ def _coerce(raw, kind, where, violations):
 
 def parse_config(text, overrides=None):
     """Parse and validate config text; raise ConfigError with every
-    violation found (not just the first)."""
+    violation found (not just the first).  The build of each experiment
+    the run executes is called, and what it builds thrown away."""
     violations = []
     values = {s: {k: default for k, (_, default) in keys.items()}
               for s, keys in _SCHEMA.items()}
@@ -189,9 +193,15 @@ def parse_config(text, overrides=None):
         values[section][key] = sval
 
     _validate(values, violations)
+    config = ExperimentConfig(values=values, text=text)
+    for _, build, _ in _rows(config["experiment.name"]):
+        try:
+            build(config)
+        except ConfigError as err:
+            violations += [v for v in err.violations if v not in violations]
     if violations:
         raise ConfigError(violations)
-    return ExperimentConfig(values=values, text=text)
+    return config
 
 
 def _validate(values, violations):
@@ -203,15 +213,6 @@ def _validate(values, violations):
                           f"{exp['name']!r}{extra}")
     if not 0 <= exp["seed"] < 2 ** 64:
         violations.append("experiment.seed: must fit in a u64")
-    d1, d2, grid = values["domain1d"], values["domain2d"], values["grid"]
-    if not (0 < d1["a1"] < d1["a2"] < d1["length"]):
-        violations.append("domain1d: need 0 < a1 < a2 < length")
-    else:
-        _check_interval_grids(d1, grid["cells_1d"], violations)
-    if not 0 < d2["radius"] < d2["outer_radius"]:
-        violations.append("domain2d: need 0 < radius < outer_radius")
-    else:
-        _check_disk_grids(d2, grid["radial_ext"], grid["angular"], violations)
     for key in ("lambdas", "lambdas_2d", "lambdas_torus"):
         lams = values["sweep"][key]
         if any(l <= 0 for l in lams):
@@ -222,51 +223,6 @@ def _validate(values, violations):
         violations.append("sweep.lam: single-coupling experiments need lam >= 1")
     if not 0 < values["tolerances"]["solve_tol"] <= 1e-6:
         violations.append("tolerances.solve_tol: must lie in (0, 1e-6]")
-    for key in ("torus_points", "compose_points"):
-        m = values["grid"][key]
-        if m < 8 or m & (m - 1):
-            violations.append(f"grid.{key}: must be a power of two >= 8")
-
-
-def _is_whole(value):
-    return abs(value - round(value)) <= 1e-9
-
-
-def _check_interval_grids(d1, n, violations):
-    """Collect the first reason that a grid the experiments build from
-    ``cells_1d = n`` (green's n // 2 and n cells, rate1d's 2 n) would
-    refuse the domain, by the arithmetic of ``Grid1D``."""
-    for cells in (n // 2, n, 2 * n):
-        i1, i2 = (d1[key] / d1["length"] * cells for key in ("a1", "a2"))
-        if not (_is_whole(i1) and _is_whole(i2)):
-            problem = "inclusion endpoints must land on grid nodes"
-        elif min(i1, i2 - i1, cells - i2) < 2 - 1e-9:
-            problem = "need two node layers on each side of each endpoint"
-        else:
-            continue
-        violations.append(f"grid.cells_1d: {problem} ({cells} cells)")
-        return
-
-
-def _check_disk_grids(d2, nr, nth, violations):
-    """Collect the first reason that a disk grid the experiments build
-    (weyl's and birman's nr x nth, rate2d's 2 nr x 2 nth) would refuse
-    the domain, by the arithmetic of ``PolarGrid``."""
-    for rings_ext, nodes in ((nr, nth), (2 * nr, 2 * nth)):
-        h_ratio = d2["radius"] / (d2["outer_radius"] - d2["radius"])
-        rings_int = h_ratio * rings_ext  # R / h_r
-        if not _is_whole(rings_int):
-            problem = ("interface must be a grid ring: R / h_r must be an "
-                       "integer")
-        elif min(rings_ext, rings_int - 1) < 2 - 1e-9:
-            problem = "need two ring layers on each side of the interface"
-        elif nodes < 8:
-            problem = "need at least 8 angular nodes"
-        else:
-            continue
-        violations.append(f"grid.radial_ext, grid.angular: {problem} "
-                          f"({rings_ext} x {nodes} disk grid)")
-        return
 
 
 def default_config(experiment="rate1d", seed=None):
@@ -289,10 +245,9 @@ class _Artifacts:
         self.criteria = []
         self.data = {}
         self.shared = {}   # results that experiments of this run share
-        # one hash of the config serves every file
-        self.config_hash = config.config_hash()
-        self.csv_header = (f"# schema={SCHEMA_VERSION} config="
-                           f"{self.config_hash} tolerances={_TOLERANCES_TAG}\n")
+        self.csv_header = (f"# schema={SCHEMA_VERSION} "
+                           f"config={config.config_hash} "
+                           f"tolerances={_TOLERANCES_TAG}\n")
 
     def criterion(self, name, value, ok, window=None):
         self.criteria.append({"name": name, "value": value,
@@ -321,7 +276,7 @@ class _Artifacts:
             "schema_version": SCHEMA_VERSION,
             "experiment": experiment,
             "experiments": verdicts,
-            "config_hash": self.config_hash,
+            "config_hash": self.config.config_hash,
             "seed": self.config.seed(),
             "tolerances": _TOLERANCES_JSON,
             "criteria": self.criteria,
@@ -349,22 +304,47 @@ def _require_conclusive(message, *fits):
         raise InconclusiveError(message)
 
 
-def _domain1d(config):
-    return Domain1D(config["domain1d.length"], config["domain1d.a1"],
-                    config["domain1d.a2"])
-
-
-def _domain2d(config):
-    return Domain2D(config["domain2d.radius"], config["domain2d.outer_radius"])
-
-
 # ---------------------------------------------------------------------------
-# experiments
+# experiments: a build, config -> the objects it runs on, and a run
 
 
-def _run_rate1d(config, art):
-    domain = _domain1d(config)
-    grid = Grid1D(domain, config["grid.cells_1d"] * 2)
+def _built(keys, make, *args):
+    """``make(*args)``, a LabError raised as the config violation of
+    ``keys``, the config keys that set the object."""
+    try:
+        return make(*args)
+    except LabError as err:
+        raise ConfigError(f"{keys}: {err}") from None
+
+
+def _interval(config, *cells):
+    """The interval domain, then a ``Grid1D`` of each size in ``cells``."""
+    domain = _built("domain1d", Domain1D, config["domain1d.length"],
+                    config["domain1d.a1"], config["domain1d.a2"])
+    return (domain,
+            *(_built("grid.cells_1d", Grid1D, domain, n) for n in cells))
+
+
+def _disk(config, scale=1):
+    """The disk ``PolarGrid``, ``scale`` times as fine as configured."""
+    domain = _built("domain2d", Domain2D, config["domain2d.radius"],
+                    config["domain2d.outer_radius"])
+    return (_built("grid.radial_ext, grid.angular", PolarGrid, domain,
+                   scale * config["grid.radial_ext"],
+                   scale * config["grid.angular"]),)
+
+
+def _torus(config):
+    return (_built("grid.torus_points", tr.TorusGrid,
+                   config["grid.torus_points"]),)
+
+
+def _compose_torus(config):
+    return (_built("grid.compose_points", tr.TorusGrid,
+                   config["grid.compose_points"]),)
+
+
+def _run_rate1d(config, art, domain, grid):
     lambdas = config["sweep.lambdas"]
     exact = cp.convergence_rate_fit_exact_1d(domain, lambdas)
     fit = cp.convergence_rate_fit(grid, lambdas,
@@ -387,9 +367,7 @@ def _run_rate1d(config, art):
     return ok
 
 
-def _run_rate2d(config, art):
-    grid = PolarGrid(_domain2d(config), config["grid.radial_ext"] * 2,
-                     config["grid.angular"] * 2)
+def _run_rate2d(config, art, grid):
     lambdas = config["sweep.lambdas_2d"]
     fit = cp.convergence_rate_fit(grid, lambdas,
                                   tol=config["tolerances.solve_tol"])
@@ -403,17 +381,14 @@ def _run_rate2d(config, art):
     return art.check("rate2d.slope", fit.slope, TOLERANCES["rate2d_slope"])
 
 
-def _run_green(config, art):
-    domain = _domain1d(config)
+def _run_green(config, art, domain, coarse_grid, grid):
     lam, tol = config["sweep.lam"], config["tolerances.solve_tol"]
-    n = config["grid.cells_1d"]
     reports = {}
-    for cells in (n // 2, n):
-        grid = Grid1D(domain, cells)
-        f, g = cp.green_test_fields(grid)
-        reports[cells] = cp.green_identity_check(grid, lam, f, g, tol=tol)
-    coarse, fine = reports[n // 2], reports[n]
-    rows = [(cells, *rep.as_tuple()) for cells, rep in sorted(reports.items())]
+    for each in (coarse_grid, grid):
+        f, g = cp.green_test_fields(each)
+        reports[each.n] = cp.green_identity_check(each, lam, f, g, tol=tol)
+    coarse, fine = reports.values()
+    rows = [(cells, *rep.as_tuple()) for cells, rep in reports.items()]
     art.write_csv("green", ["cells", "res_i", "res_ii", "res_iii", "res_iv"],
                   rows)
     art.data["green"] = {"fine": fine.as_tuple(), "coarse": coarse.as_tuple()}
@@ -464,8 +439,7 @@ def _run_symbols(config, art):
     return ok
 
 
-def _run_bounds(config, art):
-    grid = tr.TorusGrid(config["grid.torus_points"])
+def _run_bounds(config, art, grid):
     lambdas = config["sweep.lambdas_torus"]
     cases = [
         ("ntd_half_to_half", flat_ntd_symbol(), -1.0, 0.5, -0.5),
@@ -486,8 +460,7 @@ def _run_bounds(config, art):
     return ok
 
 
-def _run_nbound(config, art):
-    grid = tr.TorusGrid(config["grid.torus_points"])
+def _run_nbound(config, art, grid):
     lambdas = config["sweep.lambdas_torus"]
     fits = tr.ntd_bound_experiment(grid, (0.0, 0.5, 1.0, 1.5), lambdas)
     rows, ok = [], True
@@ -502,8 +475,7 @@ def _run_nbound(config, art):
     return ok
 
 
-def _run_compose(config, art):
-    grid = tr.TorusGrid(config["grid.compose_points"])
+def _run_compose(config, art, grid):
     lambdas = tuple(list(config["sweep.lambdas_torus"]) + [1e5])
     a, b, da, dxb = tr.default_composition_symbols()
     rem, comp = tr.composition_error_experiment(
@@ -518,27 +490,25 @@ def _run_compose(config, art):
                      TOLERANCES["compose_exponent_max"])
 
 
-def _disk_spectrum(config, art):
+def _disk_spectrum(config, art, grid):
     """The E_lam spectrum and ||S|| on the disk grid, which weyl and
     birman share: computed once per ``run_experiment`` call, whose
     ``_Artifacts`` holds them."""
     if "disk" not in art.shared:
-        grid = PolarGrid(_domain2d(config), config["grid.radial_ext"],
-                         config["grid.angular"])
         lam, tol = config["sweep.lam"], config["tolerances.solve_tol"]
         art.shared["disk"] = (ct.eigen_spectrum(grid, lam, tol=tol),
                               ct.trace_map_norm(grid, tol=tol))
     return art.shared["disk"]
 
 
-def _run_weyl(config, art):
+def _run_weyl(config, art, grid):
     lam = config["sweep.lam"]
     radius = config["domain2d.radius"]
     model = ct.circle_model_exponent_fit(radius, lam)
     _require_conclusive("circle model count fit inconclusive", model)
     ok = art.check("weyl.circle_model_slope", model.slope,
                    TOLERANCES["weyl_circle_slope"])
-    eigs, s_norm = _disk_spectrum(config, art)
+    eigs, s_norm = _disk_spectrum(config, art, grid)
     # not gated: the top decade is a multiplicity-2 staircase (r^2 0.874)
     fit = ct.weyl_exponent_fit(eigs)
     ok &= art.check("weyl.disk_slope", fit.slope,
@@ -551,12 +521,12 @@ def _run_weyl(config, art):
     return ok
 
 
-def _run_birman(config, art):
+def _run_birman(config, art, grid):
     violations = ct.birman_synthetic_check(100, seed=config.seed())
     ok = art.check("birman.synthetic_violations", violations,
                    TOLERANCES["birman_violations"])
     lam = config["sweep.lam"]
-    eigs, s_norm = _disk_spectrum(config, art)
+    eigs, s_norm = _disk_spectrum(config, art, grid)
     top = float(np.abs(eigs).max())
     mu_grid = np.geomspace(top / 100.0, top, config["sweep.mu_points"])[::-1]
     rows = ct.birman_disk_check(eigs, s_norm, config["domain2d.radius"], lam,
@@ -571,8 +541,7 @@ def _run_birman(config, art):
     return ok
 
 
-def _run_threshold(config, art):
-    domain = _domain1d(config)
+def _run_threshold(config, art, domain):
     norm_fn = lambda lams: cp.difference_norm_exact_1d(domain, lams)
     base = norm_fn(1.0)
     mus = [base * 1e-2, base * 1e-3, base * 1e-4]
@@ -588,18 +557,29 @@ def _run_threshold(config, art):
     return ok
 
 
-_RUNNERS = {
-    "rate1d": _run_rate1d,
-    "rate2d": _run_rate2d,
-    "green": _run_green,
-    "symbols": _run_symbols,
-    "bounds": _run_bounds,
-    "nbound": _run_nbound,
-    "compose": _run_compose,
-    "weyl": _run_weyl,
-    "birman": _run_birman,
-    "threshold": _run_threshold,
+# one row per experiment: (build, run), run(config, art, *build(config))
+_TABLE = {
+    "rate1d": (lambda config: _interval(config, 2 * config["grid.cells_1d"]),
+               _run_rate1d),
+    "rate2d": (lambda config: _disk(config, 2), _run_rate2d),
+    "green": (lambda config: _interval(config, config["grid.cells_1d"] // 2,
+                                       config["grid.cells_1d"]), _run_green),
+    "symbols": (lambda config: (), _run_symbols),
+    "bounds": (_torus, _run_bounds),
+    "nbound": (_torus, _run_nbound),
+    "compose": (_compose_torus, _run_compose),
+    "weyl": (_disk, _run_weyl),
+    "birman": (_disk, _run_birman),
+    "threshold": (_interval, _run_threshold),
 }
+EXPERIMENTS = (*_TABLE, "report-all")
+
+
+def _rows(name):
+    """(experiment, build, run) for each experiment that a run of ``name``
+    executes, in order; none for an unknown name."""
+    names = list(_TABLE) if name == "report-all" else [name]
+    return [(exp, *_TABLE[exp]) for exp in names if exp in _TABLE]
 
 
 def run_experiment(config, out_dir=None, dump_matrices=False):
@@ -615,9 +595,9 @@ def run_experiment(config, out_dir=None, dump_matrices=False):
     out = Path(out_dir if out_dir is not None else config["output.dir"])
     art = _Artifacts(out, config, dump=dump_matrices)
     verdicts = {}
-    for exp in (list(_RUNNERS) if name == "report-all" else [name]):
+    for exp, build, run in _rows(name):
         try:
-            passed = _RUNNERS[exp](config, art)
+            passed = run(config, art, *build(config))
             verdicts[exp] = "pass" if passed else "fail"
         except InconclusiveError as err:
             print(f"[INCONCLUSIVE] {exp}: {err}")

@@ -20,6 +20,8 @@ def test_domain2d_inclusion_inside():
     for radius in (2.5, 2.0, 0.0, -1.0):
         with pytest.raises(DomainError, match="0 < radius < outer_radius"):
             Domain2D(radius=radius, outer_radius=2.0)
+    with pytest.raises(DomainError, match="outer_radius < inf"):
+        Domain2D(radius=1.0, outer_radius=float("inf"))
     assert Domain2D(radius=1.0, outer_radius=2.0).outer_radius == 2.0
 
 

@@ -1,13 +1,17 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 import scipy.io
 
 from lclab import ConvergenceError, InconclusiveError, grids, runner
+from lclab.geometry import Domain1D, Domain2D
+from lclab.grids import Grid1D, PolarGrid
 from lclab.kernels import solve_tridiagonal
+from lclab.torus import TorusGrid
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,7 +33,9 @@ def _raises(config, art):
 
 
 def _report_all(monkeypatch, tmp_path, fakes):
-    monkeypatch.setattr(runner, "_RUNNERS", fakes)
+    # each fake run builds nothing, so its row's build returns no objects
+    monkeypatch.setattr(runner, "_TABLE", {
+        exp: (lambda config: (), run) for exp, run in fakes.items()})
     code = runner.main(["report-all", "--out", str(tmp_path)])
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["status"] == code
@@ -202,12 +208,15 @@ def test_domain2d_that_does_not_fit_is_a_config_error(tmp_path, capsys):
     ("rate2d", "[domain2d]\nradius = 0.7\n",
      "grid.radial_ext, grid.angular: interface must be a grid ring"),
     ("weyl", "[grid]\nradial_ext = 1\n",
-     "grid.radial_ext, grid.angular: need two ring layers on each side"),
+     "grid.radial_ext, grid.angular: one-sided stencils need two layers"),
     ("green", "[grid]\ncells_1d = 16\n",
      "grid.cells_1d: inclusion endpoints must land on grid nodes (8 cells)"),
     ("green", "[domain1d]\nlength = 0\n",
      "domain1d: need 0 < a1 < a2 < length"),
-], ids=["disk-ring", "disk-layers", "green-coarse", "interval-length"])
+    ("bounds", "[grid]\ntorus_points = 100\n",
+     "grid.torus_points: points must be a power of two >= 8"),
+], ids=["disk-ring", "disk-layers", "green-coarse", "interval-length",
+        "torus-points"])
 def test_grid_that_does_not_fit_is_a_config_error(tmp_path, capsys, exp,
                                                   text, message):
     # every grid an experiment builds, the doubled and halved ones too, is
@@ -218,6 +227,69 @@ def test_grid_that_does_not_fit_is_a_config_error(tmp_path, capsys, exp,
     assert runner.main([exp, "--config", str(cfg), "--out", str(out)]) == 3
     assert f"config error: {message}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_report_all_collects_every_violation_at_once(tmp_path, capsys):
+    # the builds run after a scalar violation too, and each distinct
+    # violation is reported once
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[grid]\ncells_1d = 16\n[domain2d]\nradius = 0.7\n"
+                   "[tolerances]\nsolve_tol = 1\n")
+    out = tmp_path / "out"
+    assert runner.main(["report-all", "--config", str(cfg),
+                        "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    for prefix in ("grid.cells_1d: inclusion endpoints",
+                   "grid.radial_ext, grid.angular: interface must be a grid",
+                   "tolerances.solve_tol: must lie in"):
+        assert any(line.startswith(f"config error: {prefix}")
+                   for line in err), prefix
+    assert len(err) == len(set(err))
+    assert not out.exists()
+
+
+def test_config_check_builds_only_the_run_s_experiments(tmp_path):
+    # symbols builds no interval grid, so green's 8-cell grid is not its
+    # concern
+    cfg = tmp_path / "coarse.ini"
+    cfg.write_text("[grid]\ncells_1d = 16\n")
+    assert runner.main(["symbols", "--config", str(cfg),
+                        "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("experiment", runner.EXPERIMENTS)
+def test_config_check_builds_what_the_run_builds(tmp_path, monkeypatch,
+                                                 experiment):
+    built = []
+    for cls in (Grid1D, PolarGrid, TorusGrid, Domain1D, Domain2D):
+        def spy(self, *args, _cls=cls, _init=cls.__init__):
+            built.append((_cls.__name__, args))
+            _init(self, *args)
+        monkeypatch.setattr(cls, "__init__", spy)
+    config = runner.default_config(experiment, seed=1)
+    parsed = Counter(built)
+    built.clear()
+    code, _ = runner.run_experiment(config, out_dir=tmp_path)
+    assert code == 0
+    assert parsed == Counter(built)
+    if experiment != "symbols":
+        assert parsed
+
+
+def test_config_is_hashed_once(tmp_path, monkeypatch):
+    config = runner.default_config("threshold", seed=1)
+    calls = []
+    serialize = runner.ExperimentConfig.serialize
+
+    def counted(self):
+        calls.append(1)
+        return serialize(self)
+
+    monkeypatch.setattr(runner.ExperimentConfig, "serialize", counted)
+    hashes = {runner.run_experiment(config, out_dir=tmp_path / run)[1]
+              ["config_hash"] for run in "ab"}
+    assert len(calls) == 1
+    assert hashes == {config.config_hash}
 
 
 def test_domain2d_rectangle_keys_are_gone(tmp_path, capsys):
