@@ -20,9 +20,9 @@ one per angular mode on a ``PolarGrid``, one over the nodes on a
 of E_lam and the norm of S each come from one batched tridiagonal solve
 over the blocks, with no branch on the geometry.  lam enters only the
 diagonal, so ``eigen_spectra`` takes a whole coupling sweep in that one
-solve, and ``eigen_spectrum`` is its single-lam row.  No sparse matrix
-is formed; the tests keep the sparse interface Schur complement as the
-oracle.
+solve, and ``eigen_spectrum`` is its single-lam row; ``difference_norms``
+takes ||E_lam|| from block 0 alone.  No sparse matrix is formed; the
+tests keep the sparse interface Schur complement as the oracle.
 
 The two counting-law fits return a ``kernels.Fit`` of N(mu) against mu
 over one decade, conclusive at r^2 >= ``MIN_COUNT_R_SQUARED``.
@@ -85,13 +85,38 @@ def eigen_spectra(grid, lambdas, tol=1e-10):
     eigenvalue G / Z_GammaGamma modes k and -k share.  Each row is, to
     the bit, what a sweep of one lam gives.
     """
-    lams = np.asarray(lambdas, dtype=float)
+    values = np.repeat(_pencil(grid, lambdas, tol), grid.mode_multiplicity, 1)
+    return np.sort(values.reshape(len(values), -1), axis=1)
+
+
+def difference_norms(grid, lambdas, tol=1e-10):
+    """||E_lam|| for each lam of the sequence ``lambdas``: the top of
+    block 0's pencil, to the bit the last column of ``eigen_spectra``.
+
+    A ``Grid1D`` has one block.  On a ``PolarGrid`` mode k's eigenvalue is
+    e_k = G_k / Sigma_k, with Sigma_k = min {v^T A_k v : v_Gamma = 1} and
+    G_k the exterior measure of the lam-free lift L_k = A_EE,k^-1
+    (-A_EGamma).  A_k adds alpha_k diag(angular_conductance) to a radial
+    chain; alpha_k = 2 (1 - cos k htheta) is nondecreasing on k = 0 ..
+    ntheta // 2, the radial links and A_EGamma are the same in every mode,
+    and the origin row is decoupled for k >= 1.  So Sigma_k does not fall
+    (mode 0 at a zero origin value has mode 1's form less alpha_1's term),
+    and as Stieltjes matrices with A_EE,k <= A_EE,k+1, A_EE,k^-1 -
+    A_EE,k+1^-1 = A_EE,k^-1 (A_EE,k+1 - A_EE,k) A_EE,k+1^-1 >= 0 (Berman
+    and Plemmons ch. 6), so L_k >= L_k+1 >= 0 and G_k does not rise.
+    """
+    return _pencil(grid, lambdas, tol, blocks=slice(1))[:, 0, -1]
+
+
+def _pencil(grid, lambdas, tol, blocks=None):
+    """Ascending eigenvalues of the pencil (G, Z_GammaGamma) per lam and
+    per block of ``mode_bands(lam, blocks)``, one solve: (lams, blocks, p)."""
     gamma, ext = grid.gamma_rows[:, 0], grid.ext_rows
     measure = grid.row_measure
     loads = np.zeros((gamma.size, 1, 1, measure.size))
     loads[np.arange(gamma.size), 0, 0, gamma] = 1.0
-    z = solve_tridiagonal(*grid.mode_bands(lams[:, None, None]), loads,
-                          tol=tol)
+    lams = np.asarray(lambdas, dtype=float)[:, None, None]
+    z = solve_tridiagonal(*grid.mode_bands(lams, blocks), loads, tol=tol)
     z_ext = z[..., ext]
     gram = np.einsum("ilbn,jlbn,n->lbij", z_ext, z_ext, measure[ext])
     try:
@@ -99,9 +124,7 @@ def eigen_spectra(grid, lambdas, tol=1e-10):
     except np.linalg.LinAlgError as err:
         raise ContractError(f"interface block of A^-1 not SPD: {err}")
     half = np.linalg.inv(chol)
-    values = np.linalg.eigvalsh(half @ gram @ np.swapaxes(half, -1, -2))
-    values = np.repeat(values, grid.mode_multiplicity, axis=1)
-    return np.sort(values.reshape(len(values), -1), axis=1)
+    return np.linalg.eigvalsh(half @ gram @ np.swapaxes(half, -1, -2))
 
 
 def trace_map_norm(grid, tol=1e-10):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import eigen_spectra
+from .counting import difference_norms
 from .errors import DomainError, InconclusiveError
 from .kernels import (loglog_fit, power_iteration_sym,
                       solve_bordered_tridiagonal)
@@ -156,12 +156,11 @@ def _rate_fit(lambdas, values):
 def convergence_rate_fit(grid, lambdas=DEFAULT_LAMBDA_SWEEP, tol=1e-10):
     """Fitted decay rate of ||E_lam|| over a coupling sweep (discrete).
 
-    The sweep is checked before any solve.  Each norm is the top of its
-    row of ``eigen_spectra``, one batched solve for the whole sweep at
-    solve tolerance ``tol``: exact, with no seed.
-    """
+    The sweep is checked before any solve.  Block 0 of ``mode_bands``
+    carries ||E_lam|| on every grid (``counting.difference_norms`` proves
+    it): one batched solve of it at ``tol`` gives every norm, exactly."""
     lambdas = _check_sweep(lambdas)
-    return _rate_fit(lambdas, eigen_spectra(grid, lambdas, tol=tol)[:, -1])
+    return _rate_fit(lambdas, difference_norms(grid, lambdas, tol=tol))
 
 
 def convergence_rate_fit_exact_1d(domain, lambdas=DEFAULT_LAMBDA_SWEEP):

@@ -46,13 +46,14 @@ and the interior Neumann assembly.  A geometry (``Grid1D``,
     ``PolarGrid``): the interface row and the two exterior layers behind
     it, the rows that the exterior gamma1 stencil weighs; ``row_measure``,
     the cell measure of every row; and ``mode_multiplicity``, how many
-    angular modes share each block (``[1]`` on a ``Grid1D``).
+    angular modes share each block (``[1]`` on a ``Grid1D``).  Block 0
+    must carry ||E_lam||, topping every pencil (``counting.difference_norms``).
 
 The band contract.  lam touches only the potential, so the lam-free
 parts (the links, the disk's angular term, the lower and upper bands)
 are built once per grid and returned read-only: writing to them raises
-``ValueError``.  ``mode_bands(lam)`` forms only ``diag = base + lam *
-potential`` per call, a new array.
+``ValueError``.  ``mode_bands(lam, blocks)`` forms only ``diag = base +
+lam * potential`` of the blocks asked for per call, a new array.
 
 The band solves are built on these: ``solve_coupled`` and
 ``apply_coupled`` on ``mode_bands``, ``solve_exterior`` on
@@ -240,10 +241,11 @@ class _Grid:
 
     # -- band solves ----------------------------------------------------------
 
-    def mode_bands(self, lam=0.0):
-        """The form matrix K + lam diag(pot_measure) as the blocks
-        (lower, diag, upper) of ``_band_parts`` (see the band contract)."""
-        lower, base, upper = self._bands
+    def mode_bands(self, lam=0.0, blocks=None):
+        """The form matrix K + lam diag(pot_measure) as the blocks (lower,
+        diag, upper) of ``_band_parts``, or only ``blocks`` (band contract)."""
+        lower, base, upper = (self._bands if blocks is None else
+                              (band[blocks] for band in self._bands))
         return lower, base + lam * self._band_potential, upper
 
     def exterior_bands(self):

@@ -10,9 +10,9 @@ identical config + seed reproduce the artifacts byte for byte.  Only
 its random instances from it); every other experiment computes its
 numbers exactly and gives the same CSV data at any seed.
 
-A config error covers every object the run builds, checked by building
-it: each experiment is one row of ``_TABLE``, a build (config -> domain
-and grids) and a run that takes what the build returns.
+A config error covers every grid and sweep the run uses, checked by the
+run's own rules: each experiment is one row of ``_TABLE``, a build (config
+-> domain, grids, sweep) and a run that takes what the build returns.
 
 Exit codes: 0 pass, 1 fail or error, 2 inconclusive, 3 config error;
 ``report-all`` runs every experiment and exits with the worst verdict.
@@ -213,12 +213,6 @@ def _validate(values, violations):
                           f"{exp['name']!r}{extra}")
     if not 0 <= exp["seed"] < 2 ** 64:
         violations.append("experiment.seed: must fit in a u64")
-    for key in ("lambdas", "lambdas_2d", "lambdas_torus"):
-        lams = values["sweep"][key]
-        if any(l <= 0 for l in lams):
-            violations.append(f"sweep.{key}: entries must be positive")
-        elif any(b <= a for a, b in zip(lams, lams[1:])):
-            violations.append(f"sweep.{key}: must be strictly increasing")
     if values["sweep"]["lam"] < 1:
         violations.append("sweep.lam: single-coupling experiments need lam >= 1")
     if not 0 < values["tolerances"]["solve_tol"] <= 1e-6:
@@ -336,16 +330,20 @@ def _disk(config, scale=1):
 
 def _torus(config):
     return (_built("grid.torus_points", tr.TorusGrid,
-                   config["grid.torus_points"]),)
+                   config["grid.torus_points"]),
+            _built("sweep.lambdas_torus", tr._check_sweep,
+                   config["sweep.lambdas_torus"]))
 
 
 def _compose_torus(config):
+    """The compose grid, and the torus sweep with one more coupling, 1e5."""
     return (_built("grid.compose_points", tr.TorusGrid,
-                   config["grid.compose_points"]),)
+                   config["grid.compose_points"]),
+            _built("sweep.lambdas_torus", tr._check_sweep,
+                   (*config["sweep.lambdas_torus"], 1e5)))
 
 
-def _run_rate1d(config, art, domain, grid):
-    lambdas = config["sweep.lambdas"]
+def _run_rate1d(config, art, domain, grid, lambdas):
     exact = cp.convergence_rate_fit_exact_1d(domain, lambdas)
     fit = cp.convergence_rate_fit(grid, lambdas,
                                   tol=config["tolerances.solve_tol"])
@@ -367,8 +365,7 @@ def _run_rate1d(config, art, domain, grid):
     return ok
 
 
-def _run_rate2d(config, art, grid):
-    lambdas = config["sweep.lambdas_2d"]
+def _run_rate2d(config, art, grid, lambdas):
     fit = cp.convergence_rate_fit(grid, lambdas,
                                   tol=config["tolerances.solve_tol"])
     if art.dump:
@@ -439,8 +436,7 @@ def _run_symbols(config, art):
     return ok
 
 
-def _run_bounds(config, art, grid):
-    lambdas = config["sweep.lambdas_torus"]
+def _run_bounds(config, art, grid, lambdas):
     cases = [
         ("ntd_half_to_half", flat_ntd_symbol(), -1.0, 0.5, -0.5),
         ("identity_order0", IDENTITY_SYMBOL, 0.0, 0.5, 0.5),
@@ -460,8 +456,7 @@ def _run_bounds(config, art, grid):
     return ok
 
 
-def _run_nbound(config, art, grid):
-    lambdas = config["sweep.lambdas_torus"]
+def _run_nbound(config, art, grid, lambdas):
     fits = tr.ntd_bound_experiment(grid, (0.0, 0.5, 1.0, 1.5), lambdas)
     rows, ok = [], True
     for s, fit in sorted(fits.items()):
@@ -475,8 +470,7 @@ def _run_nbound(config, art, grid):
     return ok
 
 
-def _run_compose(config, art, grid):
-    lambdas = tuple(list(config["sweep.lambdas_torus"]) + [1e5])
+def _run_compose(config, art, grid, lambdas):
     a, b, da, dxb = tr.default_composition_symbols()
     rem, comp = tr.composition_error_experiment(
         grid, a, b, da, dxb, 1.0, -1.0, 0.5, lambdas)
@@ -559,9 +553,13 @@ def _run_threshold(config, art, domain):
 
 # one row per experiment: (build, run), run(config, art, *build(config))
 _TABLE = {
-    "rate1d": (lambda config: _interval(config, 2 * config["grid.cells_1d"]),
-               _run_rate1d),
-    "rate2d": (lambda config: _disk(config, 2), _run_rate2d),
+    "rate1d": (lambda config: (
+        *_interval(config, 2 * config["grid.cells_1d"]),
+        _built("sweep.lambdas", cp._check_sweep, config["sweep.lambdas"])),
+        _run_rate1d),
+    "rate2d": (lambda config: (*_disk(config, 2), _built(
+        "sweep.lambdas_2d", cp._check_sweep, config["sweep.lambdas_2d"])),
+        _run_rate2d),
     "green": (lambda config: _interval(config, config["grid.cells_1d"] // 2,
                                        config["grid.cells_1d"]), _run_green),
     "symbols": (lambda config: (), _run_symbols),

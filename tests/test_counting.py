@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from lclab import (ContractError, ConvergenceError, DifferencePipeline,
-                   DomainError, Fit, Grid1D, PolarGrid, ResourceLimitError,
+                   Domain2D, DomainError, Fit, Grid1D, PolarGrid,
+                   ResourceLimitError,
                    birman_disk_check, birman_synthetic_check,
                    circle_count_prediction, circle_difference_eigenvalue, convergence_rate_fit,
                    counting, counting_circle, counting_function,
@@ -13,9 +15,10 @@ from lclab import (ContractError, ConvergenceError, DifferencePipeline,
                    power_iteration_sym, solve_spd, trace_map_norm,
                    weyl_exponent_fit)
 from lclab.counting import (CIRCLE_MODE_CAP, _comparison_violations,
-                            eigen_spectra)
+                            _pencil, difference_norms, eigen_spectra)
 from lclab.kernels import _Factorization, solve_tridiagonal
-from lclab.runner import TOLERANCES, default_config, run_experiment
+from lclab.runner import (_TABLE, TOLERANCES, default_config,
+                          run_experiment)
 
 from conftest import gamma1_matrix
 
@@ -111,7 +114,8 @@ def test_grid1d_spectrum_matches_schur_oracle(domain1d, lam):
 def test_non_spd_interface_block_is_reported(disk_domain, monkeypatch):
     grid = PolarGrid(disk_domain, nr_ext=8, ntheta=16)
     flipped = tuple(-band for band in grid.mode_bands(LAM))
-    monkeypatch.setattr(grid, "mode_bands", lambda lam=0.0: flipped)
+    monkeypatch.setattr(grid, "mode_bands",
+                        lambda lam=0.0, blocks=None: flipped)
     with pytest.raises(ContractError):
         eigen_spectrum(grid, LAM)
 
@@ -219,12 +223,56 @@ def test_rate_fit_makes_one_band_solve_per_sweep(make_grid, domain1d,
     monkeypatch.setattr(counting, "solve_tridiagonal", counted)
     fit = convergence_rate_fit(grid, SWEEP)
     assert len(calls) == 1
-    # lam rides on the diagonal only: one row of bands per lam and block
-    assert calls[0][0] == len(SWEEP)
+    # lam rides on the diagonal only, and block 0 alone carries the norm:
+    # one row of bands per lam
+    assert calls[0] == (len(SWEEP), 1, grid.row_measure.size)
     assert fit.y.shape == (len(SWEEP),)
     with pytest.raises(ConvergenceError):
         convergence_rate_fit(grid, SWEEP, tol=1e-30)
     assert len(calls) == 2
+
+
+def test_rate2d_fit_reads_the_spectral_tops_to_the_bit():
+    # the runner's rate2d grid and sweep, as its build makes them
+    grid, sweep = _TABLE["rate2d"][0](default_config("rate2d"))
+    assert (grid.nr_ext, grid.ntheta) == (64, 128)
+    fit = convergence_rate_fit(grid, sweep)
+    assert fit.y.tobytes() == eigen_spectra(grid, sweep)[:, -1].tobytes()
+
+
+# Roundoff floor of the mode-monotonicity check below.  Cyclic reduction
+# of the M-matrix block A_k is backward stable, so z = A_k^-1 e_Gamma
+# carries a relative error of about kappa_k eps, with kappa_k the
+# inf-norm condition number of block k, and e_k, a ratio of sums of
+# positive terms of z, inherits it.  So a computed e_k+1 may exceed the
+# computed e_k by eps (kappa_k e_k + kappa_k+1 e_k+1) with no fault.
+# A_k^-1 >= 0, so ||A_k^-1||_inf = max(A_k^-1 1), one more solve.  Against
+# an 80-bit Thomas solve (60 random grids, 6 couplings each, modes 0, 1
+# and the last) e_k's error stayed below 0.12 kappa_k eps.
+EPS = np.finfo(float).eps
+
+
+@settings(max_examples=25, deadline=None)
+@given(nr_int=st.integers(3, 48), nr_ext=st.integers(2, 48),
+       ntheta=st.integers(8, 128), radius=st.floats(1e-2, 1e2),
+       exponents=st.lists(st.floats(-3.0, 12.0), min_size=1, max_size=8))
+def test_block_zero_carries_the_norm(nr_int, nr_ext, ntheta, radius,
+                                     exponents):
+    # R_out = R (nr_int + nr_ext) / nr_int puts Gamma on ring nr_int
+    grid = PolarGrid(Domain2D(radius, radius * (nr_int + nr_ext) / nr_int),
+                     nr_ext, ntheta)
+    lams = 10.0 ** np.array(exponents)
+    norms = difference_norms(grid, lams)
+    assert norms.tobytes() == eigen_spectra(grid, lams)[:, -1].tobytes()
+    # e_k, mode by mode, does not rise with k (see ``difference_norms``)
+    e_k = _pencil(grid, lams, 1e-10)[..., 0]
+    bands = grid.mode_bands(lams[:, None, None])
+    row_sums = sum(np.abs(band) for band in bands).max(axis=-1)
+    kappa = row_sums * solve_tridiagonal(
+        *bands, np.ones(grid.row_measure.size)).max(axis=-1)
+    floor = EPS * (kappa[:, :-1] * e_k[:, :-1] + kappa[:, 1:] * e_k[:, 1:])
+    assert np.all(e_k[:, 1:] - e_k[:, :-1] <= floor)
+    assert np.array_equal(norms, e_k[:, 0])
 
 
 def test_disk_spectrum_positive_and_bounded_by_norm(disk_spectrum,

@@ -159,13 +159,13 @@ def test_rate_fit_validates_sweep(domain1d):
 def test_rate_fit_checks_its_sweep_before_solving(domain1d, monkeypatch):
     # a zero, a negative and a decreasing sweep are rejected before the
     # batched solve; a valid sweep then makes the one solve
-    original, calls = coupling.eigen_spectra, []
+    original, calls = coupling.difference_norms, []
 
     def spy(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(coupling, "eigen_spectra", spy)
+    monkeypatch.setattr(coupling, "difference_norms", spy)
     grid = Grid1D(domain1d, 64)
     for sweep in ((0.0, 1e3, 1e5), (-1e2, 1e3, 1e5), (1e5, 1e3, 1e2)):
         with pytest.raises(DomainError, match="positive increasing"):

@@ -229,6 +229,42 @@ def test_grid_that_does_not_fit_is_a_config_error(tmp_path, capsys, exp,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("exp, text, message", [
+    ("rate1d", "[sweep]\nlambdas = 1e2, 1e3\n",
+     "sweep.lambdas: sweep must be >= 3 positive increasing points"),
+    ("rate2d", "[sweep]\nlambdas_2d = 1, 10, 100\n",
+     "sweep.lambdas_2d: sweep must span at least three decades"),
+    ("bounds", "[sweep]\nlambdas_torus = 1e2, 1e3\n",
+     "sweep.lambdas_torus: sweep must be >= 3 positive increasing points"),
+    ("nbound", "[sweep]\nlambdas_torus = -1, 1e2, 1e3\n",
+     "sweep.lambdas_torus: sweep must be >= 3 positive increasing points"),
+    # compose measures 1e5 past the torus sweep, which must stay below it
+    ("compose", "[sweep]\nlambdas_torus = 1e2, 1e3, 1e4, 1e5\n",
+     "sweep.lambdas_torus: sweep must be >= 3 positive increasing points"),
+], ids=["rate1d-two-points", "rate2d-two-decades", "bounds-two-points",
+        "nbound-negative", "compose-past-1e5"])
+def test_sweep_the_run_rejects_is_a_config_error(tmp_path, capsys, exp,
+                                                 text, message):
+    # each sweep meets, at parse time, the rule its experiment's run calls
+    cfg = tmp_path / "sweep.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert runner.main([exp, "--config", str(cfg), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_sweep_is_checked_only_where_it_is_read(tmp_path):
+    # threshold reads no sweep; nbound reads lambdas_torus without compose's
+    # extra 1e5
+    cfg = tmp_path / "sweeps.ini"
+    cfg.write_text("[sweep]\nlambdas = 1e2, 1e3\nlambdas_2d = -1, 1, 2\n"
+                   "lambdas_torus = 1e2, 1e3, 1e4, 1e5\n")
+    for exp in ("threshold", "nbound"):
+        assert runner.main([exp, "--config", str(cfg),
+                            "--out", str(tmp_path / exp)]) == 0
+
+
 def test_report_all_collects_every_violation_at_once(tmp_path, capsys):
     # the builds run after a scalar violation too, and each distinct
     # violation is reported once

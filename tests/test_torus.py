@@ -158,6 +158,19 @@ def test_operator_bound_validates_inputs():
                                   (1e2, 1e3))
 
 
+@pytest.mark.parametrize("sweep", [(1e2, 1e3), (1e3, 1e2, 1e4),
+                                   (0.0, 1e2, 1e3)])
+def test_every_torus_sweep_is_checked(sweep):
+    a, b, da, dxb = default_composition_symbols()
+    for run in (lambda: operator_bound_experiment(
+                    GRID, flat_ntd_symbol(), -1.0, 0.5, -0.5, sweep),
+                lambda: ntd_bound_experiment(GRID, (0.5,), sweep),
+                lambda: composition_error_experiment(
+                    GRID, a, b, da, dxb, 1.0, -1.0, 0.5, sweep)):
+        with pytest.raises(ConfigError, match="3 positive increasing"):
+            run()
+
+
 def test_operator_bound_ntd_decay():
     grid = TorusGrid(512)
     fit = operator_bound_experiment(grid, flat_ntd_symbol(), -1.0, 0.5, -0.5,
