@@ -27,7 +27,9 @@ and the interior Neumann assembly.  A geometry (``Grid1D``,
 
   * the index sets ``interface_idx``, ``ext_idx`` (open exterior) and
     ``int_idx`` (closed inclusion);
-  * the measures ``w_full``, ``pot_measure`` and ``gamma_weights``;
+  * the measures ``w_full``, ``pot_measure`` and ``gamma_weights``
+    (``w_ext`` is cut from ``w_full`` on first use; a ``PolarGrid``
+    builds its nodal ``w_full`` and ``pot_measure`` on first use too);
   * ``_links(interior)``: the (i, j, c) conductance arrays of the whole
     grid, or of the closed inclusion alone in the numbering of
     ``int_idx``, whose interface cells are halved;
@@ -71,6 +73,7 @@ these four arrays.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -156,11 +159,15 @@ class _Grid:
         Raises unless both sides have the gamma1 stencil's two layers."""
         for side in ("exterior", "interior"):
             self.gamma1_stencil(side)
-        self.w_ext = self.w_full[self.ext_idx]
         self._stiffness_matrix = None
         *self._bands, self._band_potential = self._band_parts()
         for band in self._bands:
             band.flags.writeable = False
+
+    @cached_property
+    def w_ext(self):
+        """The cell measures of the open exterior, taken on first use."""
+        return self.w_full[self.ext_idx]
 
     @property
     def _stiffness(self):
@@ -471,11 +478,22 @@ class PolarGrid(_Grid):
         extent[-1] = hr / 2.0
         self.angular_conductance = np.concatenate(
             [[0.0], extent / (ring * hr * htheta)])
-
-        self.w_full = np.concatenate([measure[:1], np.repeat(measure[1:], nth)])
-        self.pot_measure = np.concatenate(
-            [potential[:1], np.repeat(potential[1:], nth)])
         self.gamma_weights = np.full(nth, self.r_inc * htheta)
+
+    def _nodal(self, per_ring):
+        """A per-ring array repeated over the nodes of each ring."""
+        return np.concatenate([per_ring[:1],
+                               np.repeat(per_ring[1:], self.ntheta)])
+
+    # the nodal measures, built on first use: the band route reads the
+    # per-ring ``row_measure`` and ``ring_potential`` instead
+    @cached_property
+    def w_full(self):
+        return self._nodal(self.row_measure)
+
+    @cached_property
+    def pot_measure(self):
+        return self._nodal(self.ring_potential)
 
     def _links(self, interior=False):
         """Origin spokes, then radial links, then angular links, ring by ring.

@@ -12,7 +12,9 @@ numbers exactly and gives the same CSV data at any seed.
 
 A config error covers every grid and sweep the run uses, checked by the
 run's own rules: each experiment is one row of ``_TABLE``, a build (config
--> domain, grids, sweep) and a run that takes what the build returns.
+-> domain, grids, sweep) and a run that takes what the build returns.  A
+build checks its grids and its sweep apart, so neither hides the other's
+violation.
 
 Exit codes: 0 pass, 1 fail or error, 2 inconclusive, 3 config error;
 ``report-all`` runs every experiment and exits with the worst verdict.
@@ -330,17 +332,41 @@ def _disk(config, scale=1):
 
 def _torus(config):
     return (_built("grid.torus_points", tr.TorusGrid,
-                   config["grid.torus_points"]),
-            _built("sweep.lambdas_torus", tr._check_sweep,
-                   config["sweep.lambdas_torus"]))
+                   config["grid.torus_points"]),)
+
+
+def _torus_sweep(config):
+    return (_built("sweep.lambdas_torus", tr._check_sweep,
+                   config["sweep.lambdas_torus"]),)
 
 
 def _compose_torus(config):
-    """The compose grid, and the torus sweep with one more coupling, 1e5."""
+    """The compose grid; its sweep is ``_compose_sweep``."""
     return (_built("grid.compose_points", tr.TorusGrid,
-                   config["grid.compose_points"]),
-            _built("sweep.lambdas_torus", tr._check_sweep,
-                   (*config["sweep.lambdas_torus"], 1e5)))
+                   config["grid.compose_points"]),)
+
+
+def _compose_sweep(config):
+    """The torus sweep with one more coupling, 1e5."""
+    return (_built("sweep.lambdas_torus", tr._check_sweep,
+                   (*config["sweep.lambdas_torus"], 1e5)),)
+
+
+def _parts(*parts):
+    """A build made of independent parts, each config -> a tuple of
+    objects: the objects of every part in order, or a ConfigError with
+    the violations of every part that fails."""
+    def build(config):
+        built, violations = [], []
+        for part in parts:
+            try:
+                built += part(config)
+            except ConfigError as err:
+                violations += err.violations
+        if violations:
+            raise ConfigError(violations)
+        return tuple(built)
+    return build
 
 
 def _run_rate1d(config, art, domain, grid, lambdas):
@@ -552,20 +578,22 @@ def _run_threshold(config, art, domain):
 
 
 # one row per experiment: (build, run), run(config, art, *build(config))
+_TORUS = _parts(_torus, _torus_sweep)
 _TABLE = {
-    "rate1d": (lambda config: (
-        *_interval(config, 2 * config["grid.cells_1d"]),
-        _built("sweep.lambdas", cp._check_sweep, config["sweep.lambdas"])),
-        _run_rate1d),
-    "rate2d": (lambda config: (*_disk(config, 2), _built(
-        "sweep.lambdas_2d", cp._check_sweep, config["sweep.lambdas_2d"])),
-        _run_rate2d),
+    "rate1d": (_parts(
+        lambda config: _interval(config, 2 * config["grid.cells_1d"]),
+        lambda config: (_built("sweep.lambdas", cp._check_sweep,
+                               config["sweep.lambdas"]),)), _run_rate1d),
+    "rate2d": (_parts(
+        lambda config: _disk(config, 2),
+        lambda config: (_built("sweep.lambdas_2d", cp._check_sweep,
+                               config["sweep.lambdas_2d"]),)), _run_rate2d),
     "green": (lambda config: _interval(config, config["grid.cells_1d"] // 2,
                                        config["grid.cells_1d"]), _run_green),
     "symbols": (lambda config: (), _run_symbols),
-    "bounds": (_torus, _run_bounds),
-    "nbound": (_torus, _run_nbound),
-    "compose": (_compose_torus, _run_compose),
+    "bounds": (_TORUS, _run_bounds),
+    "nbound": (_TORUS, _run_nbound),
+    "compose": (_parts(_compose_torus, _compose_sweep), _run_compose),
     "weyl": (_disk, _run_weyl),
     "birman": (_disk, _run_birman),
     "threshold": (_interval, _run_threshold),

@@ -12,9 +12,9 @@ interest have principal symbols
 
 Symbol-class membership (uniform bounds by (|xi| + sqrt(lambda))^(m-|a|))
 is certified numerically by sampled finite differences, not proved.  The
-certificate takes every derivative from one table of symbol values per
-sample grid: one call per x' stencil point, with the xi' stencil offsets
-stacked on a leading axis.
+certificate takes every derivative from one table of symbol values on its
+fine sample grid: one call per x' stencil point, with the xi' stencil
+offsets stacked on a leading axis; the coarse grid is every other point.
 
 Symbols are evaluated on whole arrays.  A symbol b(x', xi', lambda)
 takes arrays of x', xi' and lambda that broadcast against each other,
@@ -273,18 +273,23 @@ def class_membership_estimate(symbol, m, k):
     |xi| + sqrt(lam) grows (slope <= 0.15 in log-log) and to be stable
     under doubling the sample density.  A symbol declared with too small
     an order shows a positive growth slope and fails, and so does a
-    non-finite (inf or NaN) ratio.  Each sample grid costs one symbol
-    call per x' stencil point (three), on all of its xi stencil points
-    at once.  Raises ContractError unless 0 <= k <= 3, before any call.
+    non-finite (inf or NaN) ratio.  The coarse grid is every other point
+    of the fine one, so a certification costs one symbol call per x'
+    stencil point (three), on all of the fine xi stencil points at once.
+    Raises ContractError unless 0 <= k <= 3, before any call.
     """
     if not 0 <= k <= 3:
         raise ContractError(
             f"finite differences only wired up to order 3, got k = {k}")
     keys = [(a, b) for a in range(k + 1)
             for b in range(MEMBERSHIP_X_DERIVATIVES + 1)]
-    t, coarse = _derivative_ratios(symbol, m, k, keys, *MEMBERSHIP_POINTS)
-    _, fine = _derivative_ratios(symbol, m, k, keys,
-                                 *(2 * n - 1 for n in MEMBERSHIP_POINTS))
+    n_xi, n_lam = (2 * n - 1 for n in MEMBERSHIP_POINTS)
+    t, fine = _derivative_ratios(symbol, m, k, keys, n_xi, n_lam)
+    # the coarse grid is every other fine point: every other row on each
+    # xi sign, every other column (np.geomspace(lo, hi, n) is
+    # np.geomspace(lo, hi, 2n - 1)[::2] to the bit for the pinned ranges)
+    rows = np.r_[0:n_xi:2, n_xi:2 * n_xi:2]
+    t, coarse = t[rows, ::2], fine[:, rows, ::2]
 
     # coarse suprema per half-decade of t, all keys in one reduction
     b_idx = (np.log10(t) / 0.5).astype(int).ravel()

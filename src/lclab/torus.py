@@ -19,23 +19,43 @@ multiplier's norm is the mode-wise maximum of <k>^t |b(k)| <k>^(-r).
 Any other operator is written as its coefficient matrix (coefficients
 in, coefficients out), and its norm is the largest singular value of
 <k>^t M <k>^(-r), where <k> = (1 + k^2)^(1/2).
+
+The real basis.  The potential is real, so every operator the lab
+measures maps real fields to real fields: its symbol obeys
+s(x, -xi) = conj s(x, xi), and its coefficient matrix is real in the
+basis 1, sqrt(2) cos kx, sqrt(2) sin kx (0 < k < M/2), cos(M x / 2),
+orthonormal for ||.||^2 / 2pi.  Rows and columns follow the real order:
+the cosines k = 0 .. M/2, then the sines k = 1 .. M/2 - 1; a band
+|k| <= K takes the cosines 0 .. K, then the sines 1 .. K.  A real
+field's coordinates are c_0, sqrt(2) Re c_k, then c_{M/2} (the Nyquist
+row, real for a real field), then -sqrt(2) Im c_k, all from one rfft.
+<k> weighs the cosine and the sine of a frequency alike, so the norm is
+the largest singular value of the real <k>^t M <k>^(-r), from a real
+Gram matrix.  The reality contract: an operator's complex columns (a
+``psdo_matrix``, or a band of one) must pair as t(-q) = conj t(q) to
+``REAL_ULPS`` ulps, or ContractError is raised before any transform.
+The Nyquist column has no partner; the real matrix keeps its real part,
+the mean of the operator's columns at +-M/2.
+
 Each experiment returns a ``kernels.Fit`` of its norms against
 tau = sqrt(lambda) (lambda for ``ntd_bound_experiment``), with the
 predicted slope as ``expected``, conclusive at r^2 >= ``MIN_R_SQUARED``.
 """
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, ResourceLimitError
+from .errors import ConfigError, ContractError, ResourceLimitError
 from .kernels import loglog_fit
 
 PSDO_MAX_POINTS = 512
 COMPOSE_MAX_POINTS = 256
 MIN_R_SQUARED = 0.98
 COMPOSE_AMPLITUDES = (0.5, 0.4)  # x-modulation of the default pair a, b
+REAL_ULPS = 8  # a real operator's table pairs to this many ulps of its max
+ROOT2 = math.sqrt(2.0)
 
 
 class TorusGrid:
@@ -133,22 +153,88 @@ def _multiplier_norms(grid, symbol, lambdas, r, targets):
                      for t in targets])
 
 
+def _check_real(table, what):
+    """Raise ContractError unless the columns of ``table`` (frequencies in
+    ``grid.freqs`` order: 0 .. top, then the negative ones) pair as
+    t(-q) = conj t(q), to ``REAL_ULPS`` ulps of its largest real or
+    imaginary part."""
+    table = np.ascontiguousarray(table, dtype=complex)
+    pairs = (table.shape[1] - 1) // 2
+    gap = np.subtract(table[:, 1:pairs + 1], table[:, :-pairs - 1:-1].conj(),
+                      order="C")
+    gap = max(np.abs(gap.view(float)).max(),
+              2.0 * np.abs(table[:, 0].imag).max())
+    scale = np.abs(table.view(float)).max()
+    if not gap <= REAL_ULPS * np.finfo(float).eps * scale:
+        raise ContractError(
+            f"{what} is not a real operator: |s(x, -q) - conj s(x, q)| = "
+            f"{gap:.3e} against max |s| = {scale:.3e}")
+
+
+@lru_cache
+def _real_order(count):
+    """(<k>, norm) of the ``count`` real basis vectors of a band, in the
+    real order: the cosines 0 .. count // 2, then the sines 1 ..
+    (count - 1) // 2.  norm is 1 for the constant and the Nyquist cosine
+    (count even) and sqrt(2) for the others.  Read-only."""
+    top = count // 2
+    k = np.concatenate([np.arange(top + 1),
+                        np.arange(1, count - top)]).astype(float)
+    norm = np.full(count, ROOT2)
+    norm[0] = 1.0
+    if count % 2 == 0:
+        norm[top] = 1.0
+    order = ((1.0 + k * k) ** 0.5, norm)
+    for arr in order:
+        arr.flags.writeable = False
+    return order
+
+
+def _real_matrix(grid, table, what):
+    """The real coefficient matrix (real coordinates in, real coordinates
+    out) of the operator whose complex columns are ``table``: column j
+    holds the grid values it produces from the unit coefficient vector
+    of the j-th band frequency, 0 .. top, then -top' .. -1 as in
+    ``grid.freqs``: top' = top for a band |k| <= top < M/2, and
+    top' = M/2 - 1 for the whole grid.
+
+    The columns q and -q fold into the cosine column sqrt(2) Re t(q) and
+    the sine column sqrt(2) Im t(q); the Nyquist column, which has no
+    pair, keeps its real part.  Raises ContractError unless the table is
+    real (``_check_real``), before any transform."""
+    count, half = table.shape[1], grid.m // 2 + 1
+    if table.shape[0] != grid.m or (count % 2 == 0 and count != grid.m):
+        raise ContractError(f"a table of shape {table.shape} is not a band "
+                            f"of the {grid.m}-point grid")
+    _check_real(table, what)
+    top = count // 2
+    norm = _real_order(count)[1]
+    values = np.empty((grid.m, count))
+    np.multiply(table[:, :top + 1].real, norm[:top + 1],
+                out=values[:, :top + 1])
+    np.multiply(table[:, 1:count - top].imag, norm[top + 1:],
+                out=values[:, top + 1:])
+    coeffs = np.fft.rfft(values, axis=0)
+    mat = np.empty((grid.m, count))
+    np.multiply(coeffs.real, _real_order(grid.m)[1][:half, None] / grid.m,
+                out=mat[:half])
+    np.multiply(coeffs.imag[1:-1], -ROOT2 / grid.m, out=mat[half:])
+    return mat
+
+
 def _top_singular_value(mat):
-    """Largest singular value of a matrix with no more columns than rows,
-    from the top eigenvalue of its Gram matrix."""
-    gram = mat.conj().T @ mat
-    return math.sqrt(max(float(np.linalg.eigvalsh(gram)[-1]), 0.0))
+    """Largest singular value of a real matrix with no more columns than
+    rows, from the top eigenvalue of its Gram matrix."""
+    return math.sqrt(max(float(np.linalg.eigvalsh(mat.T @ mat)[-1]), 0.0))
 
 
-def _map_norm(grid, values, r, t, cols=slice(None)):
-    """Exact H^r -> H^t norm of the operator whose column j holds the grid
-    values it produces from the unit coefficient vector of frequency
-    ``grid.freqs[cols][j]``: the largest singular value of
-    <k>^t F values <k>^(-r), with F the coefficient map ``dft``."""
-    bracket = (1.0 + grid.freqs.astype(float) ** 2) ** 0.5
-    coeffs = np.fft.fft(values, axis=0) / grid.m
-    weighted = bracket[:, None] ** t * coeffs * bracket[cols] ** (-r)
-    return _top_singular_value(weighted)
+def _map_norm(mat, r, t):
+    """Exact H^r -> H^t norm of the operator with the real coefficient
+    matrix ``mat`` (``_real_matrix``): the largest singular value of
+    <k>^t mat <k>^(-r)."""
+    rows, cols = mat.shape
+    return _top_singular_value(_real_order(rows)[0][:, None] ** t * mat
+                               * _real_order(cols)[0] ** (-r))
 
 
 def _check_sweep(lambdas):
@@ -165,9 +251,9 @@ def operator_bound_experiment(grid, symbol, m, r, s, lambdas):
     The norm sup ||op(b) u||_{s-m} / ||u||_r is computed per lambda: for
     an x-independent symbol by mode-wise maximization over one symbol
     table of the whole sweep, otherwise as the largest singular value of
-    <k>^(s-m) F W <k>^(-r) with W the ``psdo_matrix``, one symbol call
-    per lambda.  It is fitted against tau = sqrt(lambda); the mapping
-    property predicts a slope of -(r - s).
+    <k>^(s-m) M <k>^(-r) with M the real coefficient matrix of the
+    ``psdo_matrix``, one symbol call per lambda.  It is fitted against
+    tau = sqrt(lambda); the mapping property predicts a slope of -(r - s).
     """
     if m > 0:
         raise ConfigError("operator_bound_experiment needs order m <= 0")
@@ -177,7 +263,8 @@ def operator_bound_experiment(grid, symbol, m, r, s, lambdas):
     if symbol.x_support_radius == 0.0:
         ratios = _multiplier_norms(grid, symbol, lambdas, r, (s - m,))[0]
     else:
-        ratios = [_map_norm(grid, psdo_matrix(grid, symbol, lam), r, s - m)
+        ratios = [_map_norm(_real_matrix(grid, psdo_matrix(grid, symbol, lam),
+                                         "op(b)"), r, s - m)
                   for lam in lambdas]
     return loglog_fit(np.sqrt(lambdas), ratios, MIN_R_SQUARED,
                       expected=-(r - s))
@@ -241,15 +328,18 @@ def composition_error_experiment(grid, a, b, da_dxi, dxb, m1, m2, r, lambdas):
 
     with t = r + 1 - m1 + [m1] over fields u with |k| <= M/4, as the
     largest singular value of the weighted remainder matrix
-    <k>^t F (W_a F W_b - W_c) <k>^(-r), and fits it against tau; the
+    <k>^t (M_a M_b - M_c) <k>^(-r), and fits it against tau; the
     remainder bound predicts a slope of about -|m2|.  The H^{r-m1} norm of
-    the plain composition F W_a F W_b is computed on the same band
-    (expected slope -|m2| too).
+    the plain composition M_a M_b is computed on the same band (expected
+    slope -|m2| too).  M_s is the real coefficient matrix of op(s) (see
+    the real basis in the module docstring): M_a on the whole grid, from
+    one ``psdo_matrix``, and M_b, M_c on the band's real basis.
 
-    W_c is the Taylor symbol c = a b + d_xi a D_x b (analytic derivatives,
-    free of finite-difference noise).  W_a and the band tables of the
+    c is the Taylor symbol a b + d_xi a D_x b (analytic derivatives, free
+    of finite-difference noise).  M_a and the band tables of the
     parameter-free a and d_xi a are built once per sweep; b and D_x b are
-    called once per lambda, on the band's columns only.
+    called once per lambda, on the band's columns only.  a, b and c must
+    be real (s(x, -xi) = conj s(x, xi)); d_xi a and D_x b need not be.
     """
     if grid.m > COMPOSE_MAX_POINTS:
         raise ResourceLimitError(
@@ -267,7 +357,7 @@ def composition_error_experiment(grid, a, b, da_dxi, dxb, m1, m2, r, lambdas):
     x = grid.x[:, None]
     k = grid.freqs.astype(float)[None, band]
     phase = grid.phase[:, band]
-    wa = psdo_matrix(grid, a, lambdas[0])
+    ma = _real_matrix(grid, psdo_matrix(grid, a, lambdas[0]), "op(a)")
     a_band, da_band = a(x, k, lambdas[0]), da_dxi(x, k, lambdas[0])
     rem_ratios, comp_ratios = [], []
     for lam in lambdas:
@@ -275,12 +365,11 @@ def composition_error_experiment(grid, a, b, da_dxi, dxb, m1, m2, r, lambdas):
         c_band = a_band * b_band
         if terms == 1:
             c_band = c_band + da_band * dxb(x, k, lam)
-        # column j: grid values from the band's j-th unit coefficient
-        # vector, symbol values on the left as in ``psdo_matrix``
-        abu = wa @ (np.fft.fft(b_band * phase, axis=0) / grid.m)
-        rem_ratios.append(_map_norm(grid, abu - c_band * phase, r, t_norm,
-                                    band))
-        comp_ratios.append(_map_norm(grid, abu, r, r - m1, band))
+        # symbol values on the left of the phase, as in ``psdo_matrix``
+        mab = ma @ _real_matrix(grid, b_band * phase, "op(b)")
+        rem = mab - _real_matrix(grid, c_band * phase, "op(c)")
+        rem_ratios.append(_map_norm(rem, r, t_norm))
+        comp_ratios.append(_map_norm(mab, r, r - m1))
     tau = np.sqrt(lambdas)
     return (loglog_fit(tau, rem_ratios, MIN_R_SQUARED, expected=-abs(m2)),
             loglog_fit(tau, comp_ratios, MIN_R_SQUARED, expected=-abs(m2)))

@@ -572,3 +572,17 @@ def test_birman_artifacts_are_byte_identical(tmp_path):
     first, second = repeated_run_artifacts(tmp_path, "birman", seed=57)
     assert sorted(first) == ["birman.csv", "summary.json"]
     assert first == second
+
+
+def test_disk_spectrum_leaves_the_nodal_measures_unbuilt(disk_domain):
+    grid = PolarGrid(disk_domain, nr_ext=8, ntheta=16)
+    eigen_spectrum(grid, LAM)
+    trace_map_norm(grid)
+    assert not {"w_full", "pot_measure", "w_ext"} & set(vars(grid))
+    # built on first use: the per-ring arrays repeated over each ring
+    for nodal, per_ring in ((grid.w_full, grid.row_measure),
+                            (grid.pot_measure, grid.ring_potential)):
+        assert nodal[0] == per_ring[0]
+        assert np.array_equal(nodal[1:].reshape(grid.ntot, grid.ntheta),
+                              np.repeat(per_ring[1:, None], grid.ntheta, 1))
+    assert np.array_equal(grid.w_ext, grid.w_full[grid.ext_idx])

@@ -254,6 +254,32 @@ def test_sweep_the_run_rejects_is_a_config_error(tmp_path, capsys, exp,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("exp, text, messages", [
+    ("rate1d", "[grid]\ncells_1d = 3\n[sweep]\nlambdas = 1e2, 1e3\n",
+     ["grid.cells_1d: inclusion endpoints must land on grid nodes (6 cells)",
+      "sweep.lambdas: sweep must be >= 3 positive increasing points"]),
+    ("rate2d", "[domain2d]\nradius = 0.7\n[sweep]\nlambdas_2d = 1, 10\n",
+     ["grid.radial_ext, grid.angular: interface must be a grid ring",
+      "sweep.lambdas_2d: sweep must be >= 3 positive increasing points"]),
+    ("compose", "[grid]\ncompose_points = 100\n"
+     "[sweep]\nlambdas_torus = 1e2, 1e3, 1e4, 1e5\n",
+     ["grid.compose_points: points must be a power of two >= 8",
+      "sweep.lambdas_torus: sweep must be >= 3 positive increasing points"]),
+], ids=["rate1d", "rate2d", "compose"])
+def test_grid_violation_does_not_hide_the_sweep_violation(
+        tmp_path, capsys, exp, text, messages):
+    # a row's grid and its sweep are checked independently
+    cfg = tmp_path / "both.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert runner.main([exp, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == len(messages)
+    for line, message in zip(err, messages):
+        assert line.startswith(f"config error: {message}")
+    assert not out.exists()
+
+
 def test_sweep_is_checked_only_where_it_is_read(tmp_path):
     # threshold reads no sweep; nbound reads lambdas_torus without compose's
     # extra 1e5

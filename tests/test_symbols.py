@@ -11,7 +11,8 @@ from lclab import (ContractError, DegenerateCovectorError,
                    flat_chart, flat_ntd_symbol, flat_transmission_symbol,
                    linear_chart, make_symbol, ntd_symbol, product_symbol,
                    tau_symbol, transmission_symbol, IDENTITY_SYMBOL)
-from lclab.symbols import SymbolClass
+from lclab.symbols import (MEMBERSHIP_LAM_RANGE, MEMBERSHIP_POINTS,
+                           MEMBERSHIP_XI_RANGE, SymbolClass)
 
 
 def normal_polynomial(chart, xp, xip, z, lam=0.0):
@@ -371,9 +372,17 @@ def _counted_ntd():
 def test_class_membership_calls_once_per_x_stencil_point():
     sym, calls = _counted_ntd()
     assert class_membership_estimate(sym, -1.0, 2).passed
-    # x' = -h, 0, +h on the coarse grid, then again on the fine grid
-    assert len(calls) == 6
-    assert calls[:3] == calls[3:] == [-1e-4, 0.0, 1e-4]
+    # x' = -h, 0, +h on the fine grid; the coarse grid is read from it
+    assert calls == [-1e-4, 0.0, 1e-4]
+
+
+def test_coarse_membership_grid_is_every_other_fine_point():
+    # the coarse sample is read from the fine table; for the pinned
+    # ranges it is the coarse geomspace to the bit
+    for (lo, hi), n in zip((MEMBERSHIP_XI_RANGE, MEMBERSHIP_LAM_RANGE),
+                           MEMBERSHIP_POINTS):
+        assert np.array_equal(np.geomspace(lo, hi, 2 * n - 1)[::2],
+                              np.geomspace(lo, hi, n))
 
 
 @pytest.mark.parametrize("k", [-1, 4])

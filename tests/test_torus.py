@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from lclab import (ConfigError, Fit, TorusGrid, apply_multiplier, apply_psdo,
-                   default_composition_symbols, dft, flat_ntd_symbol, idft,
-                   make_symbol, ntd_bound_experiment, operator_bound_experiment,
+from lclab import (ConfigError, ContractError, Fit, TorusGrid,
+                   apply_multiplier, apply_psdo, default_composition_symbols,
+                   dft, flat_ntd_symbol, idft, make_symbol,
+                   ntd_bound_experiment, operator_bound_experiment,
                    sobolev_norm, composition_error_experiment, IDENTITY_SYMBOL)
 from lclab import torus
 from lclab.errors import ResourceLimitError
 from lclab.symbols import ParamSymbol
-from lclab.torus import (_map_norm, _multiplier_norms, _top_singular_value,
-                         psdo_matrix)
+from lclab.torus import (_check_real, _map_norm, _multiplier_norms,
+                         _real_matrix, _top_singular_value, psdo_matrix)
 
 GRID = TorusGrid(64)
 SWEEP = tuple(10.0 ** e for e in (2.0, 2.5, 3.0, 3.5, 4.0, 4.5))
@@ -395,11 +397,22 @@ def test_composition_norms_are_exact_and_bound_every_trial(rng):
         assert attained == pytest.approx(exact_rem, rel=1e-10)
 
 
+def complex_route_norm(grid, values, r, t, cols=slice(None)):
+    """Oracle: the H^r -> H^t norm of the operator whose column j holds the
+    grid values it produces from the unit coefficient vector of frequency
+    ``grid.freqs[cols][j]``, in the complex exponential basis: the top
+    eigenvalue of the complex Hermitian Gram of <k>^t F values <k>^(-r)."""
+    bracket = np.sqrt(1.0 + grid.freqs.astype(float) ** 2)
+    weighted = (bracket[:, None] ** t * (np.fft.fft(values, axis=0) / grid.m)
+                * bracket[cols] ** (-r))
+    gram = weighted.conj().T @ weighted
+    return math.sqrt(np.linalg.eigvalsh(gram)[-1])
+
+
 def test_gram_top_singular_value_matches_svd(rng):
     shapes = [(128, 65), (64, 64), (40, 7), (5, 1)]
     for rows, cols in shapes:
-        mat = rng.standard_normal((rows, cols)) \
-            + 1j * rng.standard_normal((rows, cols))
+        mat = rng.standard_normal((rows, cols))
         assert _top_singular_value(mat) == pytest.approx(
             np.linalg.svd(mat, compute_uv=False)[0], rel=1e-10)
     # the compose remainder itself: tiny and strongly graded columns
@@ -415,8 +428,133 @@ def test_gram_top_singular_value_matches_svd(rng):
         weighted = (bracket[:, None] ** 0.5
                     * (np.fft.fft(remainder, axis=0) / grid.m)
                     * bracket[keep] ** -0.5)
-        assert _map_norm(grid, remainder, 0.5, 0.5, keep) == pytest.approx(
+        real = (_real_matrix(grid, wa, "a")
+                @ _real_matrix(grid, wb[:, keep], "b")
+                - _real_matrix(grid, wc[:, keep], "c"))
+        assert _map_norm(real, 0.5, 0.5) == pytest.approx(
             np.linalg.svd(weighted, compute_uv=False)[0], rel=1e-10)
+
+
+def test_real_matrix_is_the_operator_in_the_real_basis(rng):
+    # column j of the real matrix is op(s) applied to the j-th real basis
+    # vector, in the real coordinates of the module docstring
+    grid = TorusGrid(16)
+    half = grid.m // 2
+    basis = [np.ones(grid.m)]
+    basis += [math.sqrt(2) * np.cos(k * grid.x) for k in range(1, half)]
+    basis += [np.cos(half * grid.x)]
+    basis += [math.sqrt(2) * np.sin(k * grid.x) for k in range(1, half)]
+    basis = np.array(basis).T
+    symbol = x_dependent_ntd()
+    mat = _real_matrix(grid, psdo_matrix(grid, symbol, 30.0), "ntd")
+    images = np.array([apply_psdo(grid, symbol, 30.0, u).real
+                       for u in basis.T]).T
+    # the basis is orthonormal for (1/M) sum_j, so coordinates are
+    # (1/M) basis^T u
+    np.testing.assert_allclose(mat, basis.T @ images / grid.m, rtol=0,
+                               atol=1e-15)
+    # and a field's real coordinates carry its L^2 norm
+    u = basis @ rng.standard_normal(grid.m)
+    coords = basis.T @ u / grid.m
+    assert sobolev_norm(grid, u, 0.0) == pytest.approx(
+        math.sqrt(2 * np.pi * np.sum(coords ** 2)), rel=1e-13)
+
+
+# real-operator symbols: an x trig polynomial times a real xi-even or an
+# imaginary xi-odd profile, so that s(x, -xi) = conj s(x, xi)
+PROFILES = {
+    "even_power": lambda xi, p, lam: (1.0 + xi * xi) ** (p / 2.0),
+    "even_ntd": lambda xi, p, lam: -1.0 / np.sqrt(xi * xi + lam),
+    "odd_power": lambda xi, p, lam: 1j * xi * (1.0 + xi * xi) ** ((p - 1.0)
+                                                                  / 2.0),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(points=st.sampled_from([8, 16, 32, 64]),
+       trig=st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),
+       profile=st.sampled_from(sorted(PROFILES)),
+       p=st.floats(-2.0, 1.0), lam=st.floats(1.0, 1e4),
+       r=st.floats(-1.0, 1.5), t=st.floats(-1.0, 1.5),
+       band=st.booleans())
+def test_real_norm_matches_the_complex_svd(points, trig, profile, p, lam, r,
+                                           t, band):
+    grid = TorusGrid(points)
+    c0, c1, s1, c2, s2 = trig
+    shape = PROFILES[profile]
+
+    def fn(xp, xip, lam_):
+        poly = (1.5 + c0 + c1 * np.cos(xp) + s1 * np.sin(xp)
+                + c2 * np.cos(2 * xp) + s2 * np.sin(2 * xp))
+        return poly * shape(xip, p, lam)
+
+    symbol = make_symbol(fn, p, "P")
+    w = psdo_matrix(grid, symbol, lam)
+    cols = (np.abs(grid.freqs) <= grid.m // 4 if band
+            else np.ones(grid.m, dtype=bool))
+    real = _map_norm(_real_matrix(grid, w[:, cols], "s"), r, t)
+    # the complex oracle takes the Nyquist column as the mean of the
+    # operator's columns at +-M/2, which the grid cannot tell apart
+    nyquist = grid.freqs == grid.m // 2
+    w[:, nyquist] = 0.5 * (w[:, nyquist] + (fn(grid.x, -grid.m / 2.0, lam)
+                                            * np.cos(np.pi * np.arange(
+                                                grid.m)))[:, None])
+    bracket = np.sqrt(1.0 + grid.freqs.astype(float) ** 2)
+    weighted = (bracket[:, None] ** t * (np.fft.fft(w[:, cols], axis=0)
+                                         / grid.m) * bracket[cols] ** (-r))
+    oracle = np.linalg.svd(weighted, compute_uv=False)[0]
+    assert real == pytest.approx(oracle, rel=1e-12)
+
+
+def odd_real_symbol(kind="P"):
+    """(1 + 0.3 cos x) xi / <xi>: real-valued but odd in xi, so op(s) maps
+    real fields to complex ones."""
+    return make_symbol(lambda xp, xip, lam: (1.0 + 0.3 * np.cos(xp)) * xip
+                       / np.sqrt(1.0 + xip * xip), 0.0, kind)
+
+
+def test_non_real_symbol_is_rejected_before_any_eigensolve(monkeypatch):
+    solves = []
+    original = np.linalg.eigvalsh
+
+    def spy(mat):
+        solves.append(mat)
+        return original(mat)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    a, b, da, dxb = default_composition_symbols()
+    with pytest.raises(ContractError, match="not a real operator"):
+        operator_bound_experiment(GRID, odd_real_symbol(), 0.0, 0.5, 0.5,
+                                  SWEEP)
+    for outer, inner in ((a, odd_real_symbol()), (odd_real_symbol("S"), b)):
+        with pytest.raises(ContractError, match="not a real operator"):
+            composition_error_experiment(GRID, outer, inner, da, dxb, 1.0,
+                                         -1.0, 0.5, COMPOSE_SWEEP)
+    assert solves == []
+    # the real symbols pass, and every norm solves a real eigenproblem
+    operator_bound_experiment(GRID, x_dependent_ntd(), -1.0, 0.5, -0.5, SWEEP)
+    composition_error_experiment(GRID, a, b, da, dxb, 1.0, -1.0, 0.5,
+                                 COMPOSE_SWEEP)
+    assert len(solves) == len(SWEEP) + 2 * len(COMPOSE_SWEEP)
+    assert all(gram.dtype == np.float64 for gram in solves)
+
+
+def test_reality_check_allows_rounding_only():
+    table = psdo_matrix(GRID, x_dependent_ntd(), 30.0)
+    scale = max(np.abs(table.real).max(), np.abs(table.imag).max())
+    eps = np.finfo(float).eps
+    for gap, ok in ((2 * eps * scale, True), (1e-10 * scale, False)):
+        bent = table.copy()
+        bent[3, -1] += gap  # the column of frequency -1
+        if ok:
+            _check_real(bent, "bent")
+        else:
+            with pytest.raises(ContractError):
+                _check_real(bent, "bent")
+    bent = table.copy()
+    bent[5, 0] += 1e-10j * scale  # frequency 0 must be real on its own
+    with pytest.raises(ContractError):
+        _check_real(bent, "bent")
 
 
 def test_psdo_matrix_is_bit_identical_to_uncached_build():
@@ -443,8 +581,24 @@ def test_psdo_matrix_is_bit_identical_to_uncached_build():
 
 def full_table_composition_ratios(grid, a, b, da, dxb, lambdas):
     """Oracle: the remainder and composition norms from full quadrature
-    matrices of a, b and the Taylor symbol, rebuilt per lambda and then
-    cut to the band."""
+    matrices of a, b and the Taylor symbol, rebuilt per lambda, cut to
+    the band and taken to the same real coordinates."""
+    taylor = taylor_composition_symbol(a, b, da, dxb, terms=1)
+    band = np.abs(grid.freqs) <= grid.m // 4
+    rem, comp = [], []
+    for lam in lambdas:
+        ma = _real_matrix(grid, psdo_matrix(grid, a, lam), "a")
+        mb = _real_matrix(grid, psdo_matrix(grid, b, lam)[:, band], "b")
+        mc = _real_matrix(grid, psdo_matrix(grid, taylor, lam)[:, band], "c")
+        mab = ma @ mb
+        rem.append(_map_norm(mab - mc, 0.5, 1.5))
+        comp.append(_map_norm(mab, 0.5, -0.5))
+    return np.array(rem), np.array(comp)
+
+
+def complex_route_composition_ratios(grid, a, b, da, dxb, lambdas):
+    """Oracle: the same norms by the complex route, with complex FFTs,
+    a complex product and complex Hermitian Gram matrices."""
     taylor = taylor_composition_symbol(a, b, da, dxb, terms=1)
     band = np.abs(grid.freqs) <= grid.m // 4
     rem, comp = [], []
@@ -453,8 +607,8 @@ def full_table_composition_ratios(grid, a, b, da, dxb, lambdas):
         bu = psdo_matrix(grid, b, lam)[:, band]
         cu = psdo_matrix(grid, taylor, lam)[:, band]
         abu = wa @ (np.fft.fft(bu, axis=0) / grid.m)
-        rem.append(_map_norm(grid, abu - cu, 0.5, 1.5, band))
-        comp.append(_map_norm(grid, abu, 0.5, -0.5, band))
+        rem.append(complex_route_norm(grid, abu - cu, 0.5, 1.5, band))
+        comp.append(complex_route_norm(grid, abu, 0.5, -0.5, band))
     return np.array(rem), np.array(comp)
 
 
@@ -468,6 +622,18 @@ def test_composition_is_bit_identical_to_full_tables(points):
                                                         COMPOSE_SWEEP)
     assert np.array_equal(rem.y, rem_full)
     assert np.array_equal(comp.y, comp_full)
+
+
+@pytest.mark.parametrize("points", [64, 128, 256])
+def test_composition_matches_the_complex_route(points):
+    grid = TorusGrid(points)
+    a, b, da, dxb = default_composition_symbols()
+    rem, comp = composition_error_experiment(grid, a, b, da, dxb, 1.0, -1.0,
+                                             0.5, COMPOSE_SWEEP)
+    rem_c, comp_c = complex_route_composition_ratios(grid, a, b, da, dxb,
+                                                     COMPOSE_SWEEP)
+    np.testing.assert_allclose(rem.y, rem_c, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(comp.y, comp_c, rtol=1e-13, atol=0)
 
 
 def test_multiplier_norms_are_the_per_lambda_formula():
