@@ -373,16 +373,21 @@ class Fit:
 
 
 def loglog_fit(x, y, min_r_squared, expected=None):
-    """Fit log10(y) against log10(x).  It is ``flat`` when y spans less
-    than ``FLAT_SPREAD_DECADES`` (slope ~ 0 whatever r^2 says), and
-    ``conclusive`` when flat or when r^2 >= ``min_r_squared``."""
+    """Least-squares line of log10(y) against log10(x), in closed form on
+    the centred data: slope = (dx . dy) / (dx . dx).  It is ``flat`` when
+    y spans less than ``FLAT_SPREAD_DECADES`` (slope ~ 0 whatever r^2
+    says), and ``conclusive`` when flat or when r^2 >= ``min_r_squared``.
+    Raises ContractError unless x has two distinct values."""
     x, y = np.asarray(x), np.asarray(y)
     lx, ly = np.log10(x.astype(float)), np.log10(y.astype(float))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    fitted = slope * lx + intercept
-    ss_res = float(np.sum((ly - fitted) ** 2))
-    ss_tot = float(np.sum((ly - ly.mean()) ** 2))
+    if lx.size < 2 or not lx.max() > lx.min():
+        raise ContractError("a log-log fit needs two distinct x values")
+    mx, my = lx.mean(), ly.mean()
+    dx, dy = lx - mx, ly - my
+    slope = float(dx @ dy) / float(dx @ dx)
+    residuals = dy - slope * dx
+    ss_res, ss_tot = float(residuals @ residuals), float(dy @ dy)
     r_squared = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
     flat = bool(ly.max() - ly.min() < FLAT_SPREAD_DECADES)
-    return Fit(x, y, float(slope), float(intercept), r_squared, flat,
+    return Fit(x, y, slope, float(my - slope * mx), r_squared, flat,
                flat or r_squared >= min_r_squared, expected)

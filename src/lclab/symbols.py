@@ -27,6 +27,7 @@ and lambda.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -34,7 +35,9 @@ import numpy as np
 from .errors import ContractError, DegenerateCovectorError, DomainError
 from .kernels import loglog_fit
 
-FD_STEP_SCALE = 1e-4  # finite-difference step is FD_STEP_SCALE * (1 + |arg|)
+FD_STEP_SCALE = 1e-4  # the x' step is FD_STEP_SCALE * (1 + |x'|)
+XI_STEP_SCALE = 1e-3  # the xi step is XI_STEP_SCALE * min(t, XI_STEP_CAP |xi|)
+XI_STEP_CAP = 250.0  # keeps the +-2 h_xi stencil off the kink of |xi| at 0
 GROWTH_SLOPE_TOL = 0.15
 REFINEMENT_FACTOR_TOL = 1.5
 # class certification: sample ranges of |xi| and lambda, points of each
@@ -236,6 +239,21 @@ def _difference(f, order, h):
     return (f(2) - 2 * f(1) + 2 * f(-1) - f(-2)) / (2 * h ** 3)
 
 
+@lru_cache
+def _sample_grid(n_xi_pts, n_lam_pts):
+    """(xi, lam, t, h_xi) on the certificate's log sample grid, read-only:
+    +-xi as a column, lam as a row, t = |xi| + sqrt(lam) and the xi step."""
+    xis = np.geomspace(*MEMBERSHIP_XI_RANGE, n_xi_pts)
+    xis = np.concatenate([xis, -xis])[:, None]
+    lams = np.geomspace(*MEMBERSHIP_LAM_RANGE, n_lam_pts)[None, :]
+    t = np.abs(xis) + np.sqrt(lams)
+    grid = (xis, lams, t,
+            XI_STEP_SCALE * np.minimum(t, XI_STEP_CAP * np.abs(xis)))
+    for arr in grid:
+        arr.flags.writeable = False
+    return grid
+
+
 def _derivative_ratios(symbol, m, k, keys, n_xi_pts, n_lam_pts):
     """t = |xi| + sqrt(lam) on one log sample grid at x' = 0, and for each
     (alpha, beta) in ``keys`` the ratio |d^beta_x d^alpha_xi b| /
@@ -245,12 +263,8 @@ def _derivative_ratios(symbol, m, k, keys, n_xi_pts, n_lam_pts):
     per x' stencil point, with the xi stencil offsets (+-h_xi, and
     +-2 h_xi when k = 3) stacked on a new leading axis.
     """
-    xis = np.geomspace(*MEMBERSHIP_XI_RANGE, n_xi_pts)
-    xis = np.concatenate([xis, -xis])[:, None]
-    lams = np.geomspace(*MEMBERSHIP_LAM_RANGE, n_lam_pts)[None, :]
-    t = np.abs(xis) + np.sqrt(lams)
+    xis, lams, t, hxi = _sample_grid(n_xi_pts, n_lam_pts)
     hx = FD_STEP_SCALE  # FD_STEP_SCALE * (1 + |x'|) at x' = 0
-    hxi = FD_STEP_SCALE * (1.0 + np.abs(xis))
     # steps each way: one for orders 1 and 2, two for order 3
     rx, rxi = (MEMBERSHIP_X_DERIVATIVES + 1) // 2, (k + 1) // 2
     xi_stack = xis + np.arange(-rxi, rxi + 1)[:, None, None] * hxi

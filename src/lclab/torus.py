@@ -10,9 +10,11 @@ set {-M/2+1, ..., M/2}.  Conventions, fixed once:
 
 so the s = 0 Sobolev norm coincides with the L^2 norm (Parseval).
 Multiplier operators act diagonally on coefficients; x-dependent symbols
-act through the dense quadrature sum_k a(x_j, k, lam) c_k exp(i k x_j).
-Each sweep calls a symbol once per lambda on the columns it measures,
-and tables a parameter-free factor once (see ``symbols``).
+act through the dense quadrature sum_k a(x_j, k, lam) c_k exp(i k x_j),
+with exp(i k x_j) = w^(jk mod M) read from the M roots of unity w^n
+(``TorusGrid.phase``): frequencies +-k are exact conjugates.  Each sweep
+calls a symbol once per lambda on the columns it measures, and tables a
+parameter-free factor once (see ``symbols``).
 
 Operator norms H^r -> H^t are exact, with no sampling and no seed.  A
 multiplier's norm is the mode-wise maximum of <k>^t |b(k)| <k>^(-r).
@@ -33,7 +35,8 @@ row, real for a real field), then -sqrt(2) Im c_k, all from one rfft.
 the largest singular value of the real <k>^t M <k>^(-r), from a real
 Gram matrix.  The reality contract: an operator's complex columns (a
 ``psdo_matrix``, or a band of one) must pair as t(-q) = conj t(q) to
-``REAL_ULPS`` ulps, or ContractError is raised before any transform.
+``REAL_ULPS`` ulps and be finite, or ContractError is raised before any
+transform.
 The Nyquist column has no partner; the real matrix keeps its real part,
 the mean of the operator's columns at +-M/2.
 
@@ -72,10 +75,15 @@ class TorusGrid:
     @cached_property
     def phase(self):
         """exp(i k x_j) on the (x_j, k) grid, shared by every
-        ``psdo_matrix`` call on this grid; read-only."""
-        x = self.x[:, None]
-        k = self.freqs.astype(float)[None, :]
-        phase = np.exp(1j * (k * x))
+        ``psdo_matrix`` call on this grid; read-only.  It is looked up in
+        the table of the M roots of unity w^n = exp(2 pi i n / M), as
+        exp(i k x_j) = w^(j k mod M), so the columns of k and -k are exact
+        conjugates, column 0 is 1 and the Nyquist column is (-1)^j."""
+        half = np.exp(2j * np.pi * np.arange(self.m // 2 + 1) / self.m)
+        half[0], half[-1] = 1.0, -1.0
+        roots = np.concatenate([half, half[-2:0:-1].conj()])
+        phase = roots.take((np.arange(self.m)[:, None] * self.freqs)
+                           & (self.m - 1))
         phase.flags.writeable = False
         return phase
 
@@ -157,15 +165,17 @@ def _check_real(table, what):
     """Raise ContractError unless the columns of ``table`` (frequencies in
     ``grid.freqs`` order: 0 .. top, then the negative ones) pair as
     t(-q) = conj t(q), to ``REAL_ULPS`` ulps of its largest real or
-    imaginary part."""
+    imaginary part, with every entry finite."""
     table = np.ascontiguousarray(table, dtype=complex)
     pairs = (table.shape[1] - 1) // 2
     gap = np.subtract(table[:, 1:pairs + 1], table[:, :-pairs - 1:-1].conj(),
-                      order="C")
-    gap = max(np.abs(gap.view(float)).max(),
-              2.0 * np.abs(table[:, 0].imag).max())
-    scale = np.abs(table.view(float)).max()
-    if not gap <= REAL_ULPS * np.finfo(float).eps * scale:
+                      order="C").view(float)
+    imag0, values = table[:, 0].imag, table.view(float)
+    gap = max(gap.max(), -gap.min(), 2.0 * imag0.max(), -2.0 * imag0.min())
+    scale = max(values.max(), -values.min())
+    # a NaN makes the scale NaN, an inf makes it infinite
+    if not (gap <= REAL_ULPS * np.finfo(float).eps * scale
+            and scale < math.inf):
         raise ContractError(
             f"{what} is not a real operator: |s(x, -q) - conj s(x, q)| = "
             f"{gap:.3e} against max |s| = {scale:.3e}")

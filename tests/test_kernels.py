@@ -1,4 +1,6 @@
+import ast
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -402,3 +404,96 @@ def test_loglog_fit_keeps_the_data_as_given():
     counts = np.array([1, 3, 5, 9])
     fit = loglog_fit([1.0, 2.0, 3.0, 5.0], counts, 0.95)
     assert fit.y.dtype == counts.dtype and np.array_equal(fit.y, counts)
+
+
+# ---------------------------------------------------------------------------
+# the closed-form fit against the SVD least-squares oracle
+
+FIT_AGREEMENT = 1e-12
+
+
+def polyfit_oracle(x, y):
+    """Oracle: slope, intercept and r^2 of ``np.polyfit``'s SVD least
+    squares line through (log10 x, log10 y)."""
+    lx, ly = np.log10(np.asarray(x, float)), np.log10(np.asarray(y, float))
+    slope, intercept = np.polyfit(lx, ly, 1)
+    ss_res = np.sum((ly - (slope * lx + intercept)) ** 2)
+    ss_tot = np.sum((ly - ly.mean()) ** 2)
+    r_squared = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
+    return slope, intercept, r_squared
+
+
+def assert_fit_matches_polyfit(fit):
+    for got, want in zip((fit.slope, fit.intercept, fit.r_squared),
+                         polyfit_oracle(fit.x, fit.y)):
+        assert got == pytest.approx(want, rel=FIT_AGREEMENT,
+                                    abs=FIT_AGREEMENT)
+
+
+def test_loglog_fit_matches_polyfit_on_random_data(rng):
+    for _ in range(300):
+        n = int(rng.integers(2, 30))
+        x = 10.0 ** rng.uniform(-3.0, 6.0, n)
+        y = 10.0 ** rng.uniform(-5.0, 5.0, n)
+        assert_fit_matches_polyfit(loglog_fit(x, y, 0.9))
+
+
+def test_loglog_fit_matches_polyfit_on_the_lab_sweeps(monkeypatch, tmp_path):
+    from lclab import counting, coupling, runner, symbols, torus
+    fits = []
+
+    def recording(*args, **kwargs):
+        fits.append(loglog_fit(*args, **kwargs))
+        return fits[-1]
+
+    for module in (counting, coupling, symbols, torus):
+        monkeypatch.setattr(module, "loglog_fit", recording)
+    code, _ = runner.run_experiment(runner.default_config("report-all"),
+                                    tmp_path)
+    assert code == 0 and len(fits) >= 20
+    for fit in fits:
+        assert_fit_matches_polyfit(fit)
+
+
+@pytest.mark.parametrize("x", [np.geomspace(1, 1e4, 9),
+                               np.array([1e2, 1e3, 1e4, 1e5, 1e6]),
+                               np.sqrt(10.0 ** np.arange(2.0, 5.01, 0.5))])
+@pytest.mark.parametrize("p", [-1.0, -0.75, -0.5, 1 / 3, 0.5, 2.0])
+def test_loglog_fit_returns_an_exact_power_law_to_two_ulps(x, p):
+    fit = loglog_fit(x, 3.7 * x ** p, 0.99)
+    assert abs(fit.slope - p) <= 2 * np.spacing(abs(p))
+
+
+@pytest.mark.parametrize("x", [[10.0, 10.0, 10.0], [4.0], []])
+def test_loglog_fit_needs_two_distinct_x(x):
+    with pytest.raises(ContractError, match="two distinct x"):
+        loglog_fit(x, np.arange(1.0, len(x) + 1.0), 0.9)
+
+
+def fit_routes(path):
+    """(line, name) of every reference to ``polyfit`` or ``lstsq`` in the
+    module at ``path``: a second route to a fitted slope."""
+    tree = ast.parse(path.read_text())
+    found = []
+    for node in ast.walk(tree):
+        name = (node.attr if isinstance(node, ast.Attribute) else
+                node.id if isinstance(node, ast.Name) else
+                node.name if isinstance(node, ast.alias) else None)
+        if name is not None and name.split(".")[-1] in ("polyfit", "lstsq"):
+            found.append((getattr(node, "lineno", None), name))
+    return found
+
+
+def test_second_fit_route_is_found(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("import numpy as np\nfrom numpy import polyfit\n"
+                    "np.linalg.lstsq(a, b)\nnp.polyfit(x, y, 1)\n")
+    assert [name for _, name in fit_routes(path)] == ["polyfit", "lstsq",
+                                                      "polyfit"]
+
+
+def test_every_fit_is_the_one_loglog_fit():
+    paths = sorted((Path(kernels.__file__).parent).glob("*.py"))
+    assert len(paths) > 5
+    assert [(path.name, hit) for path in paths
+            for hit in fit_routes(path)] == []

@@ -12,7 +12,7 @@ from lclab import (ContractError, DegenerateCovectorError,
                    linear_chart, make_symbol, ntd_symbol, product_symbol,
                    tau_symbol, transmission_symbol, IDENTITY_SYMBOL)
 from lclab.symbols import (MEMBERSHIP_LAM_RANGE, MEMBERSHIP_POINTS,
-                           MEMBERSHIP_XI_RANGE, SymbolClass)
+                           MEMBERSHIP_XI_RANGE, SymbolClass, _sample_grid)
 
 
 def normal_polynomial(chart, xp, xip, z, lam=0.0):
@@ -187,6 +187,9 @@ def test_product_symbol_pointwise_algebra(xi, lam):
 
 def test_class_membership_certifies_interface_symbols():
     assert class_membership_estimate(flat_ntd_symbol(), -1.0, 2).passed
+    # the xi step scales with t = |xi| + sqrt(lam), so the third
+    # difference resolves the decay that a (1 + |xi|) step lost
+    assert class_membership_estimate(flat_ntd_symbol(), -1.0, 3).passed
     assert class_membership_estimate(flat_transmission_symbol(), 0.0, 1).passed
 
 
@@ -194,9 +197,10 @@ def test_class_membership_rejects_wrong_order():
     eta = make_symbol(lambda xp, xip, lam: eta_symbol(FLAT, xp, xip, lam),
                       1.0, kind="P", x_support_radius=0.0)
     assert class_membership_estimate(eta, 1.0, 2).passed
-    report = class_membership_estimate(eta, 0.0, 1)
-    assert not report.passed
-    assert max(report.growth_slopes.values()) > 0.5  # degree-1 growth seen
+    for k in (1, 3):
+        report = class_membership_estimate(eta, 0.0, k)
+        assert not report.passed
+        assert max(report.growth_slopes.values()) > 0.5  # degree-1 growth
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +297,7 @@ def scalar_membership(symbol, m, k, xi_range=(1.0, 1e3), lam_range=(1.0, 1e6),
                     for xi in np.concatenate([xis, -xis]):
                         for lam in lams:
                             t = abs(xi) + math.sqrt(lam)
-                            hxi = 1e-4 * (1.0 + abs(xi))
+                            hxi = 1e-3 * min(t, 250.0 * abs(xi))
                             val = fd(lambda x: fd(
                                 lambda s: symbol(x, s, lam), float(xi),
                                 a_ord, hxi), float(xp), b_ord,
@@ -383,6 +387,16 @@ def test_coarse_membership_grid_is_every_other_fine_point():
                            MEMBERSHIP_POINTS):
         assert np.array_equal(np.geomspace(lo, hi, 2 * n - 1)[::2],
                               np.geomspace(lo, hi, n))
+
+
+def test_membership_sample_grid_is_built_once_and_read_only():
+    n_xi, n_lam = (2 * n - 1 for n in MEMBERSHIP_POINTS)
+    grid = _sample_grid(n_xi, n_lam)
+    assert _sample_grid(n_xi, n_lam) is grid
+    assert not any(arr.flags.writeable for arr in grid)
+    xis, lams, t, hxi = grid
+    # the +-2 h_xi stencil of k = 3 stays on one side of xi = 0
+    assert np.all(2 * hxi < np.abs(xis)) and np.all(hxi <= 1e-3 * t)
 
 
 @pytest.mark.parametrize("k", [-1, 4])

@@ -258,6 +258,20 @@ def test_composition_remainder_decays():
 ULPS = 4 * np.finfo(float).eps
 
 
+def unit_roots(m):
+    """The m roots of unity w^n = exp(2 pi i n / m), n = 0 .. m - 1, with
+    w^(m - n) = conj w^n, w^0 = 1 and w^(m/2) = -1 exactly."""
+    roots = np.exp(2j * np.pi * np.arange(m) / m)
+    roots[m // 2 + 1:] = roots[m // 2 - 1:0:-1].conj()
+    roots[0], roots[m // 2] = 1.0, -1.0
+    return roots
+
+
+def phase_column(grid, k):
+    """exp(i k x_j) = w^(j k mod M) from the table of roots of unity."""
+    return unit_roots(grid.m)[(np.arange(grid.m) * int(k)) % grid.m]
+
+
 def looped_psdo_matrix(grid, symbol, lam):
     """Oracle: the quadrature matrix one column, and one symbol call per
     grid point, at a time."""
@@ -265,8 +279,27 @@ def looped_psdo_matrix(grid, symbol, lam):
     for col, k in enumerate(grid.freqs):
         vals = np.array([symbol(float(xj), float(k), lam) for xj in grid.x],
                         dtype=complex)
-        w[:, col] = vals * np.exp(1j * float(k) * grid.x)
+        w[:, col] = vals * phase_column(grid, k)
     return w
+
+
+@pytest.mark.parametrize("points", [8, 16, 32, 64, 128, 256, 512])
+def test_phase_is_the_table_of_roots_of_unity(points):
+    grid = TorusGrid(points)
+    phase, half = grid.phase, points // 2
+    eps = np.finfo(float).eps
+    # columns in freqs order: 0 .. M/2, then -(M/2 - 1) .. -1
+    assert np.array_equal(phase[:, 1:half], phase[:, :half:-1].conj())
+    assert np.array_equal(phase[:, 0], np.ones(points))
+    assert np.array_equal(phase[:, half], (-1.0) ** np.arange(points))
+    # row 1 is exp(i k 2 pi / M): every root once, each within 2 ulps of 1
+    assert np.abs(phase[1] - np.exp(2j * np.pi * grid.freqs / points)).max() \
+        <= 2 * eps
+    assert np.array_equal(phase, np.column_stack(
+        [phase_column(grid, k) for k in grid.freqs]))
+    # and the whole table is exp(i k x_j), whose argument reaches pi M
+    direct = np.exp(1j * np.outer(grid.x, grid.freqs))
+    np.testing.assert_allclose(phase, direct, rtol=0, atol=8 * points * eps)
 
 
 def test_psdo_matrix_matches_column_loop():
@@ -557,6 +590,24 @@ def test_reality_check_allows_rounding_only():
         _check_real(bent, "bent")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1j * np.nan,
+                                 1j * np.inf, -1j * np.inf])
+@pytest.mark.parametrize("col", [0, 3, GRID.m // 2],
+                         ids=["zero", "paired", "nyquist"])
+def test_non_finite_table_is_rejected_before_any_transform(monkeypatch, bad,
+                                                           col):
+    transforms = []
+    monkeypatch.setattr(np.fft, "rfft",
+                        lambda *args, **kw: transforms.append(args))
+    table = psdo_matrix(GRID, x_dependent_ntd(), 30.0)
+    table[5, col] = bad
+    with pytest.raises(ContractError, match="not a real operator"):
+        _check_real(table, "bent")
+    with pytest.raises(ContractError, match="not a real operator"):
+        _real_matrix(GRID, table, "bent")
+    assert transforms == []
+
+
 def test_psdo_matrix_is_bit_identical_to_uncached_build():
     a, b, da, dxb = default_composition_symbols()
     taylor = taylor_composition_symbol(a, b, da, dxb, terms=1)
@@ -565,7 +616,7 @@ def test_psdo_matrix_is_bit_identical_to_uncached_build():
     k = grid.freqs.astype(float)[None, :]
     for symbol in (a, b, da, dxb, taylor, IDENTITY_SYMBOL, flat_ntd_symbol()):
         for lam in (1e2, 10.0 ** 4.5):
-            w = np.exp(1j * (k * x))
+            w = np.column_stack([phase_column(grid, q) for q in grid.freqs])
             uncached = np.multiply(symbol(x, k, lam), w, out=w)
             assert np.array_equal(psdo_matrix(grid, symbol, lam), uncached)
     assert grid.phase is grid.phase and not grid.phase.flags.writeable
