@@ -35,7 +35,8 @@ import numpy as np
 from .errors import (ContractError, DomainError, InconclusiveError,
                      ResourceLimitError)
 # solve_spd stays bound here: bench/tracing.py wraps every binding site
-from .kernels import loglog_fit, solve_spd, solve_tridiagonal  # noqa: F401
+from .kernels import (DEFAULT_SOLVE_TOL, loglog_fit, solve_spd,  # noqa: F401
+                      solve_tridiagonal)
 
 CIRCLE_MODE_CAP = 10 ** 7  # widest mode band 1..top counting_circle takes
 FIT_POINTS = 11            # geometric mu per counting-law decade
@@ -57,7 +58,7 @@ def counting_function(eigenvalues, mu):
     return int(counts) if counts.ndim == 0 else counts
 
 
-def eigen_spectrum(grid, lam, tol=1e-10):
+def eigen_spectrum(grid, lam, tol=DEFAULT_SOLVE_TOL):
     """Nonzero spectrum of the resolvent difference E_lam, ascending: the
     one row of ``eigen_spectra`` at the scalar ``lam``.  It takes one lam
     only: the benchmark's tracer wraps it and reads its result as one
@@ -65,7 +66,7 @@ def eigen_spectrum(grid, lam, tol=1e-10):
     return eigen_spectra(grid, [lam], tol=tol)[0]
 
 
-def eigen_spectra(grid, lambdas, tol=1e-10):
+def eigen_spectra(grid, lambdas, tol=DEFAULT_SOLVE_TOL):
     """Nonzero spectra of E_lam over a coupling sweep, one ascending row
     per lam of the sequence ``lambdas``: an array (len(lambdas), rank).
 
@@ -89,7 +90,7 @@ def eigen_spectra(grid, lambdas, tol=1e-10):
     return np.sort(values.reshape(len(values), -1), axis=1)
 
 
-def difference_norms(grid, lambdas, tol=1e-10):
+def difference_norms(grid, lambdas, tol=DEFAULT_SOLVE_TOL):
     """||E_lam|| for each lam of the sequence ``lambdas``: the top of
     block 0's pencil, to the bit the last column of ``eigen_spectra``.
 
@@ -127,7 +128,7 @@ def _pencil(grid, lambdas, tol, blocks=None):
     return np.linalg.eigvalsh(half @ gram @ np.swapaxes(half, -1, -2))
 
 
-def trace_map_norm(grid, tol=1e-10):
+def trace_map_norm(grid, tol=DEFAULT_SOLVE_TOL):
     """Operator norm of S = gamma1 o exterior^{-1} from L^2(exterior) to
     L^2(interface).
 
@@ -156,11 +157,14 @@ def trace_map_norm(grid, tol=1e-10):
 
 def circle_difference_eigenvalue(radius, lam, k):
     """Angular-mode eigenvalue of the interface difference operator on a
-    circle: w_k = 1 / (|k|/R + sqrt((k/R)^2 + lam))."""
+    circle: w_k = 1 / (|k|/R + sqrt((k/R)^2 + lam)), at one integer k (a
+    ``float``) or elementwise over an integer array, each entry the
+    scalar call's to the bit."""
     if lam < 1:
         raise DomainError("circle model expects lam >= 1")
-    xi = abs(k) / radius
-    return 1.0 / (xi + math.sqrt(xi * xi + lam))
+    xi = np.abs(k) / radius
+    w = 1.0 / (xi + np.sqrt(xi * xi + lam))
+    return float(w) if np.ndim(k) == 0 else w
 
 
 def counting_circle(radius, lam, mu):
@@ -197,8 +201,7 @@ def counting_circle(radius, lam, mu):
         zero = circle_difference_eigenvalue(radius, lam, 0) > flat
         top = top.astype(np.int64)
         k = top[:, None] + np.arange(-4, 1)
-        xi = k / radius
-        above = 1.0 / (xi + np.sqrt(xi * xi + lam)) > flat[:, None]
+        above = circle_difference_eigenvalue(radius, lam, k) > flat[:, None]
         modes = np.maximum(top - 4, 0) + np.count_nonzero(
             above[:, 1:] & (k[:, 1:] >= 1), axis=1)
         for i in np.flatnonzero(inside & (top > 4) & ~above[:, 0]):
@@ -210,8 +213,8 @@ def counting_circle(radius, lam, mu):
 
 def _enumerated_modes(radius, lam, mu, top):
     """Number of modes 1 <= k <= top with w_k > mu, by enumeration."""
-    xi = np.arange(1, top + 1) / radius
-    return int(np.count_nonzero(1.0 / (xi + np.sqrt(xi * xi + lam)) > mu))
+    w = circle_difference_eigenvalue(radius, lam, np.arange(1, top + 1))
+    return int(np.count_nonzero(w > mu))
 
 
 def circle_count_prediction(radius, lam, mu):

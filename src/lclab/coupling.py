@@ -32,11 +32,10 @@ import numpy as np
 
 from .counting import difference_norms
 from .errors import DomainError, InconclusiveError
-from .kernels import (loglog_fit, power_iteration_sym,
-                      solve_bordered_tridiagonal)
+from .kernels import (DEFAULT_SOLVE_TOL, check_sweep, loglog_fit,
+                      power_iteration_sym, solve_bordered_tridiagonal)
 
 MIN_RATE_R_SQUARED = 0.95
-DEFAULT_LAMBDA_SWEEP = (1e2, 1e3, 1e4, 1e5, 1e6)
 THRESHOLD_REL_TOL = 1e-3
 
 
@@ -113,7 +112,7 @@ def difference_norm_exact_1d(domain, lam):
 class DifferencePipeline:
     """Cached assemblies for applying E_lam on one grid at several couplings."""
 
-    def __init__(self, grid, tol=1e-10):
+    def __init__(self, grid, tol=DEFAULT_SOLVE_TOL):
         self.grid = grid
         self.tol = tol
         self.exterior = grid.assemble_exterior()
@@ -138,11 +137,9 @@ class DifferencePipeline:
 
 
 def _check_sweep(lambdas):
-    """A coupling sweep as an array: positive and increasing, with at
-    least three points over at least three decades."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    if len(lambdas) < 3 or lambdas[0] <= 0 or np.any(np.diff(lambdas) <= 0):
-        raise DomainError("sweep must be >= 3 positive increasing points")
+    """A coupling sweep (``kernels.check_sweep``) over at least three
+    decades, as an array."""
+    lambdas = check_sweep(lambdas)
     if lambdas[-1] / lambdas[0] < 10.0 ** 3:
         raise DomainError("sweep must span at least three decades")
     return lambdas
@@ -153,7 +150,7 @@ def _rate_fit(lambdas, values):
     return loglog_fit(_check_sweep(lambdas), values, MIN_RATE_R_SQUARED)
 
 
-def convergence_rate_fit(grid, lambdas=DEFAULT_LAMBDA_SWEEP, tol=1e-10):
+def convergence_rate_fit(grid, lambdas, tol=DEFAULT_SOLVE_TOL):
     """Fitted decay rate of ||E_lam|| over a coupling sweep (discrete).
 
     The sweep is checked before any solve.  Block 0 of ``mode_bands``
@@ -163,7 +160,7 @@ def convergence_rate_fit(grid, lambdas=DEFAULT_LAMBDA_SWEEP, tol=1e-10):
     return _rate_fit(lambdas, difference_norms(grid, lambdas, tol=tol))
 
 
-def convergence_rate_fit_exact_1d(domain, lambdas=DEFAULT_LAMBDA_SWEEP):
+def convergence_rate_fit_exact_1d(domain, lambdas):
     """Same fit from the closed-form 1D norms (oracle pipeline)."""
     return _rate_fit(lambdas, difference_norm_exact_1d(domain, lambdas))
 
@@ -209,7 +206,7 @@ def _interface_blocks(grid, lam):
     return (1.0 / eta)[:, None, None], (1.0 / (xi - eta))[:, None, None]
 
 
-def green_identity_check(grid, lam, f_ext, g_ext, tol=1e-10):
+def green_identity_check(grid, lam, f_ext, g_ext, tol=DEFAULT_SOLVE_TOL):
     """Measure the four equivalent interface identities on test data.
 
     f and g are exterior fields; u is the coupled solve of (extend f),
@@ -292,7 +289,7 @@ def green_test_fields(grid):
 # exterior solve under the nonlocal interface condition
 
 
-def nonlocal_bc_solve(grid, lam, f_ext, tol=1e-10):
+def nonlocal_bc_solve(grid, lam, f_ext, tol=DEFAULT_SOLVE_TOL):
     """Exterior solve closed by u = N (gamma1 u) on the interface.
 
     Per block of ``grid.mode_bands``, the unknowns are the exterior and

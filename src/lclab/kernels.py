@@ -7,6 +7,9 @@ Sparse and dense work is delegated to LAPACK via numpy/scipy, and the
 tridiagonal batches are reduced level by level in numpy; every kernel
 checks its own contract (residual, symmetry, spectral identities) after
 the fact so downstream experiments never consume a silently bad solve.
+Two rules that several modules hold to are stated here once:
+``check_tol``, the range of a solve tolerance, and ``check_sweep``, what
+makes a coupling sweep.
 The experiments run on the tridiagonal kernels alone; the nonlocal
 solve is a batch of tridiagonal blocks, each with dense interface rows,
 closed by a Woodbury correction of the rank of its border.  The sparse
@@ -19,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ConvergenceError, ResourceLimitError
+from .errors import (ContractError, ConvergenceError, DomainError,
+                     ResourceLimitError)
 
 DEFAULT_SOLVE_TOL = 1e-10
 MAX_DENSE_DIM = 4096
@@ -27,6 +31,33 @@ SYMMETRY_TRIALS = 3      # random pairs behind each operator symmetry check
 POWER_MAX_ITER = 5000
 EIGEN_SPOT_CHECKS = 10   # random eigenpairs whose residual is checked
 FLAT_SPREAD_DECADES = 0.1   # y spreading less than this gives slope ~ 0
+
+
+def check_tol(tol):
+    """Raise ContractError unless the solve tolerance ``tol`` lies in
+    (0, 1e-6], the range every solve and the config check accept."""
+    if not 0.0 < tol <= 1e-6:
+        raise ContractError(f"must lie in (0, 1e-6], not {tol}")
+
+
+def check_sweep(lambdas):
+    """A coupling sweep as an array: at least three positive, finite,
+    strictly increasing points, or DomainError."""
+    lambdas = np.asarray(lambdas, dtype=float)
+    if len(lambdas) < 3 or not (np.isfinite(lambdas).all() and lambdas[0] > 0
+                                and (np.diff(lambdas) > 0).all()):
+        raise DomainError("sweep must be >= 3 positive, finite, increasing "
+                          "points")
+    return lambdas
+
+
+def _check_backward_error(what, residual, tol):
+    """Raise ConvergenceError, carrying the worst of the backward errors
+    ``residual``, unless it is within ``tol``; a NaN never is."""
+    worst = float(np.max(residual))
+    if not worst <= tol:
+        raise ConvergenceError(f"{what} solve backward error {worst:.3e} "
+                               f"exceeds tol {tol:.1e}", residual=worst)
 
 
 def require_symmetric(mat, tol=1e-14):
@@ -65,9 +96,7 @@ def backward_error(mat, x, rhs, mat_scale=None):
     if mat_scale is None:
         import scipy.sparse.linalg
         mat_scale = scipy.sparse.linalg.norm(mat, np.inf)
-    scale = mat_scale * np.linalg.norm(x) + np.linalg.norm(rhs)
-    gap = np.linalg.norm(mat @ x - rhs)
-    return gap / scale if scale > 0.0 else 0.0
+    return float(_normwise_error(mat @ x, mat_scale, x, rhs))
 
 
 def solve_spd(mat, rhs, tol=DEFAULT_SOLVE_TOL, cache=None):
@@ -81,8 +110,7 @@ def solve_spd(mat, rhs, tol=DEFAULT_SOLVE_TOL, cache=None):
     floored by eps * ||mat|| ||x|| / ||rhs||, which exceeds 1e-10 on the
     finest stiffness-scaled grids.
     """
-    if not 0.0 < tol <= 1e-6:
-        raise ContractError(f"solve tolerance {tol} outside (0, 1e-6]")
+    check_tol(tol)
     fact = cache if cache is not None else _Factorization(mat)
     rhs = np.asarray(rhs, dtype=float)
     if not np.any(rhs):
@@ -94,10 +122,7 @@ def solve_spd(mat, rhs, tol=DEFAULT_SOLVE_TOL, cache=None):
             break
         x = x + fact.solve(rhs - fact.mat @ x)
         residual = backward_error(fact.mat, x, rhs, fact.norm_inf)
-    if not residual <= tol:
-        raise ConvergenceError(
-            f"SPD solve backward error {residual:.3e} exceeds tol {tol:.1e}",
-            residual=residual)
+    _check_backward_error("SPD", residual, tol)
     return x
 
 
@@ -129,12 +154,11 @@ def _norms(v):
     return np.sqrt(squares)
 
 
-def _normwise_error(ax, row_sums, x, rhs):
+def _normwise_error(ax, norm_inf, x, rhs):
     """||A x - rhs|| / (||A||_inf ||x|| + ||rhs||) along the last axis,
-    from A x, which it overwrites with A x - rhs, and the absolute row
-    sums of A."""
+    from A x, which it overwrites with A x - rhs, and ||A||_inf."""
     ax -= rhs
-    scale = row_sums.max(axis=-1) * _norms(x) + _norms(rhs)
+    scale = norm_inf * _norms(x) + _norms(rhs)
     gap = _norms(ax)
     # NaN scales (a zero pivot) must stay NaN, so mask only exact zeros
     return np.divide(gap, scale, out=np.zeros_like(gap), where=scale != 0.0)
@@ -144,7 +168,7 @@ def tridiagonal_backward_error(lower, diag, upper, x, rhs):
     """Normwise backward error, as in ``backward_error``, of every system
     of a tridiagonal batch (see ``solve_tridiagonal``); one per system."""
     return _normwise_error(tridiagonal_apply(lower, diag, upper, x),
-                           _row_sums(lower, diag, upper), x, rhs)
+                           _row_sums(lower, diag, upper).max(axis=-1), x, rhs)
 
 
 def solve_tridiagonal(lower, diag, upper, rhs, tol=DEFAULT_SOLVE_TOL):
@@ -165,19 +189,14 @@ def solve_tridiagonal(lower, diag, upper, rhs, tol=DEFAULT_SOLVE_TOL):
     every system must not exceed ``tol``; ConvergenceError carries the
     worst (a zero pivot makes it NaN).
     """
-    if not 0.0 < tol <= 1e-6:
-        raise ContractError(f"solve tolerance {tol} outside (0, 1e-6]")
+    check_tol(tol)
     lower, diag, upper = (np.asarray(band, dtype=float)
                           for band in (lower, diag, upper))
     rhs = np.asarray(rhs)
     with np.errstate(divide="ignore", invalid="ignore"):
         x = _cyclic_reduction(-lower, diag, -upper, rhs)
         residual = tridiagonal_backward_error(lower, diag, upper, x, rhs)
-    worst = float(residual.max())
-    if not worst <= tol:
-        raise ConvergenceError(
-            f"tridiagonal solve backward error {worst:.3e} exceeds tol "
-            f"{tol:.1e}", residual=worst)
+    _check_backward_error("tridiagonal", residual, tol)
     return x
 
 
@@ -189,7 +208,7 @@ def bordered_backward_error(lower, diag, upper, rows, at, x, rhs):
     ax[:, at] = (rows @ x[..., None])[..., 0]
     row_sums = _row_sums(lower, diag, upper)
     row_sums[:, at] = np.abs(rows).sum(axis=-1)
-    return _normwise_error(ax, row_sums, x, rhs)
+    return _normwise_error(ax, row_sums.max(axis=-1), x, rhs)
 
 
 def solve_bordered_tridiagonal(lower, diag, upper, rows, at, rhs,
@@ -212,8 +231,7 @@ def solve_bordered_tridiagonal(lower, diag, upper, rows, at, rhs,
     of every whole matrix (``bordered_backward_error``) must not exceed
     ``tol``; ConvergenceError carries the worst.
     """
-    if not 0.0 < tol <= 1e-6:
-        raise ContractError(f"solve tolerance {tol} outside (0, 1e-6]")
+    check_tol(tol)
     bands = tuple(np.array(band, dtype=float)
                   for band in (lower, diag, upper))
     rows, at = np.asarray(rows, dtype=float), np.asarray(at)
@@ -232,11 +250,7 @@ def solve_bordered_tridiagonal(lower, diag, upper, rows, at, rhs,
         x = y[0] - (z @ np.linalg.solve(np.eye(k) + border @ z,
                                         border @ y[0][..., None]))[..., 0]
         residual = bordered_backward_error(*bands, rows, at, x, rhs)
-    worst = float(residual.max())
-    if not worst <= tol:
-        raise ConvergenceError(
-            f"bordered tridiagonal solve backward error {worst:.3e} "
-            f"exceeds tol {tol:.1e}", residual=worst)
+    _check_backward_error("bordered tridiagonal", residual, tol)
     return x
 
 

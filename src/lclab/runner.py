@@ -11,10 +11,11 @@ its random instances from it); every other experiment computes its
 numbers exactly and gives the same CSV data at any seed.
 
 A config error covers every grid and sweep the run uses, checked by the
-run's own rules: each experiment is one row of ``_TABLE``, a build (config
--> domain, grids, sweep) and a run that takes what the build returns.  A
-build checks its grids and its sweep apart, so neither hides the other's
-violation.
+run's own rules: each experiment is one row of ``_TABLE``, its parts and a
+run.  A part maps the config to a tuple of the objects it builds (a
+domain, grids or a sweep), or raises ConfigError naming the keys that set
+them; the run takes the objects of every part, in order.  Each part is
+checked apart, so no part's violation hides another's.
 
 Exit codes: 0 pass, 1 fail or error, 2 inconclusive, 3 config error;
 ``report-all`` runs every experiment and exits with the worst verdict.
@@ -34,9 +35,10 @@ import numpy as np
 from . import counting as ct
 from . import coupling as cp
 from . import torus as tr
-from .errors import ConfigError, InconclusiveError, LabError
+from .errors import ConfigError, ContractError, InconclusiveError, LabError
 from .geometry import Domain1D, Domain2D, flat_chart
 from .grids import Grid1D, PolarGrid
+from .kernels import DEFAULT_SOLVE_TOL, check_sweep, check_tol
 from .symbols import (IDENTITY_SYMBOL, class_membership_estimate, eta_symbol,
                       flat_ntd_symbol, flat_transmission_symbol, make_symbol)
 
@@ -98,7 +100,7 @@ _SCHEMA = {
         "mu_points": ("int", 20),
     },
     "tolerances": {
-        "solve_tol": ("float", 1e-10),
+        "solve_tol": ("float", DEFAULT_SOLVE_TOL),
     },
     "output": {
         "dir": ("str", "out"),
@@ -109,14 +111,10 @@ _SCHEMA = {
 @dataclass(frozen=True)
 class ExperimentConfig:
     values: dict
-    text: str
 
     def __getitem__(self, key):
         section, name = key.split(".")
         return self.values[section][name]
-
-    def seed(self):
-        return self["experiment.seed"]
 
     def serialize(self):
         lines = []
@@ -153,7 +151,7 @@ def _coerce(raw, kind, where, violations):
 
 def parse_config(text, overrides=None):
     """Parse and validate config text; raise ConfigError with every
-    violation found (not just the first).  The build of each experiment
+    violation found (not just the first).  Each part of each experiment
     the run executes is called, and what it builds thrown away."""
     violations = []
     values = {s: {k: default for k, (_, default) in keys.items()}
@@ -195,12 +193,14 @@ def parse_config(text, overrides=None):
         values[section][key] = sval
 
     _validate(values, violations)
-    config = ExperimentConfig(values=values, text=text)
-    for _, build, _ in _rows(config["experiment.name"]):
-        try:
-            build(config)
-        except ConfigError as err:
-            violations += [v for v in err.violations if v not in violations]
+    config = ExperimentConfig(values=values)
+    for _, parts, _ in _rows(config["experiment.name"]):
+        for part in parts:
+            try:
+                part(config)
+            except ConfigError as err:
+                violations += [v for v in err.violations
+                               if v not in violations]
     if violations:
         raise ConfigError(violations)
     return config
@@ -215,10 +215,13 @@ def _validate(values, violations):
                           f"{exp['name']!r}{extra}")
     if not 0 <= exp["seed"] < 2 ** 64:
         violations.append("experiment.seed: must fit in a u64")
-    if values["sweep"]["lam"] < 1:
-        violations.append("sweep.lam: single-coupling experiments need lam >= 1")
-    if not 0 < values["tolerances"]["solve_tol"] <= 1e-6:
-        violations.append("tolerances.solve_tol: must lie in (0, 1e-6]")
+    if not 1 <= values["sweep"]["lam"] < np.inf:   # NaN fails both
+        violations.append("sweep.lam: single-coupling experiments need "
+                          "lam >= 1 and finite")
+    try:
+        check_tol(values["tolerances"]["solve_tol"])
+    except ContractError as err:
+        violations.append(f"tolerances.solve_tol: {err}")
 
 
 def default_config(experiment="rate1d", seed=None):
@@ -273,7 +276,7 @@ class _Artifacts:
             "experiment": experiment,
             "experiments": verdicts,
             "config_hash": self.config.config_hash,
-            "seed": self.config.seed(),
+            "seed": self.config["experiment.seed"],
             "tolerances": _TOLERANCES_JSON,
             "criteria": self.criteria,
             "data": self.data,
@@ -301,7 +304,7 @@ def _require_conclusive(message, *fits):
 
 
 # ---------------------------------------------------------------------------
-# experiments: a build, config -> the objects it runs on, and a run
+# experiments: parts, each config -> the objects it builds, and a run
 
 
 def _built(keys, make, *args):
@@ -330,45 +333,6 @@ def _disk(config, scale=1):
                    scale * config["grid.angular"]),)
 
 
-def _torus(config):
-    return (_built("grid.torus_points", tr.TorusGrid,
-                   config["grid.torus_points"]),)
-
-
-def _torus_sweep(config):
-    return (_built("sweep.lambdas_torus", tr._check_sweep,
-                   config["sweep.lambdas_torus"]),)
-
-
-def _compose_torus(config):
-    """The compose grid; its sweep is ``_compose_sweep``."""
-    return (_built("grid.compose_points", tr.TorusGrid,
-                   config["grid.compose_points"]),)
-
-
-def _compose_sweep(config):
-    """The torus sweep with one more coupling, 1e5."""
-    return (_built("sweep.lambdas_torus", tr._check_sweep,
-                   (*config["sweep.lambdas_torus"], 1e5)),)
-
-
-def _parts(*parts):
-    """A build made of independent parts, each config -> a tuple of
-    objects: the objects of every part in order, or a ConfigError with
-    the violations of every part that fails."""
-    def build(config):
-        built, violations = [], []
-        for part in parts:
-            try:
-                built += part(config)
-            except ConfigError as err:
-                violations += err.violations
-        if violations:
-            raise ConfigError(violations)
-        return tuple(built)
-    return build
-
-
 def _run_rate1d(config, art, domain, grid, lambdas):
     exact = cp.convergence_rate_fit_exact_1d(domain, lambdas)
     fit = cp.convergence_rate_fit(grid, lambdas,
@@ -383,7 +347,8 @@ def _run_rate1d(config, art, domain, grid, lambdas):
     art.data["rate1d"] = {"slope_discrete": fit.slope,
                           "slope_exact": exact.slope,
                           "r_squared": fit.r_squared}
-    _require_conclusive("rate fit r^2 below 0.95", fit, exact)
+    _require_conclusive(f"rate fit r^2 below {cp.MIN_RATE_R_SQUARED}", fit,
+                        exact)
     ok = art.check("rate1d.exact_slope", exact.slope,
                    TOLERANCES["rate1d_exact_slope"])
     ok &= art.check("rate1d.discrete_slope", fit.slope,
@@ -400,7 +365,8 @@ def _run_rate2d(config, art, grid, lambdas):
     art.write_csv("rate2d", ["lambda", "norm_discrete"],
                   list(zip(lambdas, fit.y)))
     art.data["rate2d"] = {"slope": fit.slope, "r_squared": fit.r_squared}
-    _require_conclusive("2D rate fit r^2 below 0.95", fit)
+    _require_conclusive(f"2D rate fit r^2 below {cp.MIN_RATE_R_SQUARED}",
+                        fit)
     return art.check("rate2d.slope", fit.slope, TOLERANCES["rate2d_slope"])
 
 
@@ -542,7 +508,7 @@ def _run_weyl(config, art, grid):
 
 
 def _run_birman(config, art, grid):
-    violations = ct.birman_synthetic_check(100, seed=config.seed())
+    violations = ct.birman_synthetic_check(100, seed=config["experiment.seed"])
     ok = art.check("birman.synthetic_violations", violations,
                    TOLERANCES["birman_violations"])
     lam = config["sweep.lam"]
@@ -577,32 +543,43 @@ def _run_threshold(config, art, domain):
     return ok
 
 
-# one row per experiment: (build, run), run(config, art, *build(config))
-_TORUS = _parts(_torus, _torus_sweep)
+# one row per experiment: (parts, run), run(config, art, *objects) with
+# the objects of every part, in order
+_TORUS = (lambda config: (_built("grid.torus_points", tr.TorusGrid,
+                                 config["grid.torus_points"]),),
+          lambda config: (_built("sweep.lambdas_torus", check_sweep,
+                                 config["sweep.lambdas_torus"]),))
 _TABLE = {
-    "rate1d": (_parts(
-        lambda config: _interval(config, 2 * config["grid.cells_1d"]),
-        lambda config: (_built("sweep.lambdas", cp._check_sweep,
-                               config["sweep.lambdas"]),)), _run_rate1d),
-    "rate2d": (_parts(
-        lambda config: _disk(config, 2),
-        lambda config: (_built("sweep.lambdas_2d", cp._check_sweep,
-                               config["sweep.lambdas_2d"]),)), _run_rate2d),
-    "green": (lambda config: _interval(config, config["grid.cells_1d"] // 2,
-                                       config["grid.cells_1d"]), _run_green),
-    "symbols": (lambda config: (), _run_symbols),
+    "rate1d": ((lambda config: _interval(config, 2 * config["grid.cells_1d"]),
+                lambda config: (_built("sweep.lambdas", cp._check_sweep,
+                                       config["sweep.lambdas"]),)),
+               _run_rate1d),
+    "rate2d": ((lambda config: _disk(config, 2),
+                lambda config: (_built("sweep.lambdas_2d", cp._check_sweep,
+                                       config["sweep.lambdas_2d"]),)),
+               _run_rate2d),
+    "green": ((lambda config: _interval(config, config["grid.cells_1d"] // 2,
+                                        config["grid.cells_1d"]),),
+              _run_green),
+    "symbols": ((), _run_symbols),
     "bounds": (_TORUS, _run_bounds),
     "nbound": (_TORUS, _run_nbound),
-    "compose": (_parts(_compose_torus, _compose_sweep), _run_compose),
-    "weyl": (_disk, _run_weyl),
-    "birman": (_disk, _run_birman),
-    "threshold": (_interval, _run_threshold),
+    # compose measures the torus sweep with one more coupling, 1e5
+    "compose": ((lambda config: (_built("grid.compose_points", tr.TorusGrid,
+                                        config["grid.compose_points"]),),
+                 lambda config: (_built("sweep.lambdas_torus", check_sweep,
+                                        (*config["sweep.lambdas_torus"],
+                                         1e5)),)),
+                _run_compose),
+    "weyl": ((_disk,), _run_weyl),
+    "birman": ((_disk,), _run_birman),
+    "threshold": ((_interval,), _run_threshold),
 }
 EXPERIMENTS = (*_TABLE, "report-all")
 
 
 def _rows(name):
-    """(experiment, build, run) for each experiment that a run of ``name``
+    """(experiment, parts, run) for each experiment that a run of ``name``
     executes, in order; none for an unknown name."""
     names = list(_TABLE) if name == "report-all" else [name]
     return [(exp, *_TABLE[exp]) for exp in names if exp in _TABLE]
@@ -621,9 +598,10 @@ def run_experiment(config, out_dir=None, dump_matrices=False):
     out = Path(out_dir if out_dir is not None else config["output.dir"])
     art = _Artifacts(out, config, dump=dump_matrices)
     verdicts = {}
-    for exp, build, run in _rows(name):
+    for exp, parts, run in _rows(name):
         try:
-            passed = run(config, art, *build(config))
+            passed = run(config, art,
+                         *(obj for part in parts for obj in part(config)))
             verdicts[exp] = "pass" if passed else "fail"
         except InconclusiveError as err:
             print(f"[INCONCLUSIVE] {exp}: {err}")

@@ -51,7 +51,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ConfigError, ContractError, ResourceLimitError
-from .kernels import loglog_fit
+from .kernels import check_sweep, loglog_fit
 
 PSDO_MAX_POINTS = 512
 COMPOSE_MAX_POINTS = 256
@@ -247,14 +247,6 @@ def _map_norm(mat, r, t):
                                * _real_order(cols)[0] ** (-r))
 
 
-def _check_sweep(lambdas):
-    """A lambda sweep as an array: >= 3 positive increasing points."""
-    lambdas = np.asarray(lambdas, dtype=float)
-    if len(lambdas) < 3 or lambdas[0] <= 0 or np.any(np.diff(lambdas) <= 0):
-        raise ConfigError("sweep must be >= 3 positive increasing points")
-    return lambdas
-
-
 def operator_bound_experiment(grid, symbol, m, r, s, lambdas):
     """Exact H^r -> H^{s-m} norm decay of op(b) for b in P^m, m <= 0.
 
@@ -269,7 +261,7 @@ def operator_bound_experiment(grid, symbol, m, r, s, lambdas):
         raise ConfigError("operator_bound_experiment needs order m <= 0")
     if not (r + m <= s <= r):
         raise ConfigError(f"need r + m <= s <= r, got r={r}, s={s}, m={m}")
-    lambdas = _check_sweep(lambdas)
+    lambdas = check_sweep(lambdas)
     if symbol.x_support_radius == 0.0:
         ratios = _multiplier_norms(grid, symbol, lambdas, r, (s - m,))[0]
     else:
@@ -289,7 +281,7 @@ def ntd_bound_experiment(grid, s_values, lambdas):
     for s <= 1/2 and -(3/4 - s/2) for 1/2 <= s <= 3/2.
     """
     from .symbols import flat_ntd_symbol
-    lambdas = _check_sweep(lambdas)
+    lambdas = check_sweep(lambdas)
     norms = _multiplier_norms(grid, flat_ntd_symbol(), lambdas, 0.5, s_values)
     fits = {}
     for s, ratios in zip(s_values, norms):
@@ -360,7 +352,7 @@ def composition_error_experiment(grid, a, b, da_dxi, dxb, m1, m2, r, lambdas):
     if a.class_tag.kind != "S" or da_dxi.class_tag.kind != "S":
         raise ConfigError("a and d_xi a must be parameter-free (class S)")
     terms = math.floor(m1)
-    lambdas = _check_sweep(lambdas)
+    lambdas = check_sweep(lambdas)
     t_norm = r + 1 - m1 + terms
     # keep the dense quadrature clear of edge wrap-around
     band = np.abs(grid.freqs) <= grid.m // 4

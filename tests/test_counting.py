@@ -233,8 +233,9 @@ def test_rate_fit_makes_one_band_solve_per_sweep(make_grid, domain1d,
 
 
 def test_rate2d_fit_reads_the_spectral_tops_to_the_bit():
-    # the runner's rate2d grid and sweep, as its build makes them
-    grid, sweep = _TABLE["rate2d"][0](default_config("rate2d"))
+    # the runner's rate2d grid and sweep, as its parts make them
+    config = default_config("rate2d")
+    grid, sweep = [obj for part in _TABLE["rate2d"][0] for obj in part(config)]
     assert (grid.nr_ext, grid.ntheta) == (64, 128)
     fit = convergence_rate_fit(grid, sweep)
     assert fit.y.tobytes() == eigen_spectra(grid, sweep)[:, -1].tobytes()
@@ -304,6 +305,23 @@ def test_counting_circle_matches_enumeration(radius, lam, mu):
     brute = sum(circle_difference_eigenvalue(radius, lam, k) > mu
                 for k in range(-k_max, k_max + 1))
     assert counting_circle(radius, lam, mu) == brute
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e6])
+def test_circle_eigenvalue_over_an_array_is_the_scalar_calls(lam):
+    radius = 2.5
+    ks = np.arange(-10 ** 4, 10 ** 4 + 1)
+    scalar = [circle_difference_eigenvalue(radius, lam, int(k)) for k in ks]
+    assert all(type(w) is float for w in scalar)
+
+    def written(k):   # the expression as it was written for one k
+        xi = abs(k) / radius
+        return 1.0 / (xi + math.sqrt(xi * xi + lam))
+
+    got = circle_difference_eigenvalue(radius, lam, ks)
+    assert got.tobytes() == np.array(scalar).tobytes()
+    assert got.tobytes() == np.array([written(k) for k in ks.tolist()]
+                                     ).tobytes()
 
 
 def test_counting_circle_refuses_to_truncate():

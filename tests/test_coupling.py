@@ -157,8 +157,8 @@ def test_rate_fit_validates_sweep(domain1d):
 
 
 def test_rate_fit_checks_its_sweep_before_solving(domain1d, monkeypatch):
-    # a zero, a negative and a decreasing sweep are rejected before the
-    # batched solve; a valid sweep then makes the one solve
+    # a zero, a negative, a decreasing and a non-finite sweep are rejected
+    # before the batched solve; a valid sweep then makes the one solve
     original, calls = coupling.difference_norms, []
 
     def spy(*args, **kwargs):
@@ -167,8 +167,10 @@ def test_rate_fit_checks_its_sweep_before_solving(domain1d, monkeypatch):
 
     monkeypatch.setattr(coupling, "difference_norms", spy)
     grid = Grid1D(domain1d, 64)
-    for sweep in ((0.0, 1e3, 1e5), (-1e2, 1e3, 1e5), (1e5, 1e3, 1e2)):
-        with pytest.raises(DomainError, match="positive increasing"):
+    for sweep in ((0.0, 1e3, 1e5), (-1e2, 1e3, 1e5), (1e5, 1e3, 1e2),
+                  (1e2, 1e3, np.inf), (np.nan, 1e3, 1e6)):
+        with pytest.raises(DomainError,
+                           match="positive, finite, increasing"):
             convergence_rate_fit(grid, sweep)
     assert calls == []
     convergence_rate_fit(grid, LAMBDAS)

@@ -9,9 +9,9 @@ import scipy.sparse as sp
 
 from lclab import (ContractError, ConvergenceError, Fit, dense_eigen,
                    kernels, loglog_fit, power_iteration_sym, solve_spd)
-from lclab.errors import ResourceLimitError
-from lclab.kernels import (solve_bordered_tridiagonal, solve_tridiagonal,
-                           tridiagonal_apply)
+from lclab.errors import DomainError, ResourceLimitError
+from lclab.kernels import (check_sweep, solve_bordered_tridiagonal,
+                           solve_tridiagonal, tridiagonal_apply)
 
 
 def random_spd(rng, n=50):
@@ -300,6 +300,92 @@ def test_solves_leave_their_inputs_unchanged(rng, dtype):
     before = [a.tobytes() for a in inputs]
     solve_bordered_tridiagonal(lower, diag, upper, rows, at, rhs)
     assert [a.tobytes() for a in inputs] == before
+
+
+def _solve_case(rng, name):
+    """A small well-posed problem for the solve ``name``: tol -> its
+    solution, and the name of the backward error the solve checks."""
+    if name == "SPD":
+        mat, rhs = random_spd(rng, 8), rng.standard_normal(8)
+        return lambda tol: solve_spd(mat, rhs, tol=tol), "backward_error"
+    lower, diag, upper = _random_bands(rng, 3, 12)
+    rhs = rng.standard_normal(diag.shape)
+    if name == "tridiagonal":
+        return (lambda tol: solve_tridiagonal(lower, diag, upper, rhs,
+                                              tol=tol),
+                "tridiagonal_backward_error")
+    at = np.array([0, 5])
+    rows = rng.standard_normal((3, 2, 12))
+    rows[:, [0, 1], at] += 12.0
+    return (lambda tol: solve_bordered_tridiagonal(lower, diag, upper, rows,
+                                                   at, rhs, tol=tol),
+            "bordered_backward_error")
+
+
+@pytest.mark.parametrize("name", ["SPD", "tridiagonal",
+                                  "bordered tridiagonal"])
+def test_every_solve_holds_one_tolerance_contract(rng, monkeypatch, name):
+    solve, checked = _solve_case(rng, name)
+    work = []
+
+    def spy(original):
+        def wrapped(*args, **kwargs):
+            work.append(original.__name__)
+            return original(*args, **kwargs)
+        return wrapped
+
+    for step in ("_Factorization", "_cyclic_reduction"):
+        monkeypatch.setattr(kernels, step, spy(getattr(kernels, step)))
+    # the range (0, 1e-6] is checked before any factorization or reduction
+    for tol in (0.0, -1e-12, 2e-6, np.nan, np.inf):
+        with pytest.raises(ContractError, match=r"must lie in \(0, 1e-6\]"):
+            solve(tol)
+    assert work == []
+    solve(1e-6)
+    assert work
+    # one gate: the worst backward error, a NaN included, in the message
+    # and on the error
+    for worst, shown in ((2e-3, "2.000e-03"), (np.nan, "nan")):
+        residual = worst if name == "SPD" else np.array([0.0, worst, 0.0])
+        monkeypatch.setattr(kernels, checked, lambda *args: residual)
+        with pytest.raises(ConvergenceError) as info:
+            solve(1e-10)
+        assert str(info.value) == (f"{name} solve backward error {shown} "
+                                   "exceeds tol 1.0e-10")
+        np.testing.assert_equal(info.value.residual, worst)
+
+
+def test_sparse_backward_error_is_the_normwise_formula(rng):
+    mat = random_spd(rng, 30)
+    x, rhs = rng.standard_normal(30), rng.standard_normal(30)
+    dense = mat.toarray()
+    norm_inf = np.abs(dense).sum(axis=1).max()
+    want = np.linalg.norm(dense @ x - rhs) / (
+        norm_inf * np.linalg.norm(x) + np.linalg.norm(rhs))
+    for scale in (None, norm_inf):
+        got = kernels.backward_error(mat, x, rhs, scale)
+        assert type(got) is float
+        assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+    # a zero scale, x = rhs = 0, is no error
+    assert kernels.backward_error(mat, np.zeros(30), np.zeros(30)) == 0.0
+
+
+@pytest.mark.parametrize("sweep", [
+    (np.nan, 1e2, 1e3, 1e4), (1e1, np.nan, 1e3, 1e4),
+    (1e1, 1e2, np.nan, 1e4), (1e1, 1e2, 1e3, np.nan),
+    (1e1, 1e2, np.inf), (1e1, np.inf, 1e3), (-np.inf, 1e2, 1e3),
+    (0.0, 1e2, 1e3), (1e1, 1e2, 1e2, 1e3), (1e3, 1e2, 1e1), (1e1, 1e2),
+], ids=["nan-0", "nan-1", "nan-2", "nan-3", "inf-last", "inf-inside",
+        "minus-inf", "zero", "repeated", "decreasing", "two-points"])
+def test_check_sweep_rejects_what_is_no_sweep(sweep):
+    with pytest.raises(DomainError, match=r"^sweep must be >= 3 positive, "
+                                          r"finite, increasing points$"):
+        check_sweep(sweep)
+
+
+def test_check_sweep_returns_the_sweep_as_floats():
+    got = check_sweep([1, 10, 10 ** 6])
+    assert got.dtype == float and got.tolist() == [1.0, 10.0, 1e6]
 
 
 def test_power_iteration_simple_spectra():

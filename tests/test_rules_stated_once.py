@@ -1,0 +1,88 @@
+"""Each shared rule is stated once: a stdlib-``ast`` scan of ``src/lclab``.
+
+The range of a solve tolerance, (0, 1e-6], is stated by
+``kernels.check_tol``, and what makes a coupling sweep by
+``kernels.check_sweep``; every solve, sweep and config check calls them.
+A comparison with the literal ``1e-6`` anywhere else, or the sweep
+message anywhere else, is a second copy of the rule that could drift
+from the first.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lclab"
+SWEEP_MESSAGE = "sweep must be >= 3"
+
+
+def _compares_with_tol_bound(node):
+    return isinstance(node, ast.Compare) and any(
+        isinstance(side, ast.Constant) and type(side.value) is float
+        and side.value == 1e-6 for side in (node.left, *node.comparators))
+
+
+def _states_sweep_message(node):
+    return (isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and SWEEP_MESSAGE in node.value)
+
+
+# the one home of each rule, ``module.function``, and how a copy looks
+RULES = {
+    "kernels.check_tol": ("a comparison with 1e-6", _compares_with_tol_bound),
+    "kernels.check_sweep": ("the sweep message", _states_sweep_message),
+}
+
+
+def _nodes(node, function=None):
+    """(name of the innermost enclosing function or None, node) for every
+    node below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = child.name
+        else:
+            inner = function
+        yield inner, child
+        yield from _nodes(child, inner)
+
+
+def restated_rules(package):
+    """``module.function: rule`` (``module: rule`` at module level) for
+    every statement of a rule of ``RULES`` outside its home, over the
+    modules of the directory ``package``."""
+    found = []
+    for path in sorted(Path(package).glob("*.py")):
+        for function, node in _nodes(ast.parse(path.read_text())):
+            where = f"{path.stem}.{function}" if function else path.stem
+            found += [f"{where}: {what}"
+                      for home, (what, states) in RULES.items()
+                      if where != home and states(node)]
+    return found
+
+
+def test_restated_rule_is_found(tmp_path):
+    (tmp_path / "kernels.py").write_text(
+        "def check_tol(tol):\n"
+        "    if not 0.0 < tol <= 1e-6:\n"
+        "        raise ValueError(tol)\n"
+        "def check_sweep(lambdas):\n"
+        '    raise ValueError("sweep must be >= 3 positive points")\n'
+        "def solve(tol):\n"
+        "    return tol > 1e-6, tol * 1e-6\n")
+    (tmp_path / "runner.py").write_text(
+        'LIMIT = 1e-6 >= 0 or "sweep must be >= 3 points"\n'
+        "def parse(values):\n"
+        "    def sweep(lambdas):\n"
+        '        raise KeyError(f"{lambdas}: sweep must be >= 3 points")\n'
+        '    return values["tol"] <= 1e-6, values["bound"] == 1e-06\n')
+    assert restated_rules(tmp_path) == [
+        "kernels.solve: a comparison with 1e-6",
+        "runner: a comparison with 1e-6",
+        "runner: the sweep message",
+        "runner.sweep: the sweep message",
+        "runner.parse: a comparison with 1e-6",
+        "runner.parse: a comparison with 1e-6",
+    ]
+
+
+def test_each_rule_is_stated_once():
+    assert restated_rules(PACKAGE) == []

@@ -14,6 +14,7 @@ from lclab.kernels import solve_tridiagonal
 from lclab.torus import TorusGrid
 
 ROOT = Path(__file__).resolve().parent.parent
+SWEEP_RULE = "sweep must be >= 3 positive, finite, increasing points"
 
 
 def _passes(config, art):
@@ -33,9 +34,9 @@ def _raises(config, art):
 
 
 def _report_all(monkeypatch, tmp_path, fakes):
-    # each fake run builds nothing, so its row's build returns no objects
+    # each fake run builds nothing, so its row has no parts
     monkeypatch.setattr(runner, "_TABLE", {
-        exp: (lambda config: (), run) for exp, run in fakes.items()})
+        exp: ((), run) for exp, run in fakes.items()})
     code = runner.main(["report-all", "--out", str(tmp_path)])
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["status"] == code
@@ -231,16 +232,16 @@ def test_grid_that_does_not_fit_is_a_config_error(tmp_path, capsys, exp,
 
 @pytest.mark.parametrize("exp, text, message", [
     ("rate1d", "[sweep]\nlambdas = 1e2, 1e3\n",
-     "sweep.lambdas: sweep must be >= 3 positive increasing points"),
+     f"sweep.lambdas: {SWEEP_RULE}"),
     ("rate2d", "[sweep]\nlambdas_2d = 1, 10, 100\n",
      "sweep.lambdas_2d: sweep must span at least three decades"),
     ("bounds", "[sweep]\nlambdas_torus = 1e2, 1e3\n",
-     "sweep.lambdas_torus: sweep must be >= 3 positive increasing points"),
+     f"sweep.lambdas_torus: {SWEEP_RULE}"),
     ("nbound", "[sweep]\nlambdas_torus = -1, 1e2, 1e3\n",
-     "sweep.lambdas_torus: sweep must be >= 3 positive increasing points"),
+     f"sweep.lambdas_torus: {SWEEP_RULE}"),
     # compose measures 1e5 past the torus sweep, which must stay below it
     ("compose", "[sweep]\nlambdas_torus = 1e2, 1e3, 1e4, 1e5\n",
-     "sweep.lambdas_torus: sweep must be >= 3 positive increasing points"),
+     f"sweep.lambdas_torus: {SWEEP_RULE}"),
 ], ids=["rate1d-two-points", "rate2d-two-decades", "bounds-two-points",
         "nbound-negative", "compose-past-1e5"])
 def test_sweep_the_run_rejects_is_a_config_error(tmp_path, capsys, exp,
@@ -254,17 +255,49 @@ def test_sweep_the_run_rejects_is_a_config_error(tmp_path, capsys, exp,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("exp, text, message", [
+    ("rate1d", "[sweep]\nlambdas = 1e2, 1e3, inf\n",
+     f"sweep.lambdas: {SWEEP_RULE}"),
+    ("report-all", "[sweep]\nlambdas = 1e2, 1e3, inf\n",
+     f"sweep.lambdas: {SWEEP_RULE}"),
+    ("rate1d", "[sweep]\nlambdas = nan, 1e3, 1e6\n",
+     f"sweep.lambdas: {SWEEP_RULE}"),
+    ("rate2d", "[sweep]\nlambdas_2d = 10, 1e3, inf\n",
+     f"sweep.lambdas_2d: {SWEEP_RULE}"),
+    ("bounds", "[sweep]\nlambdas_torus = 1e2, 1e3, nan\n",
+     f"sweep.lambdas_torus: {SWEEP_RULE}"),
+    ("nbound", "[sweep]\nlambdas_torus = 1e2, 1e3, inf\n",
+     f"sweep.lambdas_torus: {SWEEP_RULE}"),
+    ("green", "[sweep]\nlam = nan\n",
+     "sweep.lam: single-coupling experiments need lam >= 1"),
+    ("report-all", "[sweep]\nlam = inf\n",
+     "sweep.lam: single-coupling experiments need lam >= 1"),
+], ids=["rate1d-inf", "report-all-inf", "rate1d-nan", "rate2d-inf",
+        "bounds-nan", "nbound-inf", "green-lam-nan", "report-all-lam-inf"])
+def test_non_finite_coupling_is_a_config_error(tmp_path, capsys, exp, text,
+                                               message):
+    # a NaN or an infinite coupling is a config violation of its key, found
+    # before any experiment runs, never an error inside one
+    cfg = tmp_path / "couplings.ini"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert runner.main([exp, "--config", str(cfg), "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {message}")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("exp, text, messages", [
     ("rate1d", "[grid]\ncells_1d = 3\n[sweep]\nlambdas = 1e2, 1e3\n",
      ["grid.cells_1d: inclusion endpoints must land on grid nodes (6 cells)",
-      "sweep.lambdas: sweep must be >= 3 positive increasing points"]),
+      f"sweep.lambdas: {SWEEP_RULE}"]),
     ("rate2d", "[domain2d]\nradius = 0.7\n[sweep]\nlambdas_2d = 1, 10\n",
      ["grid.radial_ext, grid.angular: interface must be a grid ring",
-      "sweep.lambdas_2d: sweep must be >= 3 positive increasing points"]),
+      f"sweep.lambdas_2d: {SWEEP_RULE}"]),
     ("compose", "[grid]\ncompose_points = 100\n"
      "[sweep]\nlambdas_torus = 1e2, 1e3, 1e4, 1e5\n",
      ["grid.compose_points: points must be a power of two >= 8",
-      "sweep.lambdas_torus: sweep must be >= 3 positive increasing points"]),
+      f"sweep.lambdas_torus: {SWEEP_RULE}"]),
 ], ids=["rate1d", "rate2d", "compose"])
 def test_grid_violation_does_not_hide_the_sweep_violation(
         tmp_path, capsys, exp, text, messages):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lclab import (ConfigError, ContractError, Fit, TorusGrid,
+from lclab import (ConfigError, ContractError, DomainError, Fit, TorusGrid,
                    apply_multiplier, apply_psdo, default_composition_symbols,
                    dft, flat_ntd_symbol, idft, make_symbol,
                    ntd_bound_experiment, operator_bound_experiment,
@@ -155,13 +155,14 @@ def test_operator_bound_validates_inputs():
     with pytest.raises(ConfigError):
         operator_bound_experiment(GRID, flat_ntd_symbol(), -1.0, 0.5, 0.7,
                                   SWEEP)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError):
         operator_bound_experiment(GRID, flat_ntd_symbol(), -1.0, 0.5, -0.5,
                                   (1e2, 1e3))
 
 
 @pytest.mark.parametrize("sweep", [(1e2, 1e3), (1e3, 1e2, 1e4),
-                                   (0.0, 1e2, 1e3)])
+                                   (0.0, 1e2, 1e3), (1e2, 1e3, np.inf),
+                                   (np.nan, 1e2, 1e3)])
 def test_every_torus_sweep_is_checked(sweep):
     a, b, da, dxb = default_composition_symbols()
     for run in (lambda: operator_bound_experiment(
@@ -169,7 +170,8 @@ def test_every_torus_sweep_is_checked(sweep):
                 lambda: ntd_bound_experiment(GRID, (0.5,), sweep),
                 lambda: composition_error_experiment(
                     GRID, a, b, da, dxb, 1.0, -1.0, 0.5, sweep)):
-        with pytest.raises(ConfigError, match="3 positive increasing"):
+        with pytest.raises(DomainError,
+                           match="3 positive, finite, increasing"):
             run()
 
 
