@@ -5,6 +5,12 @@ be pushed onto the interface in four equivalent ways; two of them
 involve the interface operators (Neumann-to-Dirichlet map and the
 positive difference operator) in closed form.  On the 1D grid the
 residuals shrink at second order under refinement.
+
+The paper's nonlocal interface condition u = N gamma1 u closes the
+exterior problem on its own.  The solve takes it in flux form,
+gamma1 u = N^-1 u: the interior's exact Dirichlet-to-Neumann map -N^-1,
+which is positive, joins the exterior's half of each interface cell, so
+the exterior problem stays symmetric and tridiagonal.
 """
 
 import numpy as np
@@ -31,7 +37,8 @@ for cells in (512, 1024, 2048, 4096):
         cells, *row, ratios))
     previous = row
 
-print("\nthe nonlocal interface condition reproduces the coupled solve:")
+print("\nthe nonlocal interface condition, gamma1 u = N^-1 u, reproduces "
+      "the coupled solve:")
 grid = Grid1D(domain, 2048)
 f, _ = green_test_fields(grid)
 u_coupled = grid.restrict(grid.solve_coupled(lam, grid.extend(f)))

@@ -155,13 +155,18 @@ def trace_map_norm(grid, tol=DEFAULT_SOLVE_TOL):
 # interface difference operator on the circle
 
 
+def _check_circle_coupling(lam):
+    """Raise DomainError unless 1 <= lam < inf, which a NaN is not."""
+    if not 1.0 <= lam < math.inf:
+        raise DomainError(f"circle model expects 1 <= lam < inf, not {lam}")
+
+
 def circle_difference_eigenvalue(radius, lam, k):
     """Angular-mode eigenvalue of the interface difference operator on a
     circle: w_k = 1 / (|k|/R + sqrt((k/R)^2 + lam)), at one integer k (a
     ``float``) or elementwise over an integer array, each entry the
     scalar call's to the bit."""
-    if lam < 1:
-        raise DomainError("circle model expects lam >= 1")
+    _check_circle_coupling(lam)
     xi = np.abs(k) / radius
     w = 1.0 / (xi + np.sqrt(xi * xi + lam))
     return float(w) if np.ndim(k) == 0 else w
@@ -182,10 +187,11 @@ def counting_circle(radius, lam, mu):
     prefix, and the last four k are evaluated, with the enumeration's own
     expression; a mu whose confirmation fails is enumerated.
 
-    Raises ResourceLimitError if the band of any mu holds more than
-    CIRCLE_MODE_CAP modes: past it neither the margin nor the fallback
-    enumeration is bounded.
+    Raises DomainError unless 1 <= lam < inf, and ResourceLimitError if
+    the band of any mu holds more than CIRCLE_MODE_CAP modes: past it
+    neither the margin nor the fallback enumeration is bounded.
     """
+    _check_circle_coupling(lam)
     mus = np.asarray(mu, dtype=float)
     if not np.all(mus > 0):
         raise DomainError("needs mu > 0")
@@ -305,6 +311,7 @@ def circle_model_exponent_fit(radius, lam):
     the angular-mode eigenvalues is the ground truth, and the counts
     follow R/mu there, so the slope sits at -1 with no discretization
     noise."""
+    _check_circle_coupling(lam)
     mu_hi = 1.0 / (25.0 * math.sqrt(lam))
     mu_grid = np.geomspace(mu_hi, mu_hi / 10.0, FIT_POINTS)
     counts = counting_circle(radius, lam, mu_grid)

@@ -18,7 +18,7 @@ D the identity, so W = -N there.
 The interface identities (``green_identity_check``) and the nonlocal
 solve (``nonlocal_bc_solve``) work on the grid's tridiagonal blocks
 (``mode_bands``) through the grid's interface layout (``gamma_rows``,
-``row_measure``), on the interval and the disk alike.  The interface
+``ext_rows``), on the interval and the disk alike.  The interface
 operators come from one source, ``_interface_blocks``: one matrix per
 block, the exact 2x2 matrices on the interval and the flat circle
 multipliers per angular mode on the disk.  ``DifferencePipeline`` keeps
@@ -33,7 +33,7 @@ import numpy as np
 from .counting import difference_norms
 from .errors import DomainError, InconclusiveError
 from .kernels import (DEFAULT_SOLVE_TOL, check_sweep, loglog_fit,
-                      power_iteration_sym, solve_bordered_tridiagonal)
+                      power_iteration_sym, solve_tridiagonal)
 
 MIN_RATE_R_SQUARED = 0.95
 THRESHOLD_REL_TOL = 1e-3
@@ -289,36 +289,47 @@ def green_test_fields(grid):
 # exterior solve under the nonlocal interface condition
 
 
-def nonlocal_bc_solve(grid, lam, f_ext, tol=DEFAULT_SOLVE_TOL):
-    """Exterior solve closed by u = N (gamma1 u) on the interface.
-
-    Per block of ``grid.mode_bands``, the unknowns are the exterior and
-    interface rows (on the interval one chain 0 .. a1, a2 .. L whose
-    Laplacian is cut between a1 and a2; on the disk the rings R .. R_out
-    of one angular mode).  The exterior rows are the block's over the
-    row measure; the interface rows are I - N gamma1, with N the block
-    NtD of ``_interface_blocks`` and gamma1 the grid's exterior stencil on
-    ``gamma_rows``, so on the interval they couple both interface points.
-    ``kernels.solve_bordered_tridiagonal`` solves every block with these
-    dense rows; the normwise backward error of every whole matrix must
-    not exceed ``tol``.
-    """
-    stencil = grid.gamma1_stencil("exterior")[0]
+def _exterior_half_bands(grid):
+    """The lam = 0 ``grid.mode_bands`` on the exterior and interface rows,
+    each interface row cut to its exterior half cell, as (rows, at,
+    bands) with ``at`` the places of ``gamma_rows[:, 0]`` in ``rows``.
+    Every grid splits the interface cell evenly, so that half is (diag +
+    c_ext - c_int) / 2, with c_ext and c_int the conductances of the
+    links out and in; the link in is cut."""
+    gamma = grid.gamma_rows[:, 0]
     keep = np.zeros(grid.row_measure.size, dtype=bool)
-    keep[grid.ext_rows] = keep[grid.gamma_rows[:, 0]] = True
+    keep[grid.ext_rows] = keep[gamma] = True
     rows = np.flatnonzero(keep)
-    # the stencil rows of each interface row, as positions among ``rows``
-    at = (np.cumsum(keep) - 1)[grid.gamma_rows]
-    lower, diag, upper = (band[:, rows] / grid.row_measure[rows]
-                          for band in grid.mode_bands())
+    at = np.cumsum(keep)[gamma] - 1
+    bands = lower, diag, upper = [band[:, rows] for band in grid.mode_bands()]
+    for row, up in zip(at, grid.gamma_rows[:, 1] > gamma):
+        out, inner = (upper, lower) if up else (lower, upper)  # they hold -c
+        diag[:, row] = (diag[:, row] - out[:, row] + inner[:, row]) / 2
+        inner[:, row] = 0.0
+    return rows, at, bands
+
+
+def nonlocal_bc_solve(grid, lam, f_ext, tol=DEFAULT_SOLVE_TOL):
+    """Exterior solve closed by u = N (gamma1 u) on the interface, taken
+    in flux form gamma1 u = N^{-1} u: per block of ``grid.mode_bands``,
+    ``_exterior_half_bands`` plus the interior's exact DtN -N^{-1} (N the
+    block NtD of ``_interface_blocks``) on the interface rows, weighed by
+    ``gamma_weights``.  -N^{-1} is positive, so every block is symmetric
+    positive definite and tridiagonal: on the interval the two interface
+    rows are neighbours among the kept rows.  One ``solve_tridiagonal``
+    call solves and checks every whole block, interface rows included.
+    """
+    rows, at, (lower, diag, upper) = _exterior_half_bands(grid)
     ntd = _interface_blocks(grid, lam)[0]
-    border = np.zeros(ntd.shape[:2] + (rows.size,))
-    border[:, :, at] = -ntd[..., None] * stencil
-    border[:, np.arange(len(at)), at[:, 0]] += 1.0
+    # both grids weigh every interface node alike
+    dtn = -grid.gamma_weights[0] * np.linalg.inv(ntd)
+    diag[:, at] += np.diagonal(dtn, axis1=1, axis2=2)
+    if at.size == 2:  # the interval's, where the links in were cut
+        upper[:, at[0]], lower[:, at[1]] = dtn[:, 0, 1], dtn[:, 1, 0]
     # the rows left out keep their zero data
-    coeffs = grid.to_modes(grid.extend(f_ext))
-    coeffs[..., rows] = solve_bordered_tridiagonal(
-        lower, diag, upper, border, at[:, 0], coeffs[..., rows], tol=tol)
+    coeffs = grid.to_modes(grid.w_full * grid.extend(f_ext))
+    coeffs[..., rows] = solve_tridiagonal(lower, diag, upper,
+                                          coeffs[..., rows], tol=tol)
     return grid.restrict(grid.from_modes(coeffs))
 
 

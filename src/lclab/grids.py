@@ -32,7 +32,7 @@ and the interior Neumann assembly.  A geometry (``Grid1D``,
     builds its nodal ``w_full`` and ``pot_measure`` on first use too);
   * ``_links(interior)``: the (i, j, c) conductance arrays of the whole
     grid, or of the closed inclusion alone in the numbering of
-    ``int_idx``, whose interface cells are halved;
+    ``int_idx``, whose interface cells are halved: each side owns half;
   * ``_layer(side, k)`` and ``normal_step``: the nodes k steps off the
     interface along its normal and their spacing, from which the one
     gamma1 stencil of every consumer is built;
@@ -159,7 +159,6 @@ class _Grid:
         Raises unless both sides have the gamma1 stencil's two layers."""
         for side in ("exterior", "interior"):
             self.gamma1_stencil(side)
-        self._stiffness_matrix = None
         *self._bands, self._band_potential = self._band_parts()
         for band in self._bands:
             band.flags.writeable = False
@@ -169,14 +168,11 @@ class _Grid:
         """The cell measures of the open exterior, taken on first use."""
         return self.w_full[self.ext_idx]
 
-    @property
+    @cached_property
     def _stiffness(self):
         """The sparse stiffness of the whole grid, assembled on first use:
         the disk's angular-mode consumers never need it."""
-        if self._stiffness_matrix is None:
-            self._stiffness_matrix = _assemble_from_links(self.n_nodes,
-                                                          *self._links())
-        return self._stiffness_matrix
+        return _assemble_from_links(self.n_nodes, *self._links())
 
     # -- index plumbing -----------------------------------------------------
 

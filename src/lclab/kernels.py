@@ -1,7 +1,7 @@
 """Linear-algebra kernels: SPD solves, batched tridiagonal solves by
-cyclic reduction and their band products, bordered tridiagonal solves,
-power iteration, dense symmetric spectra, and the one log-log ``Fit``
-behind every fitted slope of the lab.
+cyclic reduction and their band products, power iteration, dense
+symmetric spectra, and the one log-log ``Fit`` behind every fitted slope
+of the lab.
 
 Sparse and dense work is delegated to LAPACK via numpy/scipy, and the
 tridiagonal batches are reduced level by level in numpy; every kernel
@@ -10,12 +10,11 @@ the fact so downstream experiments never consume a silently bad solve.
 Two rules that several modules hold to are stated here once:
 ``check_tol``, the range of a solve tolerance, and ``check_sweep``, what
 makes a coupling sweep.
-The experiments run on the tridiagonal kernels alone; the nonlocal
-solve is a batch of tridiagonal blocks, each with dense interface rows,
-closed by a Woodbury correction of the rank of its border.  The sparse
-SPD path, one sparse LU for every matrix, serves the tests as an
-oracle.  It imports ``scipy.sparse`` inside the functions that use it,
-so importing the lab loads no scipy; no experiment uses it.
+The experiments run on the one tridiagonal kernel alone, the nonlocal
+solve included.  The sparse SPD path, one sparse LU for every matrix,
+serves the tests as an oracle.  It imports ``scipy.sparse`` inside the
+functions that use it, so importing the lab loads no scipy; no
+experiment uses it.
 """
 
 from dataclasses import dataclass
@@ -135,16 +134,6 @@ def tridiagonal_apply(lower, diag, upper, x):
     return ax
 
 
-def _row_sums(lower, diag, upper):
-    """Absolute row sums of a tridiagonal batch; their maximum is its
-    inf-norm."""
-    row_sums = np.abs(diag)
-    part = np.abs(lower[..., 1:])
-    row_sums[..., 1:] += part
-    row_sums[..., :-1] += np.abs(upper[..., :-1], out=part)
-    return row_sums
-
-
 def _norms(v):
     """2-norms along the last axis, as dot products.  einsum does not
     conjugate, so a complex ``v`` sums its real and imaginary parts."""
@@ -166,9 +155,14 @@ def _normwise_error(ax, norm_inf, x, rhs):
 
 def tridiagonal_backward_error(lower, diag, upper, x, rhs):
     """Normwise backward error, as in ``backward_error``, of every system
-    of a tridiagonal batch (see ``solve_tridiagonal``); one per system."""
-    return _normwise_error(tridiagonal_apply(lower, diag, upper, x),
-                           _row_sums(lower, diag, upper).max(axis=-1), x, rhs)
+    of a tridiagonal batch (see ``solve_tridiagonal``); one per system.
+    The largest absolute row sum of each system is its inf-norm."""
+    ax = tridiagonal_apply(lower, diag, upper, x)
+    row_sums = np.abs(diag)
+    part = np.abs(lower[..., 1:])
+    row_sums[..., 1:] += part
+    row_sums[..., :-1] += np.abs(upper[..., :-1], out=part)
+    return _normwise_error(ax, row_sums.max(axis=-1), x, rhs)
 
 
 def solve_tridiagonal(lower, diag, upper, rhs, tol=DEFAULT_SOLVE_TOL):
@@ -197,60 +191,6 @@ def solve_tridiagonal(lower, diag, upper, rhs, tol=DEFAULT_SOLVE_TOL):
         x = _cyclic_reduction(-lower, diag, -upper, rhs)
         residual = tridiagonal_backward_error(lower, diag, upper, x, rhs)
     _check_backward_error("tridiagonal", residual, tol)
-    return x
-
-
-def bordered_backward_error(lower, diag, upper, rows, at, x, rhs):
-    """Normwise backward error of every system of a bordered batch (see
-    ``solve_bordered_tridiagonal``), one per system: the tridiagonal
-    matrix whose rows ``at`` are the dense ``rows``, borders included."""
-    ax = tridiagonal_apply(lower, diag, upper, x)
-    ax[:, at] = (rows @ x[..., None])[..., 0]
-    row_sums = _row_sums(lower, diag, upper)
-    row_sums[:, at] = np.abs(rows).sum(axis=-1)
-    return _normwise_error(ax, row_sums.max(axis=-1), x, rhs)
-
-
-def solve_bordered_tridiagonal(lower, diag, upper, rows, at, rhs,
-                               tol=DEFAULT_SOLVE_TOL):
-    """Solve a batch of tridiagonal systems whose rows ``at`` are replaced
-    by dense rows: the bands have the shape (systems, n), ``rows`` the
-    shape (systems, len(at), n) and ``rhs``, which may be complex, the
-    shape (systems, n).
-
-    In each system T is the tridiagonal matrix with unit rows at ``at``
-    and V the dense rows less those units, so the matrix is T + U V with
-    U the unit columns at ``at``, and the Woodbury identity closes it:
-
-        x = y - Z (I + V Z)^-1 V y,   with T [y, Z] = [rhs, U].
-
-    The data and the unit loads of every system are one batched cyclic
-    reduction.  Unit rows, rather than the band entries of ``rows``, keep
-    T the matrix with Dirichlet rows at ``at``, so an ill-conditioned
-    border stays in the small dense system.  The normwise backward error
-    of every whole matrix (``bordered_backward_error``) must not exceed
-    ``tol``; ConvergenceError carries the worst.
-    """
-    check_tol(tol)
-    bands = tuple(np.array(band, dtype=float)
-                  for band in (lower, diag, upper))
-    rows, at = np.asarray(rows, dtype=float), np.asarray(at)
-    rhs = np.asarray(rhs)
-    systems, k, n = rows.shape
-    units = np.zeros((k, n))
-    units[np.arange(k), at] = 1.0
-    for band, unit in zip(bands, (0.0, 1.0, 0.0)):
-        band[:, at] = unit
-    loads = np.concatenate(
-        [rhs[None], np.broadcast_to(units[:, None], (k, systems, n))])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        y = _cyclic_reduction(-bands[0], bands[1], -bands[2], loads)
-        z = np.moveaxis(y[1:], 0, -1)
-        border = rows - units
-        x = y[0] - (z @ np.linalg.solve(np.eye(k) + border @ z,
-                                        border @ y[0][..., None]))[..., 0]
-        residual = bordered_backward_error(*bands, rows, at, x, rhs)
-    _check_backward_error("bordered tridiagonal", residual, tol)
     return x
 
 

@@ -590,8 +590,9 @@ def run_experiment(config, out_dir=None, dump_matrices=False):
 
     Every experiment runs whatever the others did; its verdict ("pass",
     "fail", "inconclusive" or "error: <message>") goes under
-    ``experiments`` in ``summary.json``.  Returns (exit_code, summary):
-    1 if any failed or raised a LabError, else 2 if any was
+    ``experiments`` in ``summary.json``; an exception other than a
+    LabError is recorded as "error: <type>: <message>".  Returns
+    (exit_code, summary): 1 if any failed or raised, else 2 if any was
     inconclusive, else 0.
     """
     name = config["experiment.name"]
@@ -606,9 +607,14 @@ def run_experiment(config, out_dir=None, dump_matrices=False):
         except InconclusiveError as err:
             print(f"[INCONCLUSIVE] {exp}: {err}")
             verdicts[exp] = "inconclusive"
-        except LabError as err:
-            print(f"[ERROR] {exp}: {err}", file=sys.stderr)
-            verdicts[exp] = f"error: {err}"
+        except Exception as err:  # a fault in one run spares the others
+            text = (str(err) if isinstance(err, LabError)
+                    else f"{type(err).__name__}: {err}")
+            print(f"[ERROR] {exp}: {text}", file=sys.stderr)
+            if not isinstance(err, LabError):  # a program fault: show where
+                import traceback
+                traceback.print_exc()
+            verdicts[exp] = f"error: {text}"
     outcomes = {v.split(":")[0] for v in verdicts.values()}
     status = 1 if outcomes & {"fail", "error"} \
         else 2 if "inconclusive" in outcomes else 0

@@ -145,7 +145,7 @@ def test_mode_engine_matches_generic_paths(disk_domain, nr_ext, ntheta):
     eigs = eigen_spectrum(grid, LAM)
     s_norm = trace_map_norm(grid)
     # the angular modes never need the 2-D sparse stiffness
-    assert grid._stiffness_matrix is None
+    assert "_stiffness" not in vars(grid)
     oracle = schur_spectrum(grid, LAM)
     assert eigs.shape == (ntheta,)
     assert np.abs(eigs - oracle).max() <= 1e-12 * oracle.max()
@@ -444,10 +444,25 @@ def test_counting_function_is_strict_and_needs_positive_mu():
             counting_circle(1.0, 1e3, bad)
     with pytest.raises(DomainError):
         counting_circle(1.0, 1e3, [1e-2, np.nan])
-    # the circle model needs lam >= 1 once some mu has a band to count
-    assert counting_circle(1.0, 0.5, 5.0) == 0
-    with pytest.raises(DomainError):
-        counting_circle(1.0, 0.5, [5.0, 0.1])
+    # the circle model needs 1 <= lam < inf, whether or not some mu has a
+    # band to count
+    for mu in (5.0, [5.0, 0.1]):
+        with pytest.raises(DomainError):
+            counting_circle(1.0, 0.5, mu)
+
+
+@pytest.mark.parametrize("lam", [np.nan, np.inf, 0.5])
+def test_circle_model_rejects_a_coupling_outside_one_to_inf(lam):
+    # a NaN passes a plain lam < 1 test, and an infinite one reached
+    # np.geomspace in the exponent fit as a bare ValueError
+    for call in (lambda: circle_difference_eigenvalue(1.0, lam, 3),
+                 lambda: circle_difference_eigenvalue(1.0, lam,
+                                                      np.arange(4)),
+                 lambda: counting_circle(1.0, lam, 0.01),
+                 lambda: counting_circle(1.0, lam, [5.0, 0.01]),
+                 lambda: circle_model_exponent_fit(1.0, lam)):
+        with pytest.raises(DomainError, match="1 <= lam < inf"):
+            call()
 
 
 def looped_violations(eig1, t2_diag):

@@ -3,18 +3,17 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
+import scipy.linalg
+import scipy.sparse
 
 from lclab import (ContractError, ConvergenceError, DifferencePipeline,
                    Domain1D, DomainError, Fit, Grid1D, InconclusiveError,
-                   convergence_rate_fit, convergence_rate_fit_exact_1d,
-                   counting_zero_threshold, coupling, difference_matrix_1d,
-                   difference_norm_exact_1d, exterior_gram_1d,
-                   green_identity_check, green_test_fields, kernels,
-                   nonlocal_bc_solve, ntd_matrix_1d)
+                   PolarGrid, convergence_rate_fit,
+                   convergence_rate_fit_exact_1d, counting_zero_threshold,
+                   coupling, difference_matrix_1d, difference_norm_exact_1d,
+                   exterior_gram_1d, green_identity_check, green_test_fields,
+                   kernels, nonlocal_bc_solve, ntd_matrix_1d)
 from lclab.coupling import THRESHOLD_REL_TOL
-
-from conftest import gamma1_matrix
 
 LAMBDAS = (1e2, 1e3, 1e4, 1e5, 1e6)
 # the sparse oracle refines its solves to this backward error: at the
@@ -321,18 +320,17 @@ def test_nonlocal_solve_rejects_tolerance_outside_contract(grid1d,
 @pytest.mark.parametrize("grid_name", ["grid1d", "polar_grid"])
 def test_nonlocal_solve_checks_its_backward_error(grid_name, request,
                                                   monkeypatch):
-    # the check covers every whole bordered block, interface rows
-    # included; on the disk the interface rows are not symmetric and the
-    # solve does not pivot, at every coupling
+    # one tridiagonal solve, whose check covers every whole block,
+    # interface rows included, at every coupling
     grid = request.getfixturevalue(grid_name)
     f, _ = green_test_fields(grid)
-    original, seen = kernels.bordered_backward_error, []
+    original, seen = kernels.tridiagonal_backward_error, []
 
     def spy(*args, **kwargs):
         seen.append(original(*args, **kwargs))
         return seen[-1]
 
-    monkeypatch.setattr(kernels, "bordered_backward_error", spy)
+    monkeypatch.setattr(kernels, "tridiagonal_backward_error", spy)
     lambdas = (1.0, 1e3, 1e6)
     for lam in lambdas:
         nonlocal_bc_solve(grid, lam, f)
@@ -345,25 +343,73 @@ def test_nonlocal_solve_checks_its_backward_error(grid_name, request,
     assert info.value.residual == seen[-1].max() > 1e-30
 
 
+def _nonlocal_grids(domain1d, disk_domain):
+    return [Grid1D(domain1d, 64), Grid1D(domain1d, 1024),
+            PolarGrid(disk_domain, 16, 32), PolarGrid(disk_domain, 32, 64)]
+
+
+def test_exterior_half_bands_keep_the_exterior_half_cell(domain1d,
+                                                         disk_domain):
+    # read from the bands, the interface rows keep the half cell
+    # assembled from the links to the exterior: 1/h on the interval,
+    # c_rad + alpha_k c_ang / 2 per angular mode on the disk; their links
+    # in are cut, and every other entry is the lam = 0 band's
+    for grid in _nonlocal_grids(domain1d, disk_domain):
+        rows, at, bands = coupling._exterior_half_bands(grid)
+        lower, diag, upper = want = [band[:, rows]
+                                     for band in grid.mode_bands()]
+        if grid.dim == 1:
+            diag[:, at] = 1.0 / grid.h
+            upper[:, at[0]] = lower[:, at[1]] = 0.0
+        else:
+            g = grid.nr_int
+            alpha = 2.0 * (1.0 - np.cos(grid.modes * grid.htheta))
+            diag[:, at[0]] = (grid.radial_conductance[g]
+                              + alpha * grid.angular_conductance[g] / 2)
+            lower[:, at[0]] = 0.0
+        for got, expected in zip(bands, want):
+            assert np.allclose(got, expected, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("lam", [1e3, 1e6])
+def test_nonlocal_solve_is_symmetric_in_the_exterior_weights(
+        domain1d, disk_domain, rng, lam):
+    # (R f, g)_w = (f, R g)_w: the flux form makes every block symmetric
+    for grid in _nonlocal_grids(domain1d, disk_domain):
+        f, g = rng.standard_normal((2, grid.ext_idx.size))
+        rf, rg = (nonlocal_bc_solve(grid, lam, v) for v in (f, g))
+        scale = (math.sqrt(grid.inner_ext(rf, rf) * grid.inner_ext(g, g))
+                 + math.sqrt(grid.inner_ext(f, f) * grid.inner_ext(rg, rg)))
+        gap = abs(grid.inner_ext(rf, g) - grid.inner_ext(f, rg))
+        assert gap <= 1e-13 * scale
+
+
 def _eliminated_nonlocal_polar(grid, lam, f_ext):
-    """Oracle: the disk's nonlocal solve per angular mode, the interface
-    row u = n_k gamma1 u rid of the stencil's third entry by the first
-    exterior row, so that every mode is one tridiagonal system."""
+    """Oracle: the disk's nonlocal solve per angular mode, assembled from
+    the ring coefficients: rings R .. R_out, the interface ring keeping
+    its exterior half cell c_rad + alpha_k c_ang / 2 plus R htheta
+    sqrt((k/R)^2 + lam), each mode one banded solve."""
     g, nth = grid.nr_int, grid.ntheta
-    lower, diag, upper = (band[:, g:] / grid.row_measure[g:]
-                          for band in grid.mode_bands())
-    rhs = np.zeros(diag.shape, dtype=complex)
-    rhs[:, 1:] = np.fft.rfft(np.asarray(f_ext, dtype=float).reshape(
-        grid.nr_ext, nth), axis=1).T
-    stencil = grid.gamma1_stencil("exterior")[0]
-    n_k = -1.0 / np.sqrt((grid.modes / grid.r_inc) ** 2 + lam)
-    row = -n_k[:, None] * stencil
-    row[:, 0] += 1.0
-    factor = row[:, 2] / upper[:, 1]
-    diag[:, 0] = row[:, 0] - factor * lower[:, 1]
-    upper[:, 0] = row[:, 1] - factor * diag[:, 1]
-    rhs[:, 0] = -factor * rhs[:, 1]
-    out = kernels.solve_tridiagonal(lower, diag, upper, rhs)
+    c_rad = grid.radial_conductance[g:]
+    c_ang = grid.angular_conductance[g:].copy()
+    c_ang[0] /= 2.0
+    alpha = 2.0 * (1.0 - np.cos(grid.modes * grid.htheta))
+    links = np.zeros(c_ang.size)
+    links[:-1] += c_rad
+    links[1:] += c_rad
+    rhs = np.zeros((grid.modes.size, c_ang.size), dtype=complex)
+    rhs[:, 1:] = (grid.row_measure[g + 1:] * np.fft.rfft(
+        np.asarray(f_ext, dtype=float).reshape(grid.nr_ext, nth),
+        axis=1).T)
+    out = np.empty_like(rhs)
+    for k, a in enumerate(alpha):
+        diag = links + a * c_ang
+        diag[0] += grid.r_inc * grid.htheta * np.sqrt(
+            (grid.modes[k] / grid.r_inc) ** 2 + lam)
+        banded = np.zeros((3, c_ang.size))
+        banded[0, 1:] = banded[2, :-1] = -c_rad
+        banded[1] = diag
+        out[k] = scipy.linalg.solve_banded((1, 1), banded, rhs[k])
     return np.fft.irfft(out[:, 1:].T, n=nth, axis=1).ravel()
 
 
@@ -375,21 +421,28 @@ def test_nonlocal_polar_matches_per_mode_elimination(polar_grid):
 
 
 def _spsolve_nonlocal(grid, lam, f_ext):
-    """Oracle: the 1D nonlocal solve as one sparse matrix, the stiffness
-    rows over the cell measures with the two I - N gamma1 rows written
-    in, solved by sparse LU."""
+    """Oracle: the 1D nonlocal solve as one sparse matrix on the exterior
+    and interface nodes, assembled from the links whose two ends are both
+    kept, with the exact DtN -N^{-1} written in on the interface rows,
+    solved by the sparse LU of ``kernels.solve_spd``, refined to
+    ``ORACLE_TOL``.  At lam = 1 on 1,024 cells (condition number 7e6)
+    the plain LU stops 4.4e-12 from an extended-precision solve, the
+    refined one 1.1e-13 and the band route 1.9e-14."""
     nodes = np.union1d(grid.ext_idx, grid.interface_idx)
+    i, j, c = grid._links()
+    kept = np.isin(i, nodes) & np.isin(j, nodes)
+    i, j, c = (np.searchsorted(nodes, i[kept]),
+               np.searchsorted(nodes, j[kept]), c[kept])
     gamma = np.searchsorted(nodes, grid.interface_idx)
-    mat = grid._stiffness[nodes][:, nodes]
-    mat.data /= np.repeat(grid.w_full[nodes], np.diff(mat.indptr))
-    n_mat = ntd_matrix_1d(lam, grid.domain.inclusion_length)
-    rows = -n_mat @ gamma1_matrix(grid, "exterior")[:, nodes].toarray()
-    rows[[0, 1], gamma] += 1.0
-    mat = mat.tolil()
-    mat[gamma] = rows
+    dtn = -np.linalg.inv(ntd_matrix_1d(lam, grid.domain.inclusion_length))
+    mat = scipy.sparse.coo_matrix(
+        (np.concatenate([c, c, -c, -c, dtn.ravel()]),
+         (np.concatenate([i, j, i, j, np.repeat(gamma, 2)]),
+          np.concatenate([i, j, j, i, np.tile(gamma, 2)]))),
+        shape=(nodes.size, nodes.size))
     out = np.zeros(grid.n_nodes)
-    out[nodes] = scipy.sparse.linalg.spsolve(mat.tocsr(),
-                                             grid.extend(f_ext)[nodes])
+    out[nodes] = kernels.solve_spd(
+        mat.tocsr(), (grid.w_full * grid.extend(f_ext))[nodes], ORACLE_TOL)
     return grid.restrict(out)
 
 

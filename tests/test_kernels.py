@@ -10,8 +10,7 @@ import scipy.sparse as sp
 from lclab import (ContractError, ConvergenceError, Fit, dense_eigen,
                    kernels, loglog_fit, power_iteration_sym, solve_spd)
 from lclab.errors import DomainError, ResourceLimitError
-from lclab.kernels import (check_sweep, solve_bordered_tridiagonal,
-                           solve_tridiagonal, tridiagonal_apply)
+from lclab.kernels import check_sweep, solve_tridiagonal, tridiagonal_apply
 
 
 def random_spd(rng, n=50):
@@ -180,39 +179,6 @@ def test_tridiagonal_apply_matches_dense_product(rng):
         assert np.allclose(ax[:, b], x[:, b] @ dense.T, rtol=1e-14)
 
 
-@pytest.mark.parametrize("at", [[0, 1], [3, 4], [5, 11], [0, 11]])
-def test_bordered_solve_matches_dense_solve(rng, at):
-    # a batch of three systems, complex data, dense rows anywhere, the
-    # chain's ends included
-    systems, n = 3, 12
-    lower, diag, upper = _random_bands(rng, systems, n)
-    at = np.array(at)
-    rows = rng.standard_normal((systems, 2, n))
-    rows[:, [0, 1], at] += 12.0
-    dense = np.stack([_dense(*bands) for bands in zip(lower, diag, upper)])
-    dense[:, at] = rows
-    rhs = rng.standard_normal((systems, n)) \
-        + 1j * rng.standard_normal((systems, n))
-    x = solve_bordered_tridiagonal(lower, diag, upper, rows, at, rhs)
-    assert x.shape == rhs.shape and x.dtype == complex
-    want = np.linalg.solve(dense, rhs[..., None])[..., 0]
-    assert np.allclose(x, want, rtol=1e-13, atol=1e-13)
-    # the check measures every whole matrix: its norm includes the rows
-    off = x + 1e-3 * rng.standard_normal((systems, n))
-    expected = [np.linalg.norm(a @ o - b) / (
-        np.abs(a).sum(axis=1).max() * np.linalg.norm(o) + np.linalg.norm(b))
-        for a, o, b in zip(dense, off, rhs)]
-    assert kernels.bordered_backward_error(
-        lower, diag, upper, rows, at, off, rhs) == pytest.approx(expected,
-                                                                 rel=1e-12)
-    with pytest.raises(ContractError):
-        solve_bordered_tridiagonal(lower, diag, upper, rows, at, rhs, tol=0.0)
-    with pytest.raises(ConvergenceError) as info:
-        solve_bordered_tridiagonal(lower, diag, upper, rows, at, rhs,
-                                   tol=1e-30)
-    assert info.value.residual > 1e-30
-
-
 def _normwise_error_oracle(ax, row_sums, x, rhs):
     """Oracle: the backward error from ``np.linalg.norm``, one per system."""
     scale = (row_sums.max(axis=-1) * np.linalg.norm(x, axis=-1)
@@ -251,18 +217,6 @@ def test_backward_errors_match_the_norm_formula(rng, dtype):
         got = kernels.tridiagonal_backward_error(lower, diag, upper, x, rhs)
         assert got.shape == want.shape == x_shape[:-1]
         assert np.allclose(got, want, rtol=1e-12, atol=0.0)
-    # the bordered check on one lam's systems, its rows in the norm
-    at = np.array([2, 9])
-    rows = rng.standard_normal((lower.shape[0], at.size, n))
-    bordered = dense[0].copy()
-    bordered[:, at] = rows
-    x = _random_like(rng, diag.shape[1:], dtype)
-    rhs = _random_like(rng, diag.shape[1:], dtype)
-    want = _normwise_error_oracle((bordered @ x[..., None])[..., 0],
-                                  np.abs(bordered).sum(axis=-1), x, rhs)
-    got = kernels.bordered_backward_error(lower, diag[0], upper, rows, at,
-                                          x, rhs)
-    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -273,14 +227,9 @@ def test_backward_errors_stay_nan_at_a_zero_pivot(rng, dtype):
     with np.errstate(divide="ignore", invalid="ignore"):
         x = kernels._cyclic_reduction(-lower, diag, -upper, rhs)
         got = kernels.tridiagonal_backward_error(lower, diag, upper, x, rhs)
-        at = np.array([4])
-        rows = rng.standard_normal((3, 1, 9))
-        bordered = kernels.bordered_backward_error(lower, diag, upper, rows,
-                                                   at, x, rhs)
     assert np.isnan(x[1]).all() and np.isfinite(x[[0, 2]]).all()
-    for residual in (got, bordered):
-        assert np.isnan(residual[1])
-        assert np.isfinite(residual[[0, 2]]).all()
+    assert np.isnan(got[1])
+    assert np.isfinite(got[[0, 2]]).all()
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -290,15 +239,6 @@ def test_solves_leave_their_inputs_unchanged(rng, dtype):
     inputs = (lower, diag, upper, rhs)
     before = [a.tobytes() for a in inputs]
     solve_tridiagonal(lower, diag, upper, rhs)
-    assert [a.tobytes() for a in inputs] == before
-    lower, diag, upper = _random_bands(rng, 3, 12)
-    at = np.array([0, 5])
-    rows = rng.standard_normal((3, 2, 12))
-    rows[:, [0, 1], at] += 12.0
-    rhs = _random_like(rng, diag.shape, dtype)
-    inputs = (lower, diag, upper, rows, at, rhs)
-    before = [a.tobytes() for a in inputs]
-    solve_bordered_tridiagonal(lower, diag, upper, rows, at, rhs)
     assert [a.tobytes() for a in inputs] == before
 
 
@@ -310,20 +250,11 @@ def _solve_case(rng, name):
         return lambda tol: solve_spd(mat, rhs, tol=tol), "backward_error"
     lower, diag, upper = _random_bands(rng, 3, 12)
     rhs = rng.standard_normal(diag.shape)
-    if name == "tridiagonal":
-        return (lambda tol: solve_tridiagonal(lower, diag, upper, rhs,
-                                              tol=tol),
-                "tridiagonal_backward_error")
-    at = np.array([0, 5])
-    rows = rng.standard_normal((3, 2, 12))
-    rows[:, [0, 1], at] += 12.0
-    return (lambda tol: solve_bordered_tridiagonal(lower, diag, upper, rows,
-                                                   at, rhs, tol=tol),
-            "bordered_backward_error")
+    return (lambda tol: solve_tridiagonal(lower, diag, upper, rhs, tol=tol),
+            "tridiagonal_backward_error")
 
 
-@pytest.mark.parametrize("name", ["SPD", "tridiagonal",
-                                  "bordered tridiagonal"])
+@pytest.mark.parametrize("name", ["SPD", "tridiagonal"])
 def test_every_solve_holds_one_tolerance_contract(rng, monkeypatch, name):
     solve, checked = _solve_case(rng, name)
     work = []

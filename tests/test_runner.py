@@ -33,6 +33,10 @@ def _raises(config, art):
     raise ConvergenceError("solve diverged")
 
 
+def _breaks(config, art):
+    raise ValueError("not a lab error")
+
+
 def _report_all(monkeypatch, tmp_path, fakes):
     # each fake run builds nothing, so its row has no parts
     monkeypatch.setattr(runner, "_TABLE", {
@@ -67,6 +71,20 @@ def test_failure_or_error_exits_one_and_outranks_inconclusive(
         {"a": _inconclusive, "b": culprit, "c": _passes})
     assert code == 1
     assert verdicts == {"a": "inconclusive", "b": verdict, "c": "pass"}
+
+
+def test_any_exception_is_an_error_verdict_and_later_experiments_run(
+        monkeypatch, tmp_path, capsys):
+    # a fault other than a LabError no longer aborts report-all: its
+    # verdict names the type, and summary.json is still written
+    code, verdicts = _report_all(monkeypatch, tmp_path,
+                                 {"a": _breaks, "b": _passes})
+    assert code == 1
+    assert verdicts == {"a": "error: ValueError: not a lab error",
+                        "b": "pass"}
+    err = capsys.readouterr().err
+    assert "[ERROR] a: ValueError: not a lab error" in err
+    assert "Traceback" in err and "in _breaks" in err
 
 
 def test_check_gates_on_inclusive_windows_and_bounds(tmp_path, capsys):
