@@ -35,8 +35,7 @@ import numpy as np
 from .errors import (ContractError, DomainError, InconclusiveError,
                      ResourceLimitError)
 # solve_spd stays bound here: bench/tracing.py wraps every binding site
-from .kernels import (DEFAULT_SOLVE_TOL, loglog_fit, solve_spd,  # noqa: F401
-                      solve_tridiagonal)
+from .kernels import loglog_fit, solve_spd, solve_tridiagonal  # noqa: F401
 
 CIRCLE_MODE_CAP = 10 ** 7  # widest mode band 1..top counting_circle takes
 FIT_POINTS = 11            # geometric mu per counting-law decade
@@ -58,15 +57,15 @@ def counting_function(eigenvalues, mu):
     return int(counts) if counts.ndim == 0 else counts
 
 
-def eigen_spectrum(grid, lam, tol=DEFAULT_SOLVE_TOL):
+def eigen_spectrum(grid, lam):
     """Nonzero spectrum of the resolvent difference E_lam, ascending: the
     one row of ``eigen_spectra`` at the scalar ``lam``.  It takes one lam
     only: the benchmark's tracer wraps it and reads its result as one
     spectrum.  A sweep goes to ``eigen_spectra``."""
-    return eigen_spectra(grid, [lam], tol=tol)[0]
+    return eigen_spectra(grid, [lam])[0]
 
 
-def eigen_spectra(grid, lambdas, tol=DEFAULT_SOLVE_TOL):
+def eigen_spectra(grid, lambdas):
     """Nonzero spectra of E_lam over a coupling sweep, one ascending row
     per lam of the sequence ``lambdas``: an array (len(lambdas), rank).
 
@@ -86,11 +85,11 @@ def eigen_spectra(grid, lambdas, tol=DEFAULT_SOLVE_TOL):
     eigenvalue G / Z_GammaGamma modes k and -k share.  Each row is, to
     the bit, what a sweep of one lam gives.
     """
-    values = np.repeat(_pencil(grid, lambdas, tol), grid.mode_multiplicity, 1)
+    values = np.repeat(_pencil(grid, lambdas), grid.mode_multiplicity, 1)
     return np.sort(values.reshape(len(values), -1), axis=1)
 
 
-def difference_norms(grid, lambdas, tol=DEFAULT_SOLVE_TOL):
+def difference_norms(grid, lambdas):
     """||E_lam|| for each lam of the sequence ``lambdas``: the top of
     block 0's pencil, to the bit the last column of ``eigen_spectra``.
 
@@ -106,10 +105,10 @@ def difference_norms(grid, lambdas, tol=DEFAULT_SOLVE_TOL):
     A_EE,k+1^-1 = A_EE,k^-1 (A_EE,k+1 - A_EE,k) A_EE,k+1^-1 >= 0 (Berman
     and Plemmons ch. 6), so L_k >= L_k+1 >= 0 and G_k does not rise.
     """
-    return _pencil(grid, lambdas, tol, blocks=slice(1))[:, 0, -1]
+    return _pencil(grid, lambdas, blocks=slice(1))[:, 0, -1]
 
 
-def _pencil(grid, lambdas, tol, blocks=None):
+def _pencil(grid, lambdas, blocks=None):
     """Ascending eigenvalues of the pencil (G, Z_GammaGamma) per lam and
     per block of ``mode_bands(lam, blocks)``, one solve: (lams, blocks, p)."""
     gamma, ext = grid.gamma_rows[:, 0], grid.ext_rows
@@ -117,7 +116,7 @@ def _pencil(grid, lambdas, tol, blocks=None):
     loads = np.zeros((gamma.size, 1, 1, measure.size))
     loads[np.arange(gamma.size), 0, 0, gamma] = 1.0
     lams = np.asarray(lambdas, dtype=float)[:, None, None]
-    z = solve_tridiagonal(*grid.mode_bands(lams, blocks), loads, tol=tol)
+    z = solve_tridiagonal(*grid.mode_bands(lams, blocks), loads)
     z_ext = z[..., ext]
     gram = np.einsum("ilbn,jlbn,n->lbij", z_ext, z_ext, measure[ext])
     try:
@@ -128,7 +127,7 @@ def _pencil(grid, lambdas, tol, blocks=None):
     return np.linalg.eigvalsh(half @ gram @ np.swapaxes(half, -1, -2))
 
 
-def trace_map_norm(grid, tol=DEFAULT_SOLVE_TOL):
+def trace_map_norm(grid):
     """Operator norm of S = gamma1 o exterior^{-1} from L^2(exterior) to
     L^2(interface).
 
@@ -146,7 +145,7 @@ def trace_map_norm(grid, tol=DEFAULT_SOLVE_TOL):
     loads = np.zeros((p, 1, ext.size))
     loads[np.arange(p)[:, None], 0, np.searchsorted(ext, layers[:, 1:])] = (
         np.sqrt(grid.gamma_weights[:p, None]) * coeffs[1:])
-    z = solve_tridiagonal(lower, diag, upper, loads, tol=tol)
+    z = solve_tridiagonal(lower, diag, upper, loads)
     gram = np.einsum("ibn,jbn,n->bij", z, z, grid.row_measure[ext])
     return math.sqrt(float(np.linalg.eigvalsh(gram).max()))
 

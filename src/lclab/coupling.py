@@ -32,8 +32,8 @@ import numpy as np
 
 from .counting import difference_norms
 from .errors import DomainError, InconclusiveError
-from .kernels import (DEFAULT_SOLVE_TOL, check_sweep, loglog_fit,
-                      power_iteration_sym, solve_tridiagonal)
+from .kernels import (check_sweep, loglog_fit, power_iteration_sym,
+                      solve_tridiagonal)
 
 MIN_RATE_R_SQUARED = 0.95
 THRESHOLD_REL_TOL = 1e-3
@@ -112,9 +112,8 @@ def difference_norm_exact_1d(domain, lam):
 class DifferencePipeline:
     """Cached assemblies for applying E_lam on one grid at several couplings."""
 
-    def __init__(self, grid, tol=DEFAULT_SOLVE_TOL):
+    def __init__(self, grid):
         self.grid = grid
-        self.tol = tol
         self.exterior = grid.assemble_exterior()
         self._coupled = {}
 
@@ -126,8 +125,8 @@ class DifferencePipeline:
     def apply(self, lam, f_ext):
         """E_lam f = restrict(coupled^{-1} extend f) - exterior^{-1} f."""
         f_ext = np.asarray(f_ext, dtype=float)
-        u = self.coupled(lam).solve(self.grid.extend(f_ext), tol=self.tol)
-        v = self.exterior.solve(f_ext, tol=self.tol)
+        u = self.coupled(lam).solve(self.grid.extend(f_ext))
+        v = self.exterior.solve(f_ext)
         return self.grid.restrict(u) - v
 
     def norm(self, lam, tol=1e-8, seed=0):
@@ -150,14 +149,14 @@ def _rate_fit(lambdas, values):
     return loglog_fit(_check_sweep(lambdas), values, MIN_RATE_R_SQUARED)
 
 
-def convergence_rate_fit(grid, lambdas, tol=DEFAULT_SOLVE_TOL):
+def convergence_rate_fit(grid, lambdas):
     """Fitted decay rate of ||E_lam|| over a coupling sweep (discrete).
 
     The sweep is checked before any solve.  Block 0 of ``mode_bands``
     carries ||E_lam|| on every grid (``counting.difference_norms`` proves
-    it): one batched solve of it at ``tol`` gives every norm, exactly."""
+    it): one batched solve of it gives every norm, exactly."""
     lambdas = _check_sweep(lambdas)
-    return _rate_fit(lambdas, difference_norms(grid, lambdas, tol=tol))
+    return _rate_fit(lambdas, difference_norms(grid, lambdas))
 
 
 def convergence_rate_fit_exact_1d(domain, lambdas):
@@ -206,7 +205,7 @@ def _interface_blocks(grid, lam):
     return (1.0 / eta)[:, None, None], (1.0 / (xi - eta))[:, None, None]
 
 
-def green_identity_check(grid, lam, f_ext, g_ext, tol=DEFAULT_SOLVE_TOL):
+def green_identity_check(grid, lam, f_ext, g_ext):
     """Measure the four equivalent interface identities on test data.
 
     f and g are exterior fields; u is the coupled solve of (extend f),
@@ -217,8 +216,8 @@ def green_identity_check(grid, lam, f_ext, g_ext, tol=DEFAULT_SOLVE_TOL):
     """
     f_ext = np.asarray(f_ext, dtype=float)
     g_ext = np.asarray(g_ext, dtype=float)
-    u_full = grid.solve_coupled(lam, grid.extend(f_ext), tol=tol)
-    v_ext, vf_ext = grid.solve_exterior(np.stack([g_ext, f_ext]), tol=tol)
+    u_full = grid.solve_coupled(lam, grid.extend(f_ext))
+    v_ext, vf_ext = grid.solve_exterior(np.stack([g_ext, f_ext]))
     u_ext = grid.restrict(u_full)
     v_full, vf_full = grid.extend(np.stack([v_ext, vf_ext]))  # zero on Gamma
 
@@ -309,7 +308,7 @@ def _exterior_half_bands(grid):
     return rows, at, bands
 
 
-def nonlocal_bc_solve(grid, lam, f_ext, tol=DEFAULT_SOLVE_TOL):
+def nonlocal_bc_solve(grid, lam, f_ext):
     """Exterior solve closed by u = N (gamma1 u) on the interface, taken
     in flux form gamma1 u = N^{-1} u: per block of ``grid.mode_bands``,
     ``_exterior_half_bands`` plus the interior's exact DtN -N^{-1} (N the
@@ -329,7 +328,7 @@ def nonlocal_bc_solve(grid, lam, f_ext, tol=DEFAULT_SOLVE_TOL):
     # the rows left out keep their zero data
     coeffs = grid.to_modes(grid.w_full * grid.extend(f_ext))
     coeffs[..., rows] = solve_tridiagonal(lower, diag, upper,
-                                          coeffs[..., rows], tol=tol)
+                                          coeffs[..., rows])
     return grid.restrict(grid.from_modes(coeffs))
 
 

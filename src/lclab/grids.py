@@ -263,13 +263,13 @@ class _Grid:
         lower[:, cut + 1] = 0.0
         return lower, diag, upper
 
-    def solve_coupled(self, lam, f, tol=DEFAULT_SOLVE_TOL):
+    def solve_coupled(self, lam, f):
         """Solve the coupled problem (K + lam diag(pot_measure)) u = m f
         for full fields f (leading axes batch), block by block."""
         _require_coupling(lam)
         rhs = self.to_modes(self.w_full * np.asarray(f, dtype=float))
         return self.from_modes(
-            solve_tridiagonal(*self.mode_bands(lam), rhs, tol=tol))
+            solve_tridiagonal(*self.mode_bands(lam), rhs))
 
     def apply_coupled(self, lam, u):
         """The coupled operator (K + lam diag(pot_measure)) u / m on full
@@ -277,18 +277,18 @@ class _Grid:
         coeffs = tridiagonal_apply(*self.mode_bands(lam), self.to_modes(u))
         return self.from_modes(coeffs) / self.w_full
 
-    def solve_exterior(self, f_ext, tol=DEFAULT_SOLVE_TOL):
+    def solve_exterior(self, f_ext):
         """Solve the exterior problem K_ext v = m f, Dirichlet on Gamma and
         Neumann outer, for exterior fields f (leading axes batch)."""
         full = self.w_full * self.extend(f_ext)
         coeffs = self.to_modes(full)
         coeffs[..., self.ext_rows] = solve_tridiagonal(
-            *self.exterior_bands(), coeffs[..., self.ext_rows], tol=tol)
+            *self.exterior_bands(), coeffs[..., self.ext_rows])
         return self.restrict(self.from_modes(coeffs))
 
     # -- boundary-data solves -------------------------------------------------
 
-    def screened_extension(self, lam, phi, tol=DEFAULT_SOLVE_TOL):
+    def screened_extension(self, lam, phi):
         """Interior field with (-Lap + lam) w = 0 and gamma1 w = phi.
 
         phi is Neumann data in the into-the-inclusion orientation; the
@@ -299,7 +299,7 @@ class _Grid:
         rhs = np.zeros(self.int_idx.size)
         rhs[np.searchsorted(self.int_idx, self.interface_idx)] = \
             -np.asarray(phi, dtype=float) * self.gamma_weights
-        w = solve_spd(op.matrix, rhs, tol=tol)
+        w = solve_spd(op.matrix, rhs)
         out = np.zeros(self.n_nodes)
         out[self.int_idx] = w
         return out

@@ -7,14 +7,13 @@ Sparse and dense work is delegated to LAPACK via numpy/scipy, and the
 tridiagonal batches are reduced level by level in numpy; every kernel
 checks its own contract (residual, symmetry, spectral identities) after
 the fact so downstream experiments never consume a silently bad solve.
-Two rules that several modules hold to are stated here once:
-``check_tol``, the range of a solve tolerance, and ``check_sweep``, what
-makes a coupling sweep.
-The experiments run on the one tridiagonal kernel alone, the nonlocal
-solve included.  The sparse SPD path, one sparse LU for every matrix,
-serves the tests as an oracle.  It imports ``scipy.sparse`` inside the
-functions that use it, so importing the lab loads no scipy; no
-experiment uses it.
+``check_sweep``, what makes a coupling sweep, is stated here once.
+The experiments run on the one tridiagonal kernel alone, which gates
+every solve at the one constant ``DEFAULT_SOLVE_TOL``.  The sparse SPD
+path, one sparse LU for every matrix, serves the tests as an oracle; its
+``tol``, guarded by ``check_tol``, lets them refine further.  It imports
+``scipy.sparse`` inside the functions that use it, so importing the lab
+loads no scipy; no experiment uses it.
 """
 
 from dataclasses import dataclass
@@ -33,8 +32,8 @@ FLAT_SPREAD_DECADES = 0.1   # y spreading less than this gives slope ~ 0
 
 
 def check_tol(tol):
-    """Raise ContractError unless the solve tolerance ``tol`` lies in
-    (0, 1e-6], the range every solve and the config check accept."""
+    """Raise ContractError unless the solve tolerance ``tol`` of the
+    sparse SPD oracle (``solve_spd``) lies in (0, 1e-6]."""
     if not 0.0 < tol <= 1e-6:
         raise ContractError(f"must lie in (0, 1e-6], not {tol}")
 
@@ -165,7 +164,7 @@ def tridiagonal_backward_error(lower, diag, upper, x, rhs):
     return _normwise_error(ax, row_sums.max(axis=-1), x, rhs)
 
 
-def solve_tridiagonal(lower, diag, upper, rhs, tol=DEFAULT_SOLVE_TOL):
+def solve_tridiagonal(lower, diag, upper, rhs):
     """Solve a batch of tridiagonal systems by odd-even cyclic reduction.
 
     The bands have the shape (systems, n) and broadcast with ``rhs``,
@@ -180,17 +179,16 @@ def solve_tridiagonal(lower, diag, upper, rhs, tol=DEFAULT_SOLVE_TOL):
     a chain of n rows takes ceil(log2 n) levels, each vectorized over the
     whole batch.  It does not pivot, which suits the positive definite or
     diagonally dominant blocks it serves.  The normwise backward error of
-    every system must not exceed ``tol``; ConvergenceError carries the
-    worst (a zero pivot makes it NaN).
+    every system must not exceed ``DEFAULT_SOLVE_TOL``, read at each
+    call; ConvergenceError carries the worst (a zero pivot makes it NaN).
     """
-    check_tol(tol)
     lower, diag, upper = (np.asarray(band, dtype=float)
                           for band in (lower, diag, upper))
     rhs = np.asarray(rhs)
     with np.errstate(divide="ignore", invalid="ignore"):
         x = _cyclic_reduction(-lower, diag, -upper, rhs)
         residual = tridiagonal_backward_error(lower, diag, upper, x, rhs)
-    _check_backward_error("tridiagonal", residual, tol)
+    _check_backward_error("tridiagonal", residual, DEFAULT_SOLVE_TOL)
     return x
 
 

@@ -35,10 +35,10 @@ import numpy as np
 from . import counting as ct
 from . import coupling as cp
 from . import torus as tr
-from .errors import ConfigError, ContractError, InconclusiveError, LabError
+from .errors import ConfigError, InconclusiveError, LabError
 from .geometry import Domain1D, Domain2D, flat_chart
 from .grids import Grid1D, PolarGrid
-from .kernels import DEFAULT_SOLVE_TOL, check_sweep, check_tol
+from .kernels import check_sweep
 from .symbols import (IDENTITY_SYMBOL, class_membership_estimate, eta_symbol,
                       flat_ntd_symbol, flat_transmission_symbol, make_symbol)
 
@@ -98,9 +98,6 @@ _SCHEMA = {
                                           (2.0, 2.5, 3.0, 3.5, 4.0, 4.5))),
         "lam": ("float", 1e3),
         "mu_points": ("int", 20),
-    },
-    "tolerances": {
-        "solve_tol": ("float", DEFAULT_SOLVE_TOL),
     },
     "output": {
         "dir": ("str", "out"),
@@ -218,10 +215,8 @@ def _validate(values, violations):
     if not 1 <= values["sweep"]["lam"] < np.inf:   # NaN fails both
         violations.append("sweep.lam: single-coupling experiments need "
                           "lam >= 1 and finite")
-    try:
-        check_tol(values["tolerances"]["solve_tol"])
-    except ContractError as err:
-        violations.append(f"tolerances.solve_tol: {err}")
+    if values["sweep"]["mu_points"] < 2:   # birman probes top / 100 .. top
+        violations.append("sweep.mu_points: birman needs >= 2 mu probes")
 
 
 def default_config(experiment="rate1d", seed=None):
@@ -335,8 +330,7 @@ def _disk(config, scale=1):
 
 def _run_rate1d(config, art, domain, grid, lambdas):
     exact = cp.convergence_rate_fit_exact_1d(domain, lambdas)
-    fit = cp.convergence_rate_fit(grid, lambdas,
-                                  tol=config["tolerances.solve_tol"])
+    fit = cp.convergence_rate_fit(grid, lambdas)
     if art.dump:
         grid.assemble_coupled(lambdas[0]).export_matrix_market(
             art.out / "coupled_matrix.mtx")
@@ -357,8 +351,7 @@ def _run_rate1d(config, art, domain, grid, lambdas):
 
 
 def _run_rate2d(config, art, grid, lambdas):
-    fit = cp.convergence_rate_fit(grid, lambdas,
-                                  tol=config["tolerances.solve_tol"])
+    fit = cp.convergence_rate_fit(grid, lambdas)
     if art.dump:
         grid.assemble_exterior().export_matrix_market(
             art.out / "exterior_matrix_2d.mtx")
@@ -371,11 +364,11 @@ def _run_rate2d(config, art, grid, lambdas):
 
 
 def _run_green(config, art, domain, coarse_grid, grid):
-    lam, tol = config["sweep.lam"], config["tolerances.solve_tol"]
+    lam = config["sweep.lam"]
     reports = {}
     for each in (coarse_grid, grid):
         f, g = cp.green_test_fields(each)
-        reports[each.n] = cp.green_identity_check(each, lam, f, g, tol=tol)
+        reports[each.n] = cp.green_identity_check(each, lam, f, g)
     coarse, fine = reports.values()
     rows = [(cells, *rep.as_tuple()) for cells, rep in reports.items()]
     art.write_csv("green", ["cells", "res_i", "res_ii", "res_iii", "res_iv"],
@@ -398,7 +391,7 @@ def _run_green(config, art, domain, coarse_grid, grid):
     rel = float(np.abs(g0 - n_mat @ g1).max() / np.abs(g0).max())
     ok &= art.check("green.ntd_consistency", rel,
                     TOLERANCES["ntd_consistency_rel"])
-    u_nl = cp.nonlocal_bc_solve(grid, lam, f, tol=tol)
+    u_nl = cp.nonlocal_bc_solve(grid, lam, f)
     u_tr = grid.restrict(u)
     disc = float(np.linalg.norm(u_nl - u_tr) / np.linalg.norm(u_tr))
     ok &= art.check("green.nonlocal_discrepancy", disc,
@@ -481,9 +474,8 @@ def _disk_spectrum(config, art, grid):
     birman share: computed once per ``run_experiment`` call, whose
     ``_Artifacts`` holds them."""
     if "disk" not in art.shared:
-        lam, tol = config["sweep.lam"], config["tolerances.solve_tol"]
-        art.shared["disk"] = (ct.eigen_spectrum(grid, lam, tol=tol),
-                              ct.trace_map_norm(grid, tol=tol))
+        art.shared["disk"] = (ct.eigen_spectrum(grid, config["sweep.lam"]),
+                              ct.trace_map_norm(grid))
     return art.shared["disk"]
 
 
@@ -564,12 +556,13 @@ _TABLE = {
     "symbols": ((), _run_symbols),
     "bounds": (_TORUS, _run_bounds),
     "nbound": (_TORUS, _run_nbound),
-    # compose measures the torus sweep with one more coupling, 1e5
-    "compose": ((lambda config: (_built("grid.compose_points", tr.TorusGrid,
-                                        config["grid.compose_points"]),),
-                 lambda config: (_built("sweep.lambdas_torus", check_sweep,
-                                        (*config["sweep.lambdas_torus"],
-                                         1e5)),)),
+    # compose caps its grid, and adds 1e5 to the torus sweep if not in it
+    "compose": ((lambda config: (_built(
+                    "grid.compose_points",
+                    lambda points: tr.check_compose_grid(tr.TorusGrid(points)),
+                    config["grid.compose_points"]),),
+                 lambda config: (np.array(sorted(
+                     {*_TORUS[1](config)[0].tolist(), 1e5})),)),
                 _run_compose),
     "weyl": ((_disk,), _run_weyl),
     "birman": ((_disk,), _run_birman),

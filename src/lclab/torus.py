@@ -320,6 +320,16 @@ def default_composition_symbols():
     return a, b, da, dxb
 
 
+def check_compose_grid(grid):
+    """``grid``, unless it has more than ``COMPOSE_MAX_POINTS`` points,
+    the most that ``composition_error_experiment`` takes
+    (ResourceLimitError)."""
+    if grid.m > COMPOSE_MAX_POINTS:
+        raise ResourceLimitError(
+            f"composition experiment limited to {COMPOSE_MAX_POINTS} points")
+    return grid
+
+
 def composition_error_experiment(grid, a, b, da_dxi, dxb, m1, m2, r, lambdas):
     """Remainder decay of the crude composition calculus.
 
@@ -343,9 +353,7 @@ def composition_error_experiment(grid, a, b, da_dxi, dxb, m1, m2, r, lambdas):
     called once per lambda, on the band's columns only.  a, b and c must
     be real (s(x, -xi) = conj s(x, xi)); d_xi a and D_x b need not be.
     """
-    if grid.m > COMPOSE_MAX_POINTS:
-        raise ResourceLimitError(
-            f"composition experiment limited to {COMPOSE_MAX_POINTS} points")
+    check_compose_grid(grid)
     if not (0 < m1 < 2 and m1 + m2 <= 0):
         raise ConfigError("need 0 < m1 < 2 and m1 + m2 <= 0 (the expansion "
                           "stops at first order)")

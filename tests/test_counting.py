@@ -10,7 +10,7 @@ from lclab import (ContractError, ConvergenceError, DifferencePipeline,
                    ResourceLimitError,
                    birman_disk_check, birman_synthetic_check,
                    circle_count_prediction, circle_difference_eigenvalue, convergence_rate_fit,
-                   counting, counting_circle, counting_function,
+                   counting, counting_circle, counting_function, kernels,
                    circle_model_exponent_fit, dense_eigen, eigen_spectrum,
                    power_iteration_sym, solve_spd, trace_map_norm,
                    weyl_exponent_fit)
@@ -227,8 +227,9 @@ def test_rate_fit_makes_one_band_solve_per_sweep(make_grid, domain1d,
     # one row of bands per lam
     assert calls[0] == (len(SWEEP), 1, grid.row_measure.size)
     assert fit.y.shape == (len(SWEEP),)
+    monkeypatch.setattr(kernels, "DEFAULT_SOLVE_TOL", 1e-30)
     with pytest.raises(ConvergenceError):
-        convergence_rate_fit(grid, SWEEP, tol=1e-30)
+        convergence_rate_fit(grid, SWEEP)
     assert len(calls) == 2
 
 
@@ -266,7 +267,7 @@ def test_block_zero_carries_the_norm(nr_int, nr_ext, ntheta, radius,
     norms = difference_norms(grid, lams)
     assert norms.tobytes() == eigen_spectra(grid, lams)[:, -1].tobytes()
     # e_k, mode by mode, does not rise with k (see ``difference_norms``)
-    e_k = _pencil(grid, lams, 1e-10)[..., 0]
+    e_k = _pencil(grid, lams)[..., 0]
     bands = grid.mode_bands(lams[:, None, None])
     row_sums = sum(np.abs(band) for band in bands).max(axis=-1)
     kappa = row_sums * solve_tridiagonal(

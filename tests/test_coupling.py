@@ -6,8 +6,8 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from lclab import (ContractError, ConvergenceError, DifferencePipeline,
-                   Domain1D, DomainError, Fit, Grid1D, InconclusiveError,
+from lclab import (ConvergenceError, DifferencePipeline, Domain1D,
+                   DomainError, Fit, Grid1D, InconclusiveError,
                    PolarGrid, convergence_rate_fit,
                    convergence_rate_fit_exact_1d, counting_zero_threshold,
                    coupling, difference_matrix_1d, difference_norm_exact_1d,
@@ -227,8 +227,8 @@ def _sparse_route(grid, lam):
     operator products run on the sparse assemblies (``SparseOperator``)."""
     coupled, exterior = grid.assemble_coupled(lam), grid.assemble_exterior()
     oracle = copy.copy(grid)
-    oracle.solve_coupled = lambda lam, f, tol: coupled.solve(f, ORACLE_TOL)
-    oracle.solve_exterior = lambda fs, tol: np.stack(
+    oracle.solve_coupled = lambda lam, f: coupled.solve(f, ORACLE_TOL)
+    oracle.solve_exterior = lambda fs: np.stack(
         [exterior.solve(f, ORACLE_TOL) for f in fs])
     oracle.apply_coupled = lambda lam, us: np.stack(
         [coupled.apply(u) for u in us])
@@ -250,8 +250,8 @@ def test_green_band_route_matches_sparse_oracle(make_grid, domain1d,
     f, g = green_test_fields(grid)
     u = grid.solve_coupled(lam, grid.extend(f))
     fields = grid.solve_exterior(np.stack([g, f]))
-    assert _rel(u, oracle.solve_coupled(lam, grid.extend(f), None)) <= 1e-12
-    for got, want in zip(fields, oracle.solve_exterior([g, f], None)):
+    assert _rel(u, oracle.solve_coupled(lam, grid.extend(f))) <= 1e-12
+    for got, want in zip(fields, oracle.solve_exterior([g, f])):
         assert _rel(got, want) <= 1e-12
     report = green_identity_check(grid, lam, f, g)
     # the report carries the very coupled solve it measured
@@ -308,15 +308,6 @@ def test_nonlocal_solve_needs_two_exterior_layers():
         Grid1D(Domain1D(length=1.0, a1=1 / 16, a2=15 / 16), 16)
 
 
-def test_nonlocal_solve_rejects_tolerance_outside_contract(grid1d,
-                                                           polar_grid):
-    for grid in (grid1d, polar_grid):
-        f = np.ones(grid.ext_idx.size)
-        for tol in (0.0, -1e-10, 1e-3):
-            with pytest.raises(ContractError):
-                nonlocal_bc_solve(grid, 1e3, f, tol=tol)
-
-
 @pytest.mark.parametrize("grid_name", ["grid1d", "polar_grid"])
 def test_nonlocal_solve_checks_its_backward_error(grid_name, request,
                                                   monkeypatch):
@@ -338,8 +329,9 @@ def test_nonlocal_solve_checks_its_backward_error(grid_name, request,
     for residual in seen:
         assert residual.shape == grid.mode_multiplicity.shape
         assert 0.0 < residual.max() <= 1e-10
+    monkeypatch.setattr(kernels, "DEFAULT_SOLVE_TOL", 1e-30)
     with pytest.raises(ConvergenceError) as info:
-        nonlocal_bc_solve(grid, 1e3, f, tol=1e-30)
+        nonlocal_bc_solve(grid, 1e3, f)
     assert info.value.residual == seen[-1].max() > 1e-30
 
 

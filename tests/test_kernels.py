@@ -1,4 +1,5 @@
 import ast
+import inspect
 import itertools
 from pathlib import Path
 
@@ -7,8 +8,9 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from lclab import (ContractError, ConvergenceError, Fit, dense_eigen,
-                   kernels, loglog_fit, power_iteration_sym, solve_spd)
+from lclab import (ContractError, ConvergenceError, Fit, counting, coupling,
+                   dense_eigen, grids, kernels, loglog_fit,
+                   power_iteration_sym, solve_spd)
 from lclab.errors import DomainError, ResourceLimitError
 from lclab.kernels import check_sweep, solve_tridiagonal, tridiagonal_apply
 
@@ -143,8 +145,12 @@ def test_tridiagonal_right_sides_broadcast_over_systems(rng):
 def test_tridiagonal_backward_error_is_checked(rng, monkeypatch):
     lower, diag, upper = _random_bands(rng)
     rhs = rng.standard_normal(diag.shape)
-    with pytest.raises(ContractError):
-        solve_tridiagonal(lower, diag, upper, rhs, tol=0.0)
+    # the gate is the constant as it reads at the call
+    with monkeypatch.context() as patch:
+        patch.setattr(kernels, "DEFAULT_SOLVE_TOL", 1e-30)
+        with pytest.raises(ConvergenceError, match="exceeds tol 1.0e-30"):
+            solve_tridiagonal(lower, diag, upper, rhs)
+    solve_tridiagonal(lower, diag, upper, rhs)
     # no pivoting: a zero pivot is reported, never returned
     bad = diag.copy()
     bad[3, 0] = 0.0
@@ -243,14 +249,16 @@ def test_solves_leave_their_inputs_unchanged(rng, dtype):
 
 
 def _solve_case(rng, name):
-    """A small well-posed problem for the solve ``name``: tol -> its
-    solution, and the name of the backward error the solve checks."""
+    """A small well-posed problem for the solve ``name``: a call that
+    solves it (the SPD oracle's takes a tolerance, 1e-10 by default), and
+    the name of the backward error the solve checks."""
     if name == "SPD":
         mat, rhs = random_spd(rng, 8), rng.standard_normal(8)
-        return lambda tol: solve_spd(mat, rhs, tol=tol), "backward_error"
+        return (lambda tol=1e-10: solve_spd(mat, rhs, tol=tol),
+                "backward_error")
     lower, diag, upper = _random_bands(rng, 3, 12)
     rhs = rng.standard_normal(diag.shape)
-    return (lambda tol: solve_tridiagonal(lower, diag, upper, rhs, tol=tol),
+    return (lambda: solve_tridiagonal(lower, diag, upper, rhs),
             "tridiagonal_backward_error")
 
 
@@ -267,12 +275,16 @@ def test_every_solve_holds_one_tolerance_contract(rng, monkeypatch, name):
 
     for step in ("_Factorization", "_cyclic_reduction"):
         monkeypatch.setattr(kernels, step, spy(getattr(kernels, step)))
-    # the range (0, 1e-6] is checked before any factorization or reduction
-    for tol in (0.0, -1e-12, 2e-6, np.nan, np.inf):
-        with pytest.raises(ContractError, match=r"must lie in \(0, 1e-6\]"):
-            solve(tol)
-    assert work == []
-    solve(1e-6)
+    if name == "SPD":
+        # the oracle's range (0, 1e-6] is checked before any factorization
+        for tol in (0.0, -1e-12, 2e-6, np.nan, np.inf):
+            with pytest.raises(ContractError,
+                               match=r"must lie in \(0, 1e-6\]"):
+                solve(tol)
+        assert work == []
+        solve(1e-6)
+    else:
+        solve()
     assert work
     # one gate: the worst backward error, a NaN included, in the message
     # and on the error
@@ -280,10 +292,28 @@ def test_every_solve_holds_one_tolerance_contract(rng, monkeypatch, name):
         residual = worst if name == "SPD" else np.array([0.0, worst, 0.0])
         monkeypatch.setattr(kernels, checked, lambda *args: residual)
         with pytest.raises(ConvergenceError) as info:
-            solve(1e-10)
+            solve()
         assert str(info.value) == (f"{name} solve backward error {shown} "
                                    "exceeds tol 1.0e-10")
         np.testing.assert_equal(info.value.residual, worst)
+
+
+def test_only_the_sparse_oracle_takes_a_solve_tolerance():
+    # the band route gates every solve at DEFAULT_SOLVE_TOL, which no
+    # caller can widen; the tests' oracle refines further through ``tol``
+    band_route = [
+        solve_tridiagonal, grids._Grid.solve_coupled,
+        grids._Grid.solve_exterior, grids._Grid.screened_extension,
+        counting.eigen_spectrum, counting.eigen_spectra,
+        counting.difference_norms, counting._pencil, counting.trace_map_norm,
+        coupling.convergence_rate_fit, coupling.green_identity_check,
+        coupling.nonlocal_bc_solve, coupling.DifferencePipeline.__init__]
+    oracle = [solve_spd, grids.SparseOperator.solve,
+              grids.SparseOperator.solve_raw]
+    assert [f.__qualname__ for f in band_route
+            if "tol" in inspect.signature(f).parameters] == []
+    assert all(inspect.signature(f).parameters["tol"].default
+               == kernels.DEFAULT_SOLVE_TOL for f in oracle)
 
 
 def test_sparse_backward_error_is_the_normwise_formula(rng):

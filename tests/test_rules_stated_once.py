@@ -1,8 +1,8 @@
 """Each shared rule is stated once: a stdlib-``ast`` scan of ``src/lclab``.
 
-The range of a solve tolerance, (0, 1e-6], is stated by
-``kernels.check_tol``, and what makes a coupling sweep by
-``kernels.check_sweep``; every solve, sweep and config check calls them.
+The range of the sparse oracle's solve tolerance, (0, 1e-6], is stated
+by ``kernels.check_tol``, which that solve calls, and what makes a
+coupling sweep by ``kernels.check_sweep``, which every sweep check calls.
 A comparison with the literal ``1e-6`` anywhere else, or the sweep
 message anywhere else, is a second copy of the rule that could drift
 from the first.

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 import scipy.io
 
-from lclab import ConvergenceError, InconclusiveError, grids, runner
+from lclab import (ConfigError, ConvergenceError, InconclusiveError, grids,
+                   kernels, runner, torus)
 from lclab.geometry import Domain1D, Domain2D
 from lclab.grids import Grid1D, PolarGrid
 from lclab.kernels import solve_tridiagonal
@@ -109,7 +110,7 @@ def test_flat_rate_sweep_fails_rather_than_inconclusive(monkeypatch,
                                                         tmp_path):
     # norms that do not decay: r^2 is low, but the fit is flat, so it is
     # conclusive and its slope ~0 lies outside the rate window
-    def flat(grid, lambdas, tol):
+    def flat(grid, lambdas):
         return runner.cp._rate_fit(lambdas, [1.0, 1.05, 1.0, 1.05, 1.0])
 
     monkeypatch.setattr(runner.cp, "convergence_rate_fit", flat)
@@ -205,10 +206,17 @@ def test_rate2d_dump_matrices_assembles_the_lazy_stiffness(tmp_path):
 
 
 def test_power_tol_is_no_longer_a_config_key(tmp_path, capsys):
-    cfg = tmp_path / "old.ini"
-    cfg.write_text("[tolerances]\npower_tol = 1e-8\n")
-    assert runner.main(["rate1d", "--config", str(cfg)]) == 3
-    assert "unknown key tolerances.power_tol" in capsys.readouterr().err
+    # nor is solve_tol: no config sets a solve tolerance, so none can widen
+    # the one gate of the band solves
+    assert "tolerances" not in runner._SCHEMA
+    for key in ("power_tol", "solve_tol"):
+        cfg = tmp_path / f"{key}.ini"
+        cfg.write_text(f"[tolerances]\n{key} = 1e-8\n")
+        out = tmp_path / key
+        assert runner.main(["rate1d", "--config", str(cfg),
+                            "--out", str(out)]) == 3
+        assert "unknown section [tolerances]" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_domain2d_that_does_not_fit_is_a_config_error(tmp_path, capsys):
@@ -234,8 +242,10 @@ def test_domain2d_that_does_not_fit_is_a_config_error(tmp_path, capsys):
      "domain1d: need 0 < a1 < a2 < length"),
     ("bounds", "[grid]\ntorus_points = 100\n",
      "grid.torus_points: points must be a power of two >= 8"),
+    ("compose", "[grid]\ncompose_points = 512\n",
+     "grid.compose_points: composition experiment limited to 256 points"),
 ], ids=["disk-ring", "disk-layers", "green-coarse", "interval-length",
-        "torus-points"])
+        "torus-points", "compose-cap"])
 def test_grid_that_does_not_fit_is_a_config_error(tmp_path, capsys, exp,
                                                   text, message):
     # every grid an experiment builds, the doubled and halved ones too, is
@@ -257,11 +267,11 @@ def test_grid_that_does_not_fit_is_a_config_error(tmp_path, capsys, exp,
      f"sweep.lambdas_torus: {SWEEP_RULE}"),
     ("nbound", "[sweep]\nlambdas_torus = -1, 1e2, 1e3\n",
      f"sweep.lambdas_torus: {SWEEP_RULE}"),
-    # compose measures 1e5 past the torus sweep, which must stay below it
-    ("compose", "[sweep]\nlambdas_torus = 1e2, 1e3, 1e4, 1e5\n",
+    # compose checks the torus sweep before it puts 1e5 in order
+    ("compose", "[sweep]\nlambdas_torus = 1e3, 1e2, 1e4\n",
      f"sweep.lambdas_torus: {SWEEP_RULE}"),
 ], ids=["rate1d-two-points", "rate2d-two-decades", "bounds-two-points",
-        "nbound-negative", "compose-past-1e5"])
+        "nbound-negative", "compose-unordered"])
 def test_sweep_the_run_rejects_is_a_config_error(tmp_path, capsys, exp,
                                                  text, message):
     # each sweep meets, at parse time, the rule its experiment's run calls
@@ -313,7 +323,7 @@ def test_non_finite_coupling_is_a_config_error(tmp_path, capsys, exp, text,
      ["grid.radial_ext, grid.angular: interface must be a grid ring",
       f"sweep.lambdas_2d: {SWEEP_RULE}"]),
     ("compose", "[grid]\ncompose_points = 100\n"
-     "[sweep]\nlambdas_torus = 1e2, 1e3, 1e4, 1e5\n",
+     "[sweep]\nlambdas_torus = 1e2, 1e3\n",
      ["grid.compose_points: points must be a power of two >= 8",
       f"sweep.lambdas_torus: {SWEEP_RULE}"]),
 ], ids=["rate1d", "rate2d", "compose"])
@@ -347,18 +357,66 @@ def test_report_all_collects_every_violation_at_once(tmp_path, capsys):
     # violation is reported once
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[grid]\ncells_1d = 16\n[domain2d]\nradius = 0.7\n"
-                   "[tolerances]\nsolve_tol = 1\n")
+                   "[sweep]\nmu_points = 0\n")
     out = tmp_path / "out"
     assert runner.main(["report-all", "--config", str(cfg),
                         "--out", str(out)]) == 3
     err = capsys.readouterr().err.splitlines()
     for prefix in ("grid.cells_1d: inclusion endpoints",
                    "grid.radial_ext, grid.angular: interface must be a grid",
-                   "tolerances.solve_tol: must lie in"):
+                   "sweep.mu_points: birman needs >= 2 mu probes"):
         assert any(line.startswith(f"config error: {prefix}")
                    for line in err), prefix
     assert len(err) == len(set(err))
     assert not out.exists()
+
+
+@pytest.mark.parametrize("points", [0, 1, -2])
+def test_fewer_than_two_mu_probes_is_a_config_error(tmp_path, capsys,
+                                                     points):
+    # birman probes mu from top / 100 to top: no probe passes vacuously,
+    # one spans nothing, and -2 would die in np.geomspace mid-run
+    cfg = tmp_path / "mu.ini"
+    cfg.write_text(f"[sweep]\nmu_points = {points}\n")
+    out = tmp_path / "out"
+    assert runner.main(["report-all", "--config", str(cfg),
+                        "--out", str(out)]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: sweep.mu_points: birman needs >= 2 mu probes"]
+    assert not out.exists()
+
+
+def test_compose_grid_cap_is_the_check_compose_runs(tmp_path, monkeypatch):
+    # compose's part and composition_error_experiment call one check
+    seen, check = [], torus.check_compose_grid
+    monkeypatch.setattr(torus, "check_compose_grid",
+                        lambda grid: seen.append(grid.m) or check(grid))
+    config = runner.default_config("compose")
+    assert seen == [128]
+    assert runner.run_experiment(config, out_dir=tmp_path)[0] == 0
+    # the run builds its parts again, and the experiment checks its grid
+    assert seen == [128] * 3
+    with pytest.raises(ConfigError, match="limited to 256 points"):
+        runner.parse_config("[grid]\ncompose_points = 512\n",
+                            {"experiment.name": "compose"})
+    assert seen[-1] == 512
+
+
+@pytest.mark.parametrize("sweep, measured", [
+    ("1e2, 1e3, 1e6", [1e2, 1e3, 1e5, 1e6]),
+    ("1e2, 1e3, 1e4, 1e5", [1e2, 1e3, 1e4, 1e5]),
+], ids=["past-1e5", "ending-at-1e5"])
+def test_compose_puts_1e5_into_the_torus_sweep(tmp_path, sweep, measured):
+    # a torus sweep that bounds and nbound take is compose's too, with 1e5
+    # in order and never twice
+    text = f"[sweep]\nlambdas_torus = {sweep}\n"
+    runner.parse_config(text, {"experiment.name": "report-all"})
+    cfg = tmp_path / "torus.ini"
+    cfg.write_text(text)
+    assert runner.main(["compose", "--config", str(cfg),
+                        "--out", str(tmp_path)]) != 3
+    rows = (tmp_path / "compose.csv").read_text().splitlines()[2:]
+    assert [float(row.split(",")[0]) for row in rows] == measured
 
 
 def test_config_check_builds_only_the_run_s_experiments(tmp_path):
@@ -414,13 +472,11 @@ def test_domain2d_rectangle_keys_are_gone(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_solve_tol_reaches_every_solve(tmp_path):
+def test_the_solve_gate_reaches_every_solve(tmp_path, monkeypatch):
     # no solve meets a backward error of 1e-30, so every experiment that
-    # solves must report the error; the rest never read the setting
-    cfg = tmp_path / "strict.ini"
-    cfg.write_text("[tolerances]\nsolve_tol = 1e-30\n")
-    assert runner.main(["report-all", "--config", str(cfg),
-                        "--out", str(tmp_path / "out")]) == 1
+    # solves must report the error; the rest make no band solve
+    monkeypatch.setattr(kernels, "DEFAULT_SOLVE_TOL", 1e-30)
+    assert runner.main(["report-all", "--out", str(tmp_path / "out")]) == 1
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     verdicts = summary["experiments"]
     solving = ("rate1d", "rate2d", "green", "weyl", "birman")
