@@ -6,6 +6,8 @@ and ``scipy.io`` where they use them, and no experiment does.
 Subpackages:
 
   geometry   interval and disk domains, interface graph charts, metric data
+  interface  the interface operators N, D and W: the interval's closed
+             forms and the flat multipliers, each stated once
   symbols    characteristic roots and interface operator symbols, class calculus
   torus      discrete Fourier model and exact operator-norm experiments
   grids      finite-difference grids and the transmission-problem operators
@@ -30,12 +32,12 @@ from .symbols import (IDENTITY_SYMBOL, ParamSymbol, SymbolClass,
 from .grids import Grid1D, PolarGrid, SparseOperator
 from .kernels import (Fit, dense_eigen, loglog_fit, power_iteration_sym,
                       solve_spd)
-from .coupling import (DifferencePipeline, GreenReport,
-                       convergence_rate_fit, convergence_rate_fit_exact_1d,
-                       counting_zero_threshold, difference_matrix_1d,
-                       difference_norm_exact_1d, exterior_gram_1d,
+from .interface import (difference_matrix_1d, difference_norm_exact_1d,
+                        exterior_gram_1d, ntd_matrix_1d)
+from .coupling import (DifferencePipeline, GreenReport, convergence_rate_fit,
+                       convergence_rate_fit_exact_1d, counting_zero_threshold,
                        green_identity_check, green_test_fields,
-                       nonlocal_bc_solve, ntd_matrix_1d)
+                       nonlocal_bc_solve)
 from .counting import (birman_disk_check, birman_synthetic_check,
                        circle_count_prediction, circle_difference_eigenvalue,
                        circle_model_exponent_fit, counting_circle,

@@ -11,7 +11,7 @@ the singular values, and the chain of comparisons runs
 
 with S = (exterior trace of normal derivative) o (exterior solve).
 On the disk the interface operator diagonalizes in angular modes with
-eigenvalues w_k = 1 / (|k|/R + sqrt((k/R)^2 + lam)), so both sides of
+eigenvalues w_k, ``interface``'s flat W at xi = |k|/R, so both sides of
 the chain are computable exactly.  So does the discrete problem: every
 grid supplies its coupled matrix as tridiagonal blocks (``mode_bands``:
 one per angular mode on a ``PolarGrid``, one over the nodes on a
@@ -34,6 +34,7 @@ import numpy as np
 
 from .errors import (ContractError, DomainError, InconclusiveError,
                      ResourceLimitError)
+from .interface import flat_difference
 # solve_spd stays bound here: bench/tracing.py wraps every binding site
 from .kernels import loglog_fit, solve_spd, solve_tridiagonal  # noqa: F401
 
@@ -162,12 +163,11 @@ def _check_circle_coupling(lam):
 
 def circle_difference_eigenvalue(radius, lam, k):
     """Angular-mode eigenvalue of the interface difference operator on a
-    circle: w_k = 1 / (|k|/R + sqrt((k/R)^2 + lam)), at one integer k (a
-    ``float``) or elementwise over an integer array, each entry the
-    scalar call's to the bit."""
+    circle: w_k = ``interface.flat_difference`` at xi = |k|/R, at one
+    integer k (a ``float``) or elementwise over an integer array, each
+    entry the scalar call's to the bit."""
     _check_circle_coupling(lam)
-    xi = np.abs(k) / radius
-    w = 1.0 / (xi + np.sqrt(xi * xi + lam))
+    w = flat_difference(np.abs(k) / radius, lam)
     return float(w) if np.ndim(k) == 0 else w
 
 

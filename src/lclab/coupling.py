@@ -5,24 +5,18 @@ The central object is the compact symmetric operator
     E_lam = restrict o (coupled operator)^-1 o extend  -  (exterior)^-1
 
 acting on exterior fields.  Its norm decays like lam^(-1/2); in 1D the
-whole operator is known in closed form (rank <= 2), which provides an
-oracle pipeline completely independent of the grids.
-
-Sign conventions follow the trace normal fixed in ``grids`` (pointing
-into the inclusion): the interface Neumann-to-Dirichlet matrix is
-negative definite, the interface difference operator W = -N D^{-1} is
-positive definite, and (E f, f) >= 0.  Every grid closes the exterior
-with a Neumann outer boundary; in 1D that makes the transmission factor
-D the identity, so W = -N there.
+whole operator is known in closed form (rank <= 2, ``interface``), which
+provides an oracle pipeline completely independent of the grids.  The
+sign conventions are ``interface``'s: (E f, f) >= 0.
 
 The interface identities (``green_identity_check``) and the nonlocal
 solve (``nonlocal_bc_solve``) work on the grid's tridiagonal blocks
 (``mode_bands``) through the grid's interface layout (``gamma_rows``,
 ``ext_rows``), on the interval and the disk alike.  The interface
 operators come from one source, ``_interface_blocks``: one matrix per
-block, the exact 2x2 matrices on the interval and the flat circle
-multipliers per angular mode on the disk.  ``DifferencePipeline`` keeps
-the sparse assemblies as the tests' oracle.
+block, read from ``interface``: the exact 2x2 matrices on the interval
+and the flat circle multipliers per angular mode on the disk.
+``DifferencePipeline`` keeps the sparse assemblies as the tests' oracle.
 """
 
 import math
@@ -32,77 +26,13 @@ import numpy as np
 
 from .counting import difference_norms
 from .errors import DomainError, InconclusiveError
+from .interface import (difference_matrix_1d, difference_norm_exact_1d,
+                        flat_difference, flat_ntd, ntd_matrix_1d)
 from .kernels import (check_sweep, loglog_fit, power_iteration_sym,
                       solve_tridiagonal)
 
 MIN_RATE_R_SQUARED = 0.95
 THRESHOLD_REL_TOL = 1e-3
-
-
-# ---------------------------------------------------------------------------
-# closed-form 1D boundary operators
-
-
-def ntd_matrix_1d(lam, inclusion_length):
-    """Exact interface Neumann-to-Dirichlet matrix of the 1D inclusion.
-
-    Maps (gamma1 u at a1, gamma1 u at a2) to (gamma0 u at a1, gamma0 u
-    at a2) for solutions of (-u'' + lam u) = 0 on the inclusion, traces
-    oriented into the inclusion.  Overflow-safe in sqrt(lam)*length:
-    the diagonal tends to -1/sqrt(lam) and the off-diagonal entries die
-    like exp(-sqrt(lam)*length).  A sequence ``lam`` gives one matrix
-    per entry, an array (len(lam), 2, 2), each the scalar call's to the
-    bit.
-    """
-    lams = np.ravel(lam).tolist()
-    if any(value <= 0 for value in lams) or inclusion_length <= 0:
-        raise DomainError("need lam > 0 and a positive inclusion length")
-    mats = []
-    for value in lams:
-        s = math.sqrt(value) * inclusion_length
-        em = math.exp(-s)
-        coth = (1.0 + em * em) / (1.0 - em * em)
-        csch = 2.0 * em / (1.0 - em * em)
-        scale = -(1.0 / math.sqrt(value))
-        mats.append([[scale * coth, scale * csch],
-                     [scale * csch, scale * coth]])
-    mats = np.array(mats)
-    return mats[0] if np.ndim(lam) == 0 else mats
-
-
-def difference_matrix_1d(domain, lam):
-    """Exact 2x2 interface difference operator W = -N D^{-1} (positive),
-    one per entry of a sequence ``lam`` as in ``ntd_matrix_1d``.
-
-    Under the Neumann outer boundary the exterior harmonic extension is
-    constant on each component, so its gamma1 vanishes, the transmission
-    factor D = Id - (exterior DtN) N is the identity and W = -N.
-    """
-    return -ntd_matrix_1d(lam, domain.inclusion_length)
-
-
-def exterior_gram_1d(domain):
-    """Gram matrix S S* of the trace-of-exterior-solve map S = gamma1 B^{-1}.
-
-    From the closed-form exterior Green's functions: S f =
-    (-int_left f, -int_right f), so S S* = diag(a1, L - a2).
-    """
-    return np.diag([domain.a1, domain.length - domain.a2])
-
-
-def difference_norm_exact_1d(domain, lam):
-    """Norm of E_lam in 1D from the rank-2 factorization E = S* W S.
-
-    The nonzero spectrum of S* W S equals that of W^{1/2} (S S*) W^{1/2},
-    a 2x2 symmetric eigenproblem; no grid is involved anywhere.  A
-    sequence ``lam`` gives one norm per entry, the scalar calls' to the
-    bit, from one stacked ``cholesky`` and ``eigvalsh``.
-    """
-    w = difference_matrix_1d(domain, np.ravel(lam))
-    gram = exterior_gram_1d(domain)
-    half = np.linalg.cholesky(w)
-    norms = np.linalg.eigvalsh(np.swapaxes(half, 1, 2) @ gram @ half).max(1)
-    return float(norms[0]) if np.ndim(lam) == 0 else norms
 
 
 # ---------------------------------------------------------------------------
@@ -193,16 +123,15 @@ class GreenReport:
 def _interface_blocks(grid, lam):
     """The interface NtD N and difference operator W = -N D^{-1} as one
     matrix per block of ``grid.mode_bands``, each of shape (blocks, p, p)
-    with p the interface rows of a block: the exact 2x2 matrices on the
-    interval, the flat symbols of angular mode k (frequency xi = k / R)
-    on the circle, with D = 1 - tau / eta, tau = |xi| and eta =
-    -sqrt(xi^2 + lam), so that W = 1 / (tau - eta)."""
+    with p the interface rows of a block, from ``interface``: the exact
+    2x2 matrices on the interval, the flat multipliers of angular mode k
+    (frequency xi = k / R) on the circle."""
     if grid.dim == 1:
         return (ntd_matrix_1d(lam, grid.domain.inclusion_length)[None],
                 difference_matrix_1d(grid.domain, lam)[None])
     xi = grid.modes / grid.r_inc
-    eta = -np.sqrt(xi ** 2 + lam)
-    return (1.0 / eta)[:, None, None], (1.0 / (xi - eta))[:, None, None]
+    return (flat_ntd(xi, lam)[:, None, None],
+            flat_difference(xi, lam)[:, None, None])
 
 
 def green_identity_check(grid, lam, f_ext, g_ext):

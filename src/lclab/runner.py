@@ -38,6 +38,7 @@ from . import torus as tr
 from .errors import ConfigError, InconclusiveError, LabError
 from .geometry import Domain1D, Domain2D, flat_chart
 from .grids import Grid1D, PolarGrid
+from .interface import difference_norm_exact_1d, ntd_matrix_1d
 from .kernels import check_sweep
 from .symbols import (IDENTITY_SYMBOL, class_membership_estimate, eta_symbol,
                       flat_ntd_symbol, flat_transmission_symbol, make_symbol)
@@ -387,7 +388,7 @@ def _run_green(config, art, domain, coarse_grid, grid):
     u = fine.coupled
     g0 = grid.trace_gamma0(u)
     g1 = grid.trace_gamma1(u, "exterior")
-    n_mat = cp.ntd_matrix_1d(lam, domain.inclusion_length)
+    n_mat = ntd_matrix_1d(lam, domain.inclusion_length)
     rel = float(np.abs(g0 - n_mat @ g1).max() / np.abs(g0).max())
     ok &= art.check("green.ntd_consistency", rel,
                     TOLERANCES["ntd_consistency_rel"])
@@ -520,7 +521,7 @@ def _run_birman(config, art, grid):
 
 
 def _run_threshold(config, art, domain):
-    norm_fn = lambda lams: cp.difference_norm_exact_1d(domain, lams)
+    norm_fn = lambda lams: difference_norm_exact_1d(domain, lams)
     base = norm_fn(1.0)
     mus = [base * 1e-2, base * 1e-3, base * 1e-4]
     thresholds = cp.counting_zero_threshold(norm_fn, mus)

@@ -33,6 +33,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ContractError, DegenerateCovectorError, DomainError
+from .interface import flat_ntd, flat_transmission
 from .kernels import loglog_fit
 
 FD_STEP_SCALE = 1e-4  # the x' step is FD_STEP_SCALE * (1 + |x'|)
@@ -200,16 +201,15 @@ def difference_symbol_expanded(chart, xp, xip, lam):
 
 
 def flat_ntd_symbol():
-    """x-independent Neumann-to-Dirichlet symbol -1/sqrt(xi^2 + lam)."""
-    return make_symbol(lambda xp, xip, lam: -1.0 / np.sqrt(xip * xip + lam),
+    """x-independent Neumann-to-Dirichlet symbol ``interface.flat_ntd``."""
+    return make_symbol(lambda xp, xip, lam: flat_ntd(xip, lam),
                        order=-1.0, kind="P", k=None, x_support_radius=0.0)
 
 
 def flat_transmission_symbol():
-    """x-independent transmission factor 1 + |xi| / sqrt(xi^2 + lam)."""
-    return make_symbol(
-        lambda xp, xip, lam: 1.0 + np.abs(xip) / np.sqrt(xip * xip + lam),
-        order=0.0, kind="P", k=1, x_support_radius=0.0)
+    """x-independent transmission factor ``interface.flat_transmission``."""
+    return make_symbol(lambda xp, xip, lam: flat_transmission(xip, lam),
+                       order=0.0, kind="P", k=1, x_support_radius=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -104,20 +104,106 @@ MUTANTS = (
            ("tests/test_counting.py::"
             "test_grid1d_mode_bands_are_the_coupled_matrix",
             "tests/test_grids.py::"
-            "test_band_products_are_the_sparse_operators")),
+            "test_band_products_are_the_sparse_operators",
+            "tests/test_counting.py::"
+            "test_each_eigenvalue_does_not_rise_with_the_coupling")),
     Mutant("row-measure-outer-ring", "src/lclab/grids.py",
            "        measure[-1] = half_cell(self.ntot * hr)\n",
            "",
            "the disk's outer ring weighs a whole cell, not the half inside "
            "the annulus",
-           ("tests/test_grids.py::test_polar_weights_tile_the_disk",)),
+           ("tests/test_grids.py::test_polar_weights_tile_the_disk",
+            "tests/test_counting.py::"
+            "test_each_eigenvalue_does_not_rise_with_the_coupling")),
     Mutant("gamma-rows-swapped", "src/lclab/grids.py",
            "self.gamma_rows = self.nr_int + np.arange(3)[None, :]",
            "self.gamma_rows = self.nr_int + np.array([0, 2, 1])[None, :]",
            "the disk's gamma1 stencil weighs its two exterior layers "
            "crosswise",
            ("tests/test_grids.py::"
-            "test_interface_layout_locates_gamma_in_the_blocks",)),
+            "test_interface_layout_locates_gamma_in_the_blocks",
+            "tests/test_counting.py::"
+            "test_each_eigenvalue_does_not_rise_with_the_coupling")),
+    # -- the interface operators, stated once in ``interface`` ------------
+    Mutant("flat-difference-sign", "src/lclab/interface.py",
+           "return 1.0 / (np.abs(xi) + _decay_rate(xi, lam))",
+           "return 1.0 / (np.abs(xi) - _decay_rate(xi, lam))",
+           "the flat W is taken as 1 / (xi - s), which is negative",
+           ("tests/test_coupling.py::test_green_2d_polar_identities",
+            "tests/test_counting.py::"
+            "test_disk_spectrum_satisfies_birman_inequality")),
+    Mutant("flat-transmission-sign", "src/lclab/interface.py",
+           "return 1.0 + np.abs(xi) / _decay_rate(xi, lam)",
+           "return 1.0 - np.abs(xi) / _decay_rate(xi, lam)",
+           "the flat D is taken as 1 - |xi| / s",
+           ("tests/test_symbols.py::test_transmission_symbol_flat_formula",)),
+    Mutant("csch-negated", "src/lclab/interface.py",
+           "csch = 2.0 * em / (1.0 - em * em)",
+           "csch = -2.0 * em / (1.0 - em * em)",
+           "the interval's NtD couples its endpoints with the wrong sign",
+           ("tests/test_coupling.py::"
+            "test_ntd_matrix_against_interior_solver",)),
+    Mutant("gram-swapped", "src/lclab/interface.py",
+           "return np.diag([domain.a1, domain.length - domain.a2])",
+           "return np.diag([domain.length - domain.a2, domain.a1])",
+           "the exterior Gram gives each endpoint the other piece's length",
+           ("tests/test_coupling.py::"
+            "test_exterior_gram_orientation_matches_the_grid",)),
+    # -- counts, thresholds and the band kernel ----------------------------
+    Mutant("count-side-left", "src/lclab/counting.py",
+           'side="right"', 'side="left"',
+           "an eigenvalue equal to mu counts, so N(mu) is not strict",
+           ("tests/test_counting.py::"
+            "test_counting_function_is_strict_and_needs_positive_mu",)),
+    Mutant("circle-no-fallback", "src/lclab/counting.py",
+           "        for i in np.flatnonzero(inside & (top > 4) "
+           "& ~above[:, 0]):\n"
+           "            modes[i] = _enumerated_modes(radius, lam, flat[i], "
+           "top[i])\n",
+           "",
+           "a mu whose prefix is not confirmed is counted unenumerated",
+           ("tests/test_counting.py::"
+            "test_counting_circle_enumerates_where_rounding_hides_"
+            "the_prefix",)),
+    Mutant("circle-k-mask-dropped", "src/lclab/counting.py",
+           "above[:, 1:] & (k[:, 1:] >= 1)", "above[:, 1:]",
+           "the circle count takes modes k <= 0 of its window as k >= 1",
+           ("tests/test_counting.py::test_counting_circle_matches_enumeration",
+            "tests/test_counting.py::"
+            "test_counting_circle_matches_enumeration_on_seeded_draws")),
+    Mutant("norms-last-block", "src/lclab/counting.py",
+           "blocks=slice(1))[:, 0, -1]", "blocks=slice(-1, None))[:, 0, -1]",
+           "||E_lam|| is read from the last block instead of block 0",
+           ("tests/test_counting.py::"
+            "test_rate2d_fit_reads_the_spectral_tops_to_the_bit",
+            "tests/test_counting.py::test_block_zero_carries_the_norm")),
+    Mutant("lockstep-stops-early", "src/lclab/coupling.py",
+           "while np.any(open_ := hi / lo > 1.0 + THRESHOLD_REL_TOL):",
+           "while np.all(open_ := hi / lo > 1.0 + THRESHOLD_REL_TOL):",
+           "the threshold bisections all stop when any mu closes",
+           ("tests/test_coupling.py::"
+            "test_threshold_matches_scalar_bisections",)),
+    Mutant("back-substitution-swapped", "src/lclab/kernels.py",
+           "    x_even[..., :x_odd.shape[-1]] += np.multiply(\n"
+           "        neg_upper[..., :-1:2], x_odd, out=rhs_odd)\n"
+           "    x_even[..., 1:] += np.multiply(\n"
+           "        neg_lower[..., 2::2], x_odd[..., :m_right], "
+           "out=rhs_odd[..., :m_right])\n",
+           "    x_even[..., 1:] += np.multiply(\n"
+           "        neg_lower[..., 2::2], x_odd[..., :m_right], "
+           "out=rhs_odd[..., :m_right])\n"
+           "    x_even[..., :x_odd.shape[-1]] += np.multiply(\n"
+           "        neg_upper[..., :-1:2], x_odd, out=rhs_odd)\n",
+           "the even rows add their two neighbours in the other order",
+           ("tests/test_kernels.py::"
+            "test_cyclic_reduction_is_bit_identical_to_the_oracle",)),
+    Mutant("bands-writable", "src/lclab/grids.py",
+           "        for band in self._bands:\n"
+           "            band.flags.writeable = False\n",
+           "",
+           "a caller can write into a grid's cached lam-free bands",
+           ("tests/test_grids.py::"
+            "test_cached_bands_are_read_only_and_match_a_fresh_build",)),
     # -- the torus stack in the real basis ---------------------------------
     Mutant("sine-column-unscaled", "src/lclab/torus.py",
            "np.multiply(table[:, 1:count - top].imag, norm[top + 1:],",
@@ -184,6 +270,12 @@ MUTANTS = (
             "test_class_membership_matches_scalar_loop",
             "tests/test_symbols.py::"
             "test_class_membership_certifies_interface_symbols")),
+    Mutant("coarse-rows-one-sign", "src/lclab/symbols.py",
+           "rows = np.r_[0:n_xi:2, n_xi:2 * n_xi:2]",
+           "rows = np.r_[0:n_xi:2]",
+           "the certificate's coarse grid samples xi > 0 only",
+           ("tests/test_symbols.py::"
+            "test_class_membership_matches_scalar_loop",)),
     Mutant("sample-grid-writable", "src/lclab/symbols.py",
            "    for arr in grid:\n        arr.flags.writeable = False\n"
            "    return grid\n",

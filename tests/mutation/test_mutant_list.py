@@ -12,7 +12,7 @@ def test_each_old_text_occurs_exactly_once():
 
 
 def test_each_mutant_is_whole_and_named_once():
-    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 12
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS) >= 30
     for m in MUTANTS:
         assert m.old != m.new and m.breaks and m.tests, m.name
         for test in m.tests:

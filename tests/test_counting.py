@@ -6,7 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from lclab import (ContractError, ConvergenceError, DifferencePipeline,
-                   Domain2D, DomainError, Fit, Grid1D, PolarGrid,
+                   Domain1D, Domain2D, DomainError, Fit, Grid1D, PolarGrid,
                    ResourceLimitError,
                    birman_disk_check, birman_synthetic_check,
                    circle_count_prediction, circle_difference_eigenvalue, convergence_rate_fit,
@@ -275,6 +275,32 @@ def test_block_zero_carries_the_norm(nr_int, nr_ext, ntheta, radius,
     floor = EPS * (kappa[:, :-1] * e_k[:, :-1] + kappa[:, 1:] * e_k[:, 1:])
     assert np.all(e_k[:, 1:] - e_k[:, :-1] <= floor)
     assert np.array_equal(norms, e_k[:, 0])
+
+
+# Roundoff floor of the coupling-monotonicity check below, in units of
+# eps times the top eigenvalue of the row at the smaller coupling.  E_lam
+# falls in the Loewner order as lam grows, so by Weyl's monotonicity
+# theorem each sorted eigenvalue does not rise.  A computed row is the
+# exact spectrum of E_lam moved by at most c eps ||E_lam||, so two rows may
+# show a rise of 2 c eps top with no fault.  Over 3,000 random grids of
+# the sizes below and sweeps with lam >= 1 (lam < 1 brings the near-null
+# constant of the Neumann problem), couplings one ulp apart included, the
+# largest rise was 8.6 eps top (c about 4.3): 64 keeps a factor 7 over it.
+MONOTONE_FLOOR_EPS = 64
+
+
+@settings(max_examples=20, deadline=None)
+@given(disk=st.booleans(), size=st.integers(1, 14),
+       ntheta=st.integers(8, 32),
+       exponents=st.lists(st.floats(0.0, 8.0), min_size=2, max_size=6))
+def test_each_eigenvalue_does_not_rise_with_the_coupling(disk, size, ntheta,
+                                                         exponents):
+    # an asymmetric interval, 8 | cells; on the disk nr_ext = R / hr >= 3
+    grid = (PolarGrid(Domain2D(1.0, 2.0), size + 2, ntheta) if disk
+            else Grid1D(Domain1D(1.0, 0.25, 0.625), 8 * size))
+    spectra = eigen_spectra(grid, np.unique(10.0 ** np.array(exponents)))
+    floor = MONOTONE_FLOOR_EPS * EPS * spectra[:-1, -1:]
+    assert np.all(spectra[1:] - spectra[:-1] <= floor)
 
 
 def test_disk_spectrum_positive_and_bounded_by_norm(disk_spectrum,

@@ -21,6 +21,10 @@ LAMBDAS = (1e2, 1e3, 1e4, 1e5, 1e6)
 # 2,048 cells (the exterior solve; 1.6e-14 for the coupled one at
 # lam = 1e3), where the band route sits within 1.2e-14
 ORACLE_TOL = 1e-16
+# a1 != L - a2: the suite's other intervals are mirror-symmetric, and on
+# them the two exterior pieces, and so the two endpoints, trade places
+# unseen; a cell count divisible by 8 puts a1 and a2 on nodes
+ASYMMETRIC = Domain1D(1.0, 0.25, 0.625)
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +102,22 @@ def test_exterior_gram_is_component_lengths(domain1d):
                        np.diag([domain1d.a1, 1.0 - domain1d.a2]))
 
 
+def test_exterior_gram_orientation_matches_the_grid():
+    # S f = gamma1 (exterior solve of f), in interface_idx order: f = 1 on
+    # the left piece gives (-a1, 0), on the right piece (0, -(L - a2)),
+    # up to O(h).  No norm sees the endpoints swapped (W has equal
+    # diagonal entries), so the Gram diagonal is pinned to the grid here.
+    grid = Grid1D(ASYMMETRIC, 1024)
+    x = grid.x[grid.ext_idx]
+    pieces = np.stack([x < ASYMMETRIC.a1, x > ASYMMETRIC.a2]).astype(float)
+    s_f = grid.trace_gamma1(grid.extend(grid.solve_exterior(pieces)),
+                            "exterior")
+    lengths = np.array([ASYMMETRIC.a1, ASYMMETRIC.length - ASYMMETRIC.a2])
+    assert np.abs(s_f + np.diag(lengths)).max() <= 4 * grid.h
+    assert np.abs(np.diagonal(exterior_gram_1d(ASYMMETRIC))
+                  + np.diagonal(s_f)).max() <= 4 * grid.h
+
+
 # ---------------------------------------------------------------------------
 # the difference operator
 
@@ -120,13 +140,13 @@ def test_difference_zero_source(grid1d):
 
 
 def test_difference_norm_monotone_and_matching_oracle(domain1d):
-    grid = Grid1D(domain1d, 2048)
-    pipe = DifferencePipeline(grid)
-    norms = [pipe.norm(lam) for lam in (1e2, 1e3, 1e4)]
-    assert norms[0] > norms[1] > norms[2]
-    for lam, norm in zip((1e2, 1e3, 1e4), norms):
-        exact = difference_norm_exact_1d(domain1d, lam)
-        assert norm == pytest.approx(exact, rel=5e-3)
+    for domain in (domain1d, ASYMMETRIC):
+        pipe = DifferencePipeline(Grid1D(domain, 2048))
+        norms = [pipe.norm(lam) for lam in (1e2, 1e3, 1e4)]
+        assert norms[0] > norms[1] > norms[2]
+        for lam, norm in zip((1e2, 1e3, 1e4), norms):
+            exact = difference_norm_exact_1d(domain, lam)
+            assert norm == pytest.approx(exact, rel=5e-3)
 
 
 def test_difference_rank_two_in_1d(domain1d, rng):

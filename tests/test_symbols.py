@@ -334,12 +334,16 @@ MEMBERSHIP_CASES = {
     "x_dependent": make_symbol(
         lambda xp, xip, lam: (1.0 + 0.5 * np.cos(xp + 0.3))
         / np.sqrt(xip * xip + lam), -1.0, kind="P"),
+    # not even in xi, largest at xi < 0: the coarse grid must see both signs
+    "one_sided": make_symbol(
+        lambda xp, xip, lam: (1.0 - 0.5 * np.tanh(xip))
+        / np.sqrt(xip * xip + lam), -1.0, kind="P"),
 }
 
 
 @pytest.mark.parametrize("name, order, k", [
     ("ntd", -1.0, 2), ("eta", 1.0, 2), ("eta", 0.0, 1),
-    ("x_dependent", -1.0, 1), ("ntd", -1.0, 3)])
+    ("x_dependent", -1.0, 1), ("ntd", -1.0, 3), ("one_sided", -1.0, 1)])
 def test_class_membership_matches_scalar_loop(name, order, k):
     symbol = MEMBERSHIP_CASES[name]
     report = class_membership_estimate(symbol, order, k)
