@@ -38,11 +38,10 @@ from .coupling import (DifferencePipeline, GreenReport, convergence_rate_fit,
                        convergence_rate_fit_exact_1d, counting_zero_threshold,
                        green_identity_check, green_test_fields,
                        nonlocal_bc_solve)
-from .counting import (birman_disk_check, birman_synthetic_check,
-                       circle_count_prediction, circle_difference_eigenvalue,
-                       circle_model_exponent_fit, counting_circle,
-                       counting_function, eigen_spectrum, trace_map_norm,
-                       weyl_exponent_fit)
+from .counting import (birman_disk_check, circle_count_prediction,
+                       circle_difference_eigenvalue, circle_model_exponent_fit,
+                       counting_circle, counting_function, eigen_spectrum,
+                       trace_map_norm, weyl_exponent_fit)
 from .torus import (TorusGrid, apply_multiplier, apply_psdo,
                     composition_error_experiment, default_composition_symbols,
                     dft, idft, ntd_bound_experiment, operator_bound_experiment,

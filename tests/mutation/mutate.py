@@ -251,6 +251,13 @@ MUTANTS = (
            "a grid violation hides the sweep violation behind it",
            ("tests/test_runner.py::"
             "test_grid_violation_does_not_hide_the_sweep_violation",)),
+    Mutant("unknown-section-keys-reported", "src/lclab/runner.py",
+           "            if section is None:\n",
+           "            if True:\n",
+           "each key of an unknown section is reported a second time, as a "
+           "key before any section",
+           ("tests/test_runner.py::"
+            "test_keys_of_an_unknown_section_are_reported_once",)),
     Mutant("fit-without-distinct-x", "src/lclab/kernels.py",
            "    if lx.size < 2 or not lx.max() > lx.min():\n",
            "    if lx.size < 1:\n",

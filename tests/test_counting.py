@@ -3,19 +3,18 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lclab import (ContractError, ConvergenceError, DifferencePipeline,
                    Domain1D, Domain2D, DomainError, Fit, Grid1D, PolarGrid,
-                   ResourceLimitError,
-                   birman_disk_check, birman_synthetic_check,
-                   circle_count_prediction, circle_difference_eigenvalue, convergence_rate_fit,
-                   counting, counting_circle, counting_function, kernels,
-                   circle_model_exponent_fit, dense_eigen, eigen_spectrum,
-                   power_iteration_sym, solve_spd, trace_map_norm,
-                   weyl_exponent_fit)
-from lclab.counting import (CIRCLE_MODE_CAP, _comparison_violations,
-                            _pencil, difference_norms, eigen_spectra)
+                   ResourceLimitError, birman_disk_check,
+                   circle_count_prediction, circle_difference_eigenvalue,
+                   convergence_rate_fit, counting, counting_circle,
+                   counting_function, kernels, circle_model_exponent_fit,
+                   dense_eigen, eigen_spectrum, power_iteration_sym,
+                   solve_spd, trace_map_norm, weyl_exponent_fit)
+from lclab.counting import (CIRCLE_MODE_CAP, _pencil, difference_norms,
+                            eigen_spectra)
 from lclab.kernels import _Factorization, solve_tridiagonal
 from lclab.runner import (_TABLE, TOLERANCES, default_config,
                           run_experiment)
@@ -492,6 +491,49 @@ def test_circle_model_rejects_a_coupling_outside_one_to_inf(lam):
             call()
 
 
+# The abstract step of the counting chain, N(mu; S* T2 S) <= N(mu; T2) for
+# ||S|| <= 1, is the min-max theorem for matrices (Reed and Simon IV,
+# XIII.1), so no run checks it: it is a property of the two routes below,
+# the batched rank route and the looped brute force, on random sandwiches.
+def birman_synthetic_spectra(n_instances, dim_domain, dim_range, seed):
+    """The nonzero spectra of random sandwiches T1 = S* T2 S with
+    ||S|| = 1, all drawn as one batch, and the spectrum ``t2_diag`` of T2.
+
+    T1 is never formed: its nonzero eigenvalues are those of
+    T2^1/2 G T2^1/2 with G = S S* (sigma(AB) and sigma(BA) agree off 0), a
+    dim_range-square matrix, and ||S||^2 is the top eigenvalue of G.  The
+    comparison discards the zeros this leaves out.
+    """
+    rng = np.random.default_rng(seed)
+    t2_diag = 1.0 / np.arange(1, dim_range + 1)
+    s = rng.standard_normal((n_instances, dim_range, dim_domain))
+    gram = s @ np.swapaxes(s, 1, 2)
+    gram /= np.linalg.eigvalsh(gram)[:, -1, None, None]
+    half = np.sqrt(t2_diag)
+    return np.linalg.eigvalsh(half[:, None] * gram * half), t2_diag
+
+
+def _comparison_violations(eig1, t2_diag):
+    """Count the probes mu at which N(mu; T1) > N(mu; T2), per row of the
+    (instances, dim) spectra ``eig1`` against the one spectrum ``t2_diag``.
+
+    Each row is probed at every spectral edge above the eigensolver noise
+    floor (the entries of ``t2_diag`` and of the row above 1e-12) and at
+    1e-9 and 10, each raised by a relative 1e-12 to break exact ties
+    conservatively.
+    """
+    eig1 = np.asarray(eig1, dtype=float)
+    t2_diag = np.asarray(t2_diag, dtype=float)
+    fixed = np.concatenate([t2_diag, [1e-9, 10.0]])
+    # an edge below the floor becomes a NaN probe, which counts nothing
+    mus = np.concatenate([np.broadcast_to(fixed, (len(eig1), fixed.size)),
+                          np.where(eig1 > 1e-12, eig1, np.nan)], axis=1)
+    shifted = mus[:, :, None] * (1.0 + 1e-12)
+    count1 = np.count_nonzero(eig1[:, None, :] > shifted, axis=2)
+    count2 = np.count_nonzero(t2_diag > shifted, axis=2)
+    return int(np.count_nonzero(count1 > count2))
+
+
 def looped_violations(eig1, t2_diag):
     """Oracle: one probe, and two ``counting_function`` calls, at a time."""
     violations = 0
@@ -525,29 +567,34 @@ def looped_birman_check(n_instances, dim_domain, dim_range, seed):
         n_instances, dim_domain, dim_range, seed))
 
 
-def test_birman_synthetic_check_finds_no_violation():
-    assert birman_synthetic_check() == 0
-    for seed in (1, 2, 57):
-        assert birman_synthetic_check(100, seed=seed) == 0 \
-            == looped_birman_check(100, 8, 3, seed)
-    assert birman_synthetic_check(40, 2, 5, seed=3) == 0 \
-        == looped_birman_check(40, 2, 5, 3)
+@settings(max_examples=40, deadline=None)
+@given(n_instances=st.integers(1, 60), dim_domain=st.integers(1, 12),
+       dim_range=st.integers(1, 8), seed=st.integers(0, 2 ** 64 - 1))
+@example(100, 8, 3, 0)
+@example(100, 8, 3, 1)
+@example(100, 8, 3, 2)
+@example(100, 8, 3, 57)
+@example(40, 2, 5, 3)       # dim_domain below dim_range
+def test_birman_synthetic_check_finds_no_violation(n_instances, dim_domain,
+                                                   dim_range, seed):
+    eig1, t2_diag = birman_synthetic_spectra(n_instances, dim_domain,
+                                             dim_range, seed)
+    assert _comparison_violations(eig1, t2_diag) == 0 \
+        == looped_birman_check(n_instances, dim_domain, dim_range, seed)
+    # and it can fail: S stretched to ||S||^2 = 2 dim_range lifts the top
+    # of T1 to at least 2 (T1 >= S* S / dim_range), past T2's top of 1
+    stretched = 2 * dim_range * eig1
+    assert _comparison_violations(stretched, t2_diag) == \
+        looped_violations(stretched, t2_diag) >= n_instances
 
 
 @pytest.mark.parametrize("n_instances, dim_domain, dim_range, seed", [
     (100, 8, 3, 1), (100, 8, 3, 2), (100, 8, 3, 57), (40, 2, 5, 3),
 ])
 def test_rank_route_spectra_are_the_nonzero_brute_force_spectra(
-        monkeypatch, n_instances, dim_domain, dim_range, seed):
-    seen = []
-
-    def capture(eig1, t2_diag):
-        seen.append((eig1, t2_diag))
-        return _comparison_violations(eig1, t2_diag)
-
-    monkeypatch.setattr(counting, "_comparison_violations", capture)
-    birman_synthetic_check(n_instances, dim_domain, dim_range, seed=seed)
-    (eig1, t2_diag), = seen
+        n_instances, dim_domain, dim_range, seed):
+    eig1, t2_diag = birman_synthetic_spectra(n_instances, dim_domain,
+                                             dim_range, seed)
     brute, brute_t2 = looped_birman_spectra(n_instances, dim_domain,
                                             dim_range, seed)
     assert np.array_equal(t2_diag, brute_t2)
@@ -573,6 +620,7 @@ def test_batched_comparison_counts_like_the_probe_loop(rng):
         np.array([[0.0] * 5 + [1 / 3, 0.5, 1.0],        # ties: no violation
                   [0.0] * 5 + [1 / 3 * (1 + 1e-13), 0.5, 1.0],
                   [0.0] * 5 + [1 / 3, 0.5, 1.0 + 1e-6],
+                  [0.0] * 5 + [*t2_diag[::-1] * (1 + 1e-12)],  # probes
                   [-1e-13] * 6 + [2.0, 2.0]]),
     ]
     for eig1 in cases:
@@ -583,8 +631,7 @@ def test_batched_comparison_counts_like_the_probe_loop(rng):
         looped_violations(cases[2], t2_diag) == 3
 
 
-@pytest.mark.parametrize("experiment", ["rate1d", "rate2d", "weyl", "birman",
-                                        "bounds", "nbound", "compose"])
+@pytest.mark.parametrize("experiment", list(_TABLE))
 def test_criteria_do_not_depend_on_the_seed(tmp_path, experiment):
     values = []
     for seed in (1, 57):
@@ -609,13 +656,12 @@ def test_weyl_fits_are_fits(disk_spectrum):
     assert list(disk.y) == [counting_function(moduli, mu) for mu in disk.x]
 
 
-def repeated_run_artifacts(tmp_path, experiment, seed=None):
+def repeated_run_artifacts(tmp_path, experiment):
     """The artifact bytes of two runs of one config, by file name."""
     digests = []
     for run in ("a", "b"):
         out = tmp_path / run
-        status, _ = run_experiment(default_config(experiment, seed=seed),
-                                   out_dir=out)
+        status, _ = run_experiment(default_config(experiment), out_dir=out)
         assert status == 0
         digests.append({p.name: p.read_bytes() for p in out.iterdir()})
     return digests
@@ -628,8 +674,7 @@ def test_weyl_artifacts_are_byte_identical(tmp_path):
 
 
 def test_birman_artifacts_are_byte_identical(tmp_path):
-    # birman is the one experiment that reads the seed
-    first, second = repeated_run_artifacts(tmp_path, "birman", seed=57)
+    first, second = repeated_run_artifacts(tmp_path, "birman")
     assert sorted(first) == ["birman.csv", "summary.json"]
     assert first == second
 

@@ -157,31 +157,27 @@ def test_compose_seed_57_passes(tmp_path):
 
 
 def test_artifacts_are_byte_reproducible(tmp_path):
-    # birman draws its random instances from the seed; the rest use none
-    seedless = ("rate1d", "rate2d", "green", "symbols", "bounds", "nbound",
-                "compose", "weyl", "threshold")
-    every = seedless + ("birman",)
+    # no experiment reads the seed: it changes only the config hash, in
+    # the CSV header and summary.json, and summary.json's seed field
     runs = {}
-    for run, seed, experiments in (("a", 1, every), ("b", 1, every),
-                                   ("c", 57, seedless)):
-        for exp in experiments:
+    for run, seed in (("a", 1), ("b", 1), ("c", 57)):
+        for exp in runner._TABLE:
             out = tmp_path / run / exp
             code, _ = runner.run_experiment(
                 runner.default_config(exp, seed=seed), out_dir=out)
             assert code == 0
             runs[run, exp] = {p.name: p.read_bytes() for p in out.iterdir()}
-    for exp in every:
-        first = runs["a", exp]
+    for exp in runner._TABLE:
+        first, other = runs["a", exp], runs["c", exp]
         assert set(first) == {f"{exp}.csv", "summary.json"}
         assert runs["b", exp] == first
-    for exp in seedless:
-        # the CSV header names the config hash, which covers the seed;
-        # every row below it is the same at any seed
-        header, rows = runs["a", exp][f"{exp}.csv"].split(b"\n", 1)
-        other_header, other_rows = runs["c", exp][f"{exp}.csv"].split(b"\n", 1)
-        assert other_rows == rows
-        assert header.split(b" config=")[0] == \
-            other_header.split(b" config=")[0]
+        summaries = [json.loads(r["summary.json"]) for r in (first, other)]
+        assert [summary.pop("seed") for summary in summaries] == [1, 57]
+        hashes = [summary.pop("config_hash") for summary in summaries]
+        assert hashes[0] != hashes[1]
+        assert summaries[0] == summaries[1]
+        assert first[f"{exp}.csv"].replace(hashes[0].encode(), b"") == \
+            other[f"{exp}.csv"].replace(hashes[1].encode(), b"")
 
 
 @pytest.mark.parametrize("experiment", ["symbols", "bounds", "nbound"])
@@ -217,6 +213,20 @@ def test_power_tol_is_no_longer_a_config_key(tmp_path, capsys):
                             "--out", str(out)]) == 3
         assert "unknown section [tolerances]" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_keys_of_an_unknown_section_are_reported_once():
+    # through the section line; a known section after it is read again
+    with pytest.raises(ConfigError) as err:
+        runner.parse_config("[tolerances]\nsolve_tol = 1e-10\npower_tol = 1\n"
+                            "[sweep]\nlamm = 1e3\n")
+    assert err.value.violations == [
+        "line 1: unknown section [tolerances]",
+        "line 5: unknown key sweep.lamm (did you mean lam?)"]
+    # a key before any section header has no section line to report it
+    with pytest.raises(ConfigError) as err:
+        runner.parse_config("lam = 1e3\n[sweep]\nlam = 1e3\n")
+    assert err.value.violations == ["line 1: key before any section"]
 
 
 def test_domain2d_that_does_not_fit_is_a_config_error(tmp_path, capsys):
@@ -520,6 +530,30 @@ def test_experiments_load_no_scipy_submodule():
     assert report["unloaded"] == []
     assert report["codes"] == dict.fromkeys(experiments, 0)
     assert report["scipy"] == []
+
+
+# The CLI's report-all at the default config, in a fresh interpreter: the
+# package docstring says no experiment loads scipy, and no experiment
+# draws a random number, so neither is loaded after the run.
+_RUN_PATH_PROBE = """
+import json, sys, tempfile
+sys.path.insert(0, sys.argv[1])
+from lclab import runner
+with tempfile.TemporaryDirectory() as out:
+    code = runner.main(["report-all", "--out", out])
+print(json.dumps({"code": code, "loaded": sorted(
+    name for name in sys.modules
+    if name == "numpy.random" or name.split(".")[0] == "scipy")}))
+"""
+
+
+def test_report_all_loads_neither_scipy_nor_numpy_random():
+    proc = subprocess.run([sys.executable, "-c", _RUN_PATH_PROBE,
+                           str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"code": 0,
+                                                         "loaded": []}
 
 
 def test_green_solves_its_fine_grid_once(tmp_path, monkeypatch):
