@@ -20,6 +20,7 @@ from lclab import (DifferencePipeline, Domain2D, PolarGrid,
                    counting_circle, counting_function, eigen_spectrum,
                    trace_map_norm, weyl_exponent_fit,
                    circle_model_exponent_fit)
+from lclab.runner import TOLERANCES
 
 lam = 1e3
 disk = Domain2D(radius=1.0, outer_radius=2.0)
@@ -46,7 +47,8 @@ for mu, lhs, rhs in zip(mus, counting_function(moduli, mus),
                         counting_circle(1.0, lam, mus / s_norm ** 2)):
     print(f"  mu = {mu:.3e}:  {lhs:4d} <= {rhs:5d}")
 rows = birman_disk_check(eigs, s_norm, 1.0, lam,
-                         np.geomspace(norm, norm / 100, 20))
+                         np.geomspace(norm, norm / 100, 20),
+                         slack=TOLERANCES["birman_disk_slack"])
 print(f"holds across a 20-point mu grid: {all(r['holds'] for r in rows)}")
 
 fit = weyl_exponent_fit(eigs)

@@ -39,8 +39,9 @@ import numpy as np
 from .errors import (ContractError, DomainError, InconclusiveError,
                      ResourceLimitError)
 from .interface import flat_difference
+from .kernels import check_coupling, loglog_fit, solve_tridiagonal
 # solve_spd stays bound here: bench/tracing.py wraps every binding site
-from .kernels import loglog_fit, solve_spd, solve_tridiagonal  # noqa: F401
+from .kernels import solve_spd  # noqa: F401
 
 CIRCLE_MODE_CAP = 10 ** 7  # widest mode band 1..top counting_circle takes
 FIT_POINTS = 11            # geometric mu per counting-law decade
@@ -165,18 +166,12 @@ def trace_map_norm(grid):
 # interface difference operator on the circle
 
 
-def _check_circle_coupling(lam):
-    """Raise DomainError unless 1 <= lam < inf, which a NaN is not."""
-    if not 1.0 <= lam < math.inf:
-        raise DomainError(f"circle model expects 1 <= lam < inf, not {lam}")
-
-
 def circle_difference_eigenvalue(radius, lam, k):
     """Angular-mode eigenvalue of the interface difference operator on a
     circle: w_k = ``interface.flat_difference`` at xi = |k|/R, at one
     integer k (a ``float``) or elementwise over an integer array, each
     entry the scalar call's to the bit."""
-    _check_circle_coupling(lam)
+    check_coupling(lam)
     w = flat_difference(np.abs(k) / radius, lam)
     return float(w) if np.ndim(k) == 0 else w
 
@@ -200,7 +195,7 @@ def counting_circle(radius, lam, mu):
     the band of any mu holds more than CIRCLE_MODE_CAP modes: past it
     neither the margin nor the fallback enumeration is bounded.
     """
-    _check_circle_coupling(lam)
+    check_coupling(lam)
     mus = np.asarray(mu, dtype=float)
     if not np.all(mus > 0):
         raise DomainError("needs mu > 0")
@@ -242,7 +237,7 @@ def circle_count_prediction(radius, lam, mu):
 # comparison inequalities and asymptotics
 
 
-def birman_disk_check(eigenvalues, s_norm, radius, lam, mu_grid, slack=2):
+def birman_disk_check(eigenvalues, s_norm, radius, lam, mu_grid, slack):
     """Check N(mu; E) <= N(mu/||S||^2; circle model) + slack per mu.
 
     ``slack`` absorbs the curvature corrections the flat-symbol circle
@@ -277,7 +272,7 @@ def circle_model_exponent_fit(radius, lam):
     the angular-mode eigenvalues is the ground truth, and the counts
     follow R/mu there, so the slope sits at -1 with no discretization
     noise."""
-    _check_circle_coupling(lam)
+    check_coupling(lam)
     mu_hi = 1.0 / (25.0 * math.sqrt(lam))
     mu_grid = np.geomspace(mu_hi, mu_hi / 10.0, FIT_POINTS)
     counts = counting_circle(radius, lam, mu_grid)

@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ContractError, DomainError
 
 GRADIENT_SAMPLES = 7  # chart points where grad_chi meets finite differences
+GRADIENT_TOL = 1e-5   # their largest difference, relative to max(1, |grad|)
 
 
 @dataclass(frozen=True)
@@ -76,7 +77,7 @@ class BoundaryChart:
         if validate:
             self._validate_gradient()
 
-    def _validate_gradient(self, tol=1e-5):
+    def _validate_gradient(self):
         radii = np.linspace(-0.8, 0.8, GRADIENT_SAMPLES) * self.support_radius
         h = 1e-6 * max(1.0, self.support_radius)
         for t in radii:
@@ -84,7 +85,7 @@ class BoundaryChart:
             fd = np.array([(self.chi(float(t) + h) - self.chi(float(t) - h))
                            / (2 * h)])
             scale = max(1.0, np.abs(g).max())
-            if np.abs(fd - g).max() > tol * scale:
+            if np.abs(fd - g).max() > GRADIENT_TOL * scale:
                 raise DomainError(
                     "grad_chi inconsistent with finite differences of chi "
                     f"at x'={t:.4f} (|diff|={np.abs(fd - g).max():.2e})")

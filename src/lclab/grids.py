@@ -64,12 +64,13 @@ experiment solves on the blocks, and every consumer finds Gamma in them
 through the layout fields alone.  The sparse assemblies
 (``SparseOperator`` from ``assemble_*``, the stiffness ``_stiffness``
 assembled from ``_links`` on first use) serve the tests as oracles, the
-demos and ``--dump-matrices``.  ``PolarGrid`` keeps its coefficients per ring,
-ring 0 being the origin: ``row_measure``, ``ring_potential`` (the
-potential measure), ``radial_conductance`` (ring m to m + 1) and
-``angular_conductance``.  Its nodal measures, its links and the
-per-angular-mode radial blocks of ``mode_bands`` are all built from
-these four arrays.
+demos and ``--dump-matrices``; ``SparseOperator.solve`` takes values f
+(flux data divided by ``mass``) and solves K u = m f.  ``PolarGrid``
+keeps its coefficients per ring, ring 0 being the origin:
+``row_measure``, ``ring_potential`` (the potential measure),
+``radial_conductance`` (ring m to m + 1) and ``angular_conductance``.
+Its nodal measures, its links and the per-angular-mode radial blocks of
+``mode_bands`` are all built from these four arrays.
 """
 
 from dataclasses import dataclass, field
@@ -79,8 +80,9 @@ import numpy as np
 
 from .errors import ContractError, DomainError
 from .geometry import Domain1D, Domain2D
-from .kernels import (DEFAULT_SOLVE_TOL, _Factorization, require_symmetric,
-                      solve_spd, solve_tridiagonal, tridiagonal_apply)
+from .kernels import (DEFAULT_SOLVE_TOL, _Factorization, check_coupling,
+                      require_symmetric, solve_spd, solve_tridiagonal,
+                      tridiagonal_apply)
 
 
 @dataclass
@@ -106,13 +108,9 @@ class SparseOperator:
 
     def solve(self, f, tol=DEFAULT_SOLVE_TOL):
         """Solve (m^{-1} K) u = f, i.e. K u = m * f."""
-        return self.solve_raw(self.mass * np.asarray(f, dtype=float), tol=tol)
-
-    def solve_raw(self, rhs, tol=DEFAULT_SOLVE_TOL):
-        """Solve K u = rhs without the mass scaling (flux-type data)."""
         if self._fact is None:
             self._fact = _Factorization(self.matrix)
-        return solve_spd(self.matrix, np.asarray(rhs, dtype=float),
+        return solve_spd(self.matrix, self.mass * np.asarray(f, dtype=float),
                          tol=tol, cache=self._fact)
 
     def quadratic_form(self, u):
@@ -205,8 +203,7 @@ class _Grid:
 
     def assemble_interior_neumann(self, lam):
         """Interior -Laplacian + lam on the inclusion, free interface."""
-        if lam < 1:
-            raise DomainError("interior screened operator expects lam >= 1")
+        check_coupling(lam)
         import scipy.sparse
         mat = _assemble_from_links(self.int_idx.size,
                                    *self._links(interior=True))

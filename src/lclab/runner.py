@@ -34,11 +34,11 @@ import numpy as np
 from . import counting as ct
 from . import coupling as cp
 from . import torus as tr
-from .errors import ConfigError, InconclusiveError, LabError
+from .errors import ConfigError, DomainError, InconclusiveError, LabError
 from .geometry import Domain1D, Domain2D, flat_chart
 from .grids import Grid1D, PolarGrid
 from .interface import difference_norm_exact_1d, ntd_matrix_1d
-from .kernels import check_sweep
+from .kernels import check_coupling, check_sweep
 from .symbols import (IDENTITY_SYMBOL, class_membership_estimate, eta_symbol,
                       flat_ntd_symbol, flat_transmission_symbol, make_symbol)
 
@@ -211,9 +211,10 @@ def _validate(values, violations):
                           f"{exp['name']!r}{extra}")
     if not 0 <= exp["seed"] < 2 ** 64:
         violations.append("experiment.seed: must fit in a u64")
-    if not 1 <= values["sweep"]["lam"] < np.inf:   # NaN fails both
-        violations.append("sweep.lam: single-coupling experiments need "
-                          "lam >= 1 and finite")
+    try:
+        check_coupling(values["sweep"]["lam"])
+    except DomainError as err:
+        violations.append(f"sweep.lam: {err}")
     if values["sweep"]["mu_points"] < 2:   # birman probes top / 100 .. top
         violations.append("sweep.mu_points: birman needs >= 2 mu probes")
 

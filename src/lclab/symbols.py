@@ -70,7 +70,7 @@ class SymbolClass:
 
 @dataclass(frozen=True)
 class ParamSymbol:
-    """A symbol b(x', xi', lambda) with declared order and class tag.
+    """A symbol b(x', xi', lambda) with its class tag (kind, order, k).
 
     ``eval`` follows the array contract of this module: broadcasting
     arrays of x', xi' (one scalar per sample) and lambda in, an array of
@@ -78,10 +78,8 @@ class ParamSymbol:
     """
 
     eval: Callable
-    order: float
     class_tag: SymbolClass
     x_support_radius: float = np.inf
-    is_one: bool = False
 
     def __call__(self, xp, xip, lam):
         return self.eval(xp, xip, lam)
@@ -95,14 +93,13 @@ def make_symbol(fn, order, kind="P", k=None, x_support_radius=np.inf):
     ``math.sqrt``) and return the broadcast shape, or a scalar when it is
     constant.
     """
-    return ParamSymbol(eval=fn, order=order,
-                       class_tag=SymbolClass(kind, order, k),
+    return ParamSymbol(eval=fn, class_tag=SymbolClass(kind, order, k),
                        x_support_radius=x_support_radius)
 
 
-IDENTITY_SYMBOL = ParamSymbol(eval=lambda xp, xip, lam: 1.0 + 0.0j, order=0.0,
+IDENTITY_SYMBOL = ParamSymbol(eval=lambda xp, xip, lam: 1.0 + 0.0j,
                               class_tag=SymbolClass("S", 0.0, None),
-                              x_support_radius=0.0, is_one=True)
+                              x_support_radius=0.0)
 
 
 def _metric_pieces(chart, xp, xip):
@@ -218,8 +215,6 @@ def flat_transmission_symbol():
 
 @dataclass
 class MembershipReport:
-    order: float
-    max_xi_derivative: int
     constants: dict          # (alpha, beta) -> sup of |d^b_x d^a_xi b| / t^(m-a)
     growth_slopes: dict      # (alpha, beta) -> slope of log sup vs log t
     refinement_factors: dict
@@ -333,20 +328,20 @@ def class_membership_estimate(symbol, m, k):
         if factors[key] > REFINEMENT_FACTOR_TOL:
             notes.append(f"derivative {key}: unstable under refinement "
                          f"(factor {factors[key]:.2f})")
-    return MembershipReport(order=m, max_xi_derivative=k, constants=constants,
-                            growth_slopes=slopes, refinement_factors=factors,
-                            passed=not notes, notes="; ".join(notes))
+    return MembershipReport(constants=constants, growth_slopes=slopes,
+                            refinement_factors=factors, passed=not notes,
+                            notes="; ".join(notes))
 
 
 def product_symbol(a, b):
     """Pointwise product with the class tag dictated by the product rule:
     S^{m1} x P^{m2} lands in P^{m1+m2}_{[m1]} when m1 >= 0, and in
     S^{m1+m2} when both orders make the parameter-free reading possible.
-    Multiplying by the constant-one symbol returns the other factor.
+    Multiplying by ``IDENTITY_SYMBOL`` returns the other factor.
     """
-    if a.is_one:
+    if a is IDENTITY_SYMBOL:
         return b
-    if b.is_one:
+    if b is IDENTITY_SYMBOL:
         return a
     ta, tb = a.class_tag, b.class_tag
     order = ta.order + tb.order
@@ -372,5 +367,5 @@ def product_symbol(a, b):
 
     fa, fb = a.eval, b.eval
     return ParamSymbol(eval=lambda xp, xip, lam: fa(xp, xip, lam) * fb(xp, xip, lam),
-                       order=order, class_tag=tag,
+                       class_tag=tag,
                        x_support_radius=min(a.x_support_radius, b.x_support_radius))

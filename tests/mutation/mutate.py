@@ -96,6 +96,23 @@ MUTANTS = (
            "two endpoints",
            ("tests/test_coupling.py::"
             "test_nonlocal_bordered_solve_matches_spsolve",)),
+    # -- the single-coupling rule and the sandwich test's tie --------------
+    Mutant("coupling-rule-widened", "src/lclab/kernels.py",
+           "    if not 1.0 <= lam < np.inf:\n",
+           "    if not 0.0 < lam < np.inf:\n",
+           "a single coupling below 1 passes, where the Neumann problem's "
+           "near-null constant spoils the solves",
+           ("tests/test_grids.py::"
+            "test_interior_assembly_rejects_a_coupling_outside_one_to_inf",
+            "tests/test_counting.py::"
+            "test_circle_model_rejects_a_coupling_outside_one_to_inf")),
+    Mutant("tie-counts-for-t2", "tests/test_counting.py",
+           "count2 = np.count_nonzero(t2_diag > shifted, axis=2)",
+           "count2 = np.count_nonzero(t2_diag >= shifted, axis=2)",
+           "an entry of T2 equal to a shifted probe counts for T2, hiding "
+           "a violation there",
+           ("tests/test_counting.py::"
+            "test_batched_comparison_counts_like_the_probe_loop",)),
     # -- invariants that hold exactly on every grid ------------------------
     Mutant("potential-sign", "src/lclab/grids.py",
            "return lower, base + lam * self._band_potential, upper",
@@ -106,7 +123,9 @@ MUTANTS = (
             "tests/test_grids.py::"
             "test_band_products_are_the_sparse_operators",
             "tests/test_counting.py::"
-            "test_each_eigenvalue_does_not_rise_with_the_coupling")),
+            "test_each_eigenvalue_does_not_rise_with_the_coupling",
+            "tests/test_counting.py::"
+            "test_difference_is_positive_with_rank_gamma_rows_times_modes")),
     Mutant("row-measure-outer-ring", "src/lclab/grids.py",
            "        measure[-1] = half_cell(self.ntot * hr)\n",
            "",

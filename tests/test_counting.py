@@ -127,7 +127,7 @@ def power_trace_map_norm(grid, tol):
 
     def s_star_s(f):
         sf = tmat @ ext.solve(f)
-        return ext.solve_raw(tmat.T @ (grid.gamma_weights * sf))
+        return ext.solve(tmat.T @ (grid.gamma_weights * sf) / ext.mass)
 
     val, _ = power_iteration_sym(s_star_s, grid.ext_idx.size, tol=tol,
                                  weights=grid.w_ext)
@@ -288,18 +288,41 @@ def test_block_zero_carries_the_norm(nr_int, nr_ext, ntheta, radius,
 MONOTONE_FLOOR_EPS = 64
 
 
+def drawn_grid(disk, size, ntheta):
+    """An asymmetric interval, 8 | cells, or a disk with nr_ext = R / hr
+    >= 3, of a drawn size."""
+    return (PolarGrid(Domain2D(1.0, 2.0), size + 2, ntheta) if disk
+            else Grid1D(Domain1D(1.0, 0.25, 0.625), 8 * size))
+
+
 @settings(max_examples=20, deadline=None)
 @given(disk=st.booleans(), size=st.integers(1, 14),
        ntheta=st.integers(8, 32),
        exponents=st.lists(st.floats(0.0, 8.0), min_size=2, max_size=6))
 def test_each_eigenvalue_does_not_rise_with_the_coupling(disk, size, ntheta,
                                                          exponents):
-    # an asymmetric interval, 8 | cells; on the disk nr_ext = R / hr >= 3
-    grid = (PolarGrid(Domain2D(1.0, 2.0), size + 2, ntheta) if disk
-            else Grid1D(Domain1D(1.0, 0.25, 0.625), 8 * size))
+    grid = drawn_grid(disk, size, ntheta)
     spectra = eigen_spectra(grid, np.unique(10.0 ** np.array(exponents)))
     floor = MONOTONE_FLOOR_EPS * EPS * spectra[:-1, -1:]
     assert np.all(spectra[1:] - spectra[:-1] <= floor)
+
+
+@settings(max_examples=20, deadline=None)
+@given(disk=st.booleans(), size=st.integers(1, 14),
+       ntheta=st.integers(8, 32),
+       exponents=st.lists(st.floats(0.0, 8.0), min_size=1, max_size=6))
+def test_difference_is_positive_with_rank_gamma_rows_times_modes(
+        disk, size, ntheta, exponents):
+    # E_h >= 0 with rank |Gamma|: each block's pencil gives one positive
+    # eigenvalue per interface row, and each angular mode its block's.
+    # Over every grid drawn here, at lam = 1 and 1e8, the smallest one was
+    # never below 4.3e-5 of its row's top (the disk at nr_ext 3, ntheta
+    # 32, lam = 1), so > 0 holds with room to spare
+    grid = drawn_grid(disk, size, ntheta)
+    spectra = eigen_spectra(grid, np.unique(10.0 ** np.array(exponents)))
+    assert spectra.shape[1] == len(grid.gamma_rows) * np.sum(
+        grid.mode_multiplicity) == grid.interface_idx.size
+    assert np.all(spectra > 0)
 
 
 def test_disk_spectrum_positive_and_bounded_by_norm(disk_spectrum,
@@ -629,6 +652,13 @@ def test_batched_comparison_counts_like_the_probe_loop(rng):
     assert looped_violations(cases[0], t2_diag) > 50
     assert _comparison_violations(cases[2], t2_diag) == \
         looped_violations(cases[2], t2_diag) == 3
+    # an exact tie: the probe at ``tie``, shifted, is T2's 1/2 to the bit,
+    # which counts for T2 only when the comparison is strict
+    tie = 0.5 / (1 + 1e-12)
+    assert tie * (1.0 + 1e-12) == t2_diag[1]
+    eig1 = np.array([[0.0] * 5 + [tie, 0.8, 0.9]])
+    assert _comparison_violations(eig1, t2_diag) == \
+        looped_violations(eig1, t2_diag) == 3
 
 
 @pytest.mark.parametrize("experiment", list(_TABLE))

@@ -307,6 +307,15 @@ def test_interior_screened_monotone_in_coupling(grid1d, polar_grid, rng):
         assert n2 < n1
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, 0.5])
+def test_interior_assembly_rejects_a_coupling_outside_one_to_inf(
+        grid1d, polar_grid, lam):
+    # a NaN passes a plain lam < 1 test and assembled an operator of NaNs
+    for grid in (grid1d, polar_grid):
+        with pytest.raises(DomainError, match="1 <= lam < inf"):
+            grid.assemble_interior_neumann(lam)
+
+
 def test_restrict_extend_roundtrip_and_adjointness(grid1d, polar_grid, rng):
     for grid in (grid1d, polar_grid):
         g = rng.standard_normal(grid.ext_idx.size)

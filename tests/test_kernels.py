@@ -308,8 +308,7 @@ def test_only_the_sparse_oracle_takes_a_solve_tolerance():
         counting.difference_norms, counting._pencil, counting.trace_map_norm,
         coupling.convergence_rate_fit, coupling.green_identity_check,
         coupling.nonlocal_bc_solve, coupling.DifferencePipeline.__init__]
-    oracle = [solve_spd, grids.SparseOperator.solve,
-              grids.SparseOperator.solve_raw]
+    oracle = [solve_spd, grids.SparseOperator.solve]
     assert [f.__qualname__ for f in band_route
             if "tol" in inspect.signature(f).parameters] == []
     assert all(inspect.signature(f).parameters["tol"].default

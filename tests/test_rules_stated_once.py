@@ -1,11 +1,13 @@
 """Each shared rule is stated once: a stdlib-``ast`` scan of ``src/lclab``.
 
 The range of the sparse oracle's solve tolerance, (0, 1e-6], is stated
-by ``kernels.check_tol``, which that solve calls, and what makes a
-coupling sweep by ``kernels.check_sweep``, which every sweep check calls.
-A comparison with the literal ``1e-6`` anywhere else, or the sweep
-message anywhere else, is a second copy of the rule that could drift
-from the first.
+by ``kernels.check_tol``, which that solve calls, what makes a
+coupling sweep by ``kernels.check_sweep``, which every sweep check calls,
+and what makes a single coupling, 1 <= lam < inf, by
+``kernels.check_coupling``.  A comparison with the literal ``1e-6``
+anywhere else, the sweep message anywhere else, or a comparison of a
+``lam`` with the literal 1 anywhere else, is a second copy of the rule
+that could drift from the first.
 
 The interface operators are stated by the module ``interface``: the
 flat ones through the decay rate sqrt(xi^2 + lam).  A ``sqrt`` of a sum
@@ -29,6 +31,22 @@ def _compares_with_tol_bound(node):
 def _states_sweep_message(node):
     return (isinstance(node, ast.Constant) and isinstance(node.value, str)
             and SWEEP_MESSAGE in node.value)
+
+
+def _names_lam(node):
+    """``lam``, as a name or a key, anywhere in ``node``."""
+    return any(isinstance(n, ast.Name) and n.id == "lam"
+               or isinstance(n, ast.Constant) and n.value == "lam"
+               for n in ast.walk(node))
+
+
+def _compares_lam_with_one(node):
+    if not isinstance(node, ast.Compare):
+        return False
+    sides = (node.left, *node.comparators)
+    return any(isinstance(side, ast.Constant)
+               and type(side.value) in (int, float) and side.value == 1
+               for side in sides) and any(map(_names_lam, sides))
 
 
 def _is_square(node):
@@ -59,6 +77,8 @@ RULES = (
     (("kernels.check_tol",), "a comparison with 1e-6",
      _compares_with_tol_bound),
     (("kernels.check_sweep",), "the sweep message", _states_sweep_message),
+    (("kernels.check_coupling",), "a comparison of lam with 1",
+     _compares_lam_with_one),
     (("interface", "torus"), "a decay rate sqrt(x^2 + y)", _takes_decay_rate),
 )
 
@@ -115,6 +135,27 @@ def test_restated_rule_is_found(tmp_path):
         "runner.sweep: the sweep message",
         "runner.parse: a comparison with 1e-6",
         "runner.parse: a comparison with 1e-6",
+    ]
+
+
+def test_restated_coupling_rule_is_found(tmp_path):
+    (tmp_path / "kernels.py").write_text(
+        "def check_coupling(lam):\n"
+        "    if not 1.0 <= lam < np.inf:\n"
+        "        raise DomainError(lam)\n")
+    (tmp_path / "runner.py").write_text(
+        "def _validate(values, violations):\n"
+        '    if not 1 <= values["sweep"]["lam"] < np.inf:\n'
+        '        violations.append("sweep.lam")\n'
+        "    return k >= 1, lam >= 2, lam == 1.5\n")
+    (tmp_path / "grids.py").write_text(
+        "class Grid:\n"
+        "    def assemble(self, lam):\n"
+        "        if lam < 1:\n"
+        "            raise DomainError(lam)\n")
+    assert restated_rules(tmp_path) == [
+        "grids.assemble: a comparison of lam with 1",
+        "runner._validate: a comparison of lam with 1",
     ]
 
 

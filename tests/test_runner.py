@@ -307,9 +307,9 @@ def test_sweep_the_run_rejects_is_a_config_error(tmp_path, capsys, exp,
     ("nbound", "[sweep]\nlambdas_torus = 1e2, 1e3, inf\n",
      f"sweep.lambdas_torus: {SWEEP_RULE}"),
     ("green", "[sweep]\nlam = nan\n",
-     "sweep.lam: single-coupling experiments need lam >= 1"),
+     "sweep.lam: single coupling needs 1 <= lam < inf"),
     ("report-all", "[sweep]\nlam = inf\n",
-     "sweep.lam: single-coupling experiments need lam >= 1"),
+     "sweep.lam: single coupling needs 1 <= lam < inf"),
 ], ids=["rate1d-inf", "report-all-inf", "rate1d-nan", "rate2d-inf",
         "bounds-nan", "nbound-inf", "green-lam-nan", "report-all-lam-inf"])
 def test_non_finite_coupling_is_a_config_error(tmp_path, capsys, exp, text,

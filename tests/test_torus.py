@@ -34,8 +34,9 @@ def taylor_composition_symbol(a, b, da_dxi, dxb, terms):
             raise ConfigError("expansion wired up to first order only")
         return out
 
-    return make_symbol(fn, a.order + b.order, kind="P",
-                       k=int(math.floor(a.order)) if a.order >= 0 else None)
+    ta, tb = a.class_tag, b.class_tag
+    return make_symbol(fn, ta.order + tb.order, kind="P",
+                       k=int(math.floor(ta.order)) if ta.order >= 0 else None)
 
 
 def mode(grid, k):
